@@ -55,7 +55,7 @@ class CodeInfo:
         summary: one-line condition summary, mirrored verbatim in the
             docs table.
         pass_name: the emitting pass (``owner`` | ``comm`` | ``movement``
-            | ``protocol`` | ``replay`` | ``model``).
+            | ``protocol`` | ``replay`` | ``model`` | ``injector``).
     """
 
     severity: Severity
@@ -186,18 +186,18 @@ REGISTRY: dict[str, CodeInfo] = {
     "RA704": CodeInfo(
         _E, "model: protocol-specific safety invariant violated", "model"
     ),
-    # Differential engine equivalence (RA8xx)
+    # Injector equivalence (RA8xx)
     "RA801": CodeInfo(
         _E,
-        "engine: batch event core trace not byte-identical to the "
-        "reference engine",
-        "engine",
+        "injector: trace under a silent fault injector not byte-identical "
+        "to the uninjected run",
+        "injector",
     ),
     "RA802": CodeInfo(
         _E,
-        "engine: batch event core run outcome (results/metrics) "
-        "diverges from the reference engine",
-        "engine",
+        "injector: run outcome (results/metrics) under a silent fault "
+        "injector diverges from the uninjected run",
+        "injector",
     ),
 }
 
@@ -214,7 +214,7 @@ class Diagnostic:
         severity: finding severity.
         message: human-readable description of this occurrence.
         pass_name: emitting pass (``owner`` | ``comm`` | ``movement`` |
-            ``protocol`` | ``replay`` | ``model``).
+            ``protocol`` | ``replay`` | ``model`` | ``injector``).
         locus: source position of the finding — a statement label, a
             ``file:line``, a plan name, or a unit id, whichever the pass
             can pinpoint.

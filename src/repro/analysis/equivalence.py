@@ -1,19 +1,22 @@
-"""Differential engine equivalence (RA8xx): batch vs reference traces.
+"""Injector equivalence (RA8xx): a silent fault injector changes nothing.
 
-The batch event core (:class:`repro.sim.BatchEngine`) promises *byte
-identity*: every observed run must produce exactly the same structured
-event trace and numeric results as the reference engine.  This pass
-checks the promise differentially — each case runs twice, once per
-engine mode, and the JSONL trace bytes, numeric result digest, and run
-metrics are compared.  Any divergence is an ``RA801``/``RA802`` error
-naming the case and the first point of disagreement.
+The simulator has one event core; fault injection is a branch inside
+each syscall handler (stall clamping) plus the reliable-transport path
+for sends (sequence numbers, per-copy fates, receiver dedupe).  Armed
+with a plan that injects nothing — :data:`SILENT_PLAN`, one message
+fault with drop probability zero — those branches must be invisible:
+every observed run must produce exactly the same structured event
+trace, numeric results, elapsed time and message count as the run with
+no injector at all.  Each case runs twice, once per setting, and any
+divergence is an ``RA801``/``RA802`` error naming the case and the
+first point of disagreement.
 
 The case set mirrors the golden-trace suite: the three paper apps
 (MM/SOR/LU with competing loads), a checkpointed SOR run, the
 hierarchical control plane, and the work-stealing / robust
 self-scheduling strategy planes.  It is wired into ``repro check
---engines`` so the equivalence contract is lintable locally and in CI
-(see ``.github/workflows/ci.yml``'s differential-equivalence step).
+--injector-equivalence`` so the contract is lintable locally and in CI
+(see ``.github/workflows/ci.yml``'s injector-equivalence step).
 """
 
 from __future__ import annotations
@@ -24,9 +27,21 @@ from typing import Any, Callable
 import numpy as np
 
 from ..config import CheckpointConfig, ClusterSpec, ProcessorSpec, RunConfig
+from ..faults import FaultPlan, MessageFault
 from .diagnostics import Diagnostic
 
-__all__ = ["ENGINE_CASES", "run_case", "check_engine_equivalence"]
+__all__ = [
+    "SILENT_PLAN",
+    "INJECTOR_CASES",
+    "run_case",
+    "check_injector_equivalence",
+]
+
+#: An armed plan whose only fault never fires (drop probability zero).
+SILENT_PLAN = FaultPlan(
+    message_faults=(MessageFault(kind="drop", probability=0.0),),
+    name="silent",
+)
 
 
 def _digest(obj: Any, h: "hashlib._Hash") -> None:
@@ -43,11 +58,10 @@ def _digest(obj: Any, h: "hashlib._Hash") -> None:
         h.update(arr.tobytes())
 
 
-def _cfg(engine: str, ckpt: bool = False) -> RunConfig:
+def _cfg(ckpt: bool = False) -> RunConfig:
     return RunConfig(
         cluster=ClusterSpec(n_slaves=4, processor=ProcessorSpec(speed=3e4)),
         ckpt=CheckpointConfig(enabled=ckpt, interval=0.5),
-        engine=engine,
     )
 
 
@@ -64,7 +78,7 @@ def _fingerprint(res: Any, recorder: Any) -> dict[str, Any]:
     }
 
 
-def _case_app(app: str, engine: str, ckpt: bool = False) -> dict[str, Any]:
+def _case_app(app: str, faults: FaultPlan | None, ckpt: bool = False) -> dict[str, Any]:
     from ..apps import build_lu, build_matmul, build_sor
     from ..obs import Recorder
     from ..runtime import run_application
@@ -78,15 +92,16 @@ def _case_app(app: str, engine: str, ckpt: bool = False) -> dict[str, Any]:
     recorder = Recorder()
     res = run_application(
         plan,
-        _cfg(engine, ckpt=ckpt),
+        _cfg(ckpt=ckpt),
         loads={0: ConstantLoad(k=1)},
         seed=7,
         recorder=recorder,
+        faults=faults,
     )
     return _fingerprint(res, recorder)
 
 
-def _case_hier(engine: str) -> dict[str, Any]:
+def _case_hier(faults: FaultPlan | None) -> dict[str, Any]:
     from ..apps import build_matmul
     from ..obs import Recorder
     from ..scale import run_hierarchical
@@ -95,19 +110,17 @@ def _case_hier(engine: str) -> dict[str, Any]:
     recorder = Recorder()
     res = run_hierarchical(
         build_matmul(n=48),
-        RunConfig(
-            cluster=ClusterSpec(n_slaves=8, processor=ProcessorSpec(speed=3e4)),
-            engine=engine,
-        ),
+        RunConfig(cluster=ClusterSpec(n_slaves=8, processor=ProcessorSpec(speed=3e4))),
         {0: ConstantLoad(k=1)},
         fanout=2,
         seed=7,
         recorder=recorder,
+        faults=faults,
     )
     return _fingerprint(res, recorder)
 
 
-def _case_strategy(strategy: str, engine: str) -> dict[str, Any]:
+def _case_strategy(strategy: str, faults: FaultPlan | None) -> dict[str, Any]:
     from ..apps import build_matmul
     from ..obs import Recorder
     from ..sim import ConstantLoad
@@ -117,70 +130,68 @@ def _case_strategy(strategy: str, engine: str) -> dict[str, Any]:
     out = run_strategy(
         strategy,
         build_matmul(n=48),
-        RunConfig(
-            cluster=ClusterSpec(n_slaves=4, processor=ProcessorSpec(speed=3e4)),
-            engine=engine,
-        ),
+        RunConfig(cluster=ClusterSpec(n_slaves=4, processor=ProcessorSpec(speed=3e4))),
         {0: ConstantLoad(k=1)},
         seed=7,
         recorder=recorder,
+        faults=faults,
     )
     return _fingerprint(out, recorder)
 
 
-ENGINE_CASES: dict[str, Callable[[str], dict[str, Any]]] = {
-    "matmul": lambda engine: _case_app("matmul", engine),
-    "sor": lambda engine: _case_app("sor", engine),
-    "lu": lambda engine: _case_app("lu", engine),
-    "sor_ckpt": lambda engine: _case_app("sor", engine, ckpt=True),
+INJECTOR_CASES: dict[str, Callable[[FaultPlan | None], dict[str, Any]]] = {
+    "matmul": lambda faults: _case_app("matmul", faults),
+    "sor": lambda faults: _case_app("sor", faults),
+    "lu": lambda faults: _case_app("lu", faults),
+    "sor_ckpt": lambda faults: _case_app("sor", faults, ckpt=True),
     "hier_matmul": _case_hier,
-    "steal_matmul": lambda engine: _case_strategy("stealing", engine),
-    "rdlb_matmul": lambda engine: _case_strategy("rdlb", engine),
+    "steal_matmul": lambda faults: _case_strategy("stealing", faults),
+    "rdlb_matmul": lambda faults: _case_strategy("rdlb", faults),
 }
 
 
-def run_case(name: str, engine: str) -> dict[str, Any]:
-    """Fingerprint one equivalence case under one engine mode."""
-    return ENGINE_CASES[name](engine)
+def run_case(name: str, injector: bool) -> dict[str, Any]:
+    """Fingerprint one case, with the silent injector armed or not."""
+    return INJECTOR_CASES[name](SILENT_PLAN if injector else None)
 
 
-def check_engine_equivalence(
+def check_injector_equivalence(
     cases: list[str] | None = None,
 ) -> list[Diagnostic]:
-    """Run every case under both engines and diff the fingerprints."""
+    """Run every case with and without the silent injector and diff."""
     diags: list[Diagnostic] = []
-    for name in cases if cases is not None else sorted(ENGINE_CASES):
-        ref = run_case(name, "reference")
-        bat = run_case(name, "batch")
-        if bat["trace_sha256"] != ref["trace_sha256"]:
+    for name in cases if cases is not None else sorted(INJECTOR_CASES):
+        bare = run_case(name, injector=False)
+        armed = run_case(name, injector=True)
+        if armed["trace_sha256"] != bare["trace_sha256"]:
             diags.append(
                 Diagnostic.new(
                     "RA801",
-                    f"batch-engine trace diverges from reference on "
-                    f"{name!r} ({bat['trace_events']} vs "
-                    f"{ref['trace_events']} events)",
+                    f"silent-injector trace diverges from the uninjected run "
+                    f"on {name!r} ({armed['trace_events']} vs "
+                    f"{bare['trace_events']} events)",
                     locus=name,
                     details={
-                        "reference_sha256": ref["trace_sha256"],
-                        "batch_sha256": bat["trace_sha256"],
+                        "uninjected_sha256": bare["trace_sha256"],
+                        "injected_sha256": armed["trace_sha256"],
                     },
                 )
             )
         drift = {
-            key: (ref[key], bat[key])
+            key: (bare[key], armed[key])
             for key in ("result_sha256", "elapsed", "message_count")
-            if ref[key] != bat[key]
+            if bare[key] != armed[key]
         }
         if drift:
             diags.append(
                 Diagnostic.new(
                     "RA802",
-                    f"batch-engine run outcome diverges from reference "
-                    f"on {name!r}: {sorted(drift)}",
+                    f"silent-injector run outcome diverges from the "
+                    f"uninjected run on {name!r}: {sorted(drift)}",
                     locus=name,
                     details={
-                        k: {"reference": r, "batch": b}
-                        for k, (r, b) in drift.items()
+                        k: {"uninjected": b, "injected": a}
+                        for k, (b, a) in drift.items()
                     },
                 )
             )

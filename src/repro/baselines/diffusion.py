@@ -219,7 +219,7 @@ def run_diffusion(
         neighbor_map = {pid: topo.neighbors(pid) for pid in range(n)}
         cluster_spec = replace(cluster_spec, topology=topo_spec)
         topo_name = topo_spec.kind
-    cluster = Cluster(cluster_spec, dict(loads or {}), engine=run_cfg.engine)
+    cluster = Cluster(cluster_spec, dict(loads or {}))
     exec_num = run_cfg.execute_numerics
     rng = np.random.default_rng(seed)
     global_state = plan.kernels.make_global(rng) if exec_num else None

@@ -207,9 +207,7 @@ def run_self_scheduling(
         raise ProtocolError(
             "self-scheduling baseline supports independent iterations only"
         )
-    cluster = Cluster(
-        run_cfg.cluster, dict(loads or {}), engine=run_cfg.engine
-    )
+    cluster = Cluster(run_cfg.cluster, dict(loads or {}))
     exec_num = run_cfg.execute_numerics
     rng = np.random.default_rng(seed)
     global_state = plan.kernels.make_global(rng) if exec_num else None

@@ -69,12 +69,6 @@ def _cell(name: str, cell: str, **params: Any) -> dict[str, Any]:
     return {"name": name, "cell": cell, "params": params}
 
 
-# Cell kinds that accept an ``engine=`` parameter (event-core mode).
-_ENGINE_CELLS = frozenset(
-    {"pingpong", "compute_loop", "compute_batch", "run", "figure_pair"}
-)
-
-
 SUITES: dict[str, list[dict[str, Any]]] = {
     # Library hot-path throughput: message path, scheduler path, and
     # paper-scale end-to-end points (the suite the >=2x overhaul target
@@ -82,9 +76,6 @@ SUITES: dict[str, list[dict[str, Any]]] = {
     "simulator_throughput": [
         _cell("pingpong", "pingpong", n_messages=20000),
         _cell("compute_loop", "compute_loop", n_chunks=50000),
-        # Sized 10x the compute_loop cell: the vectorized core clears
-        # 50k events in single-digit milliseconds, too short to time.
-        _cell("compute_batch", "compute_batch", n_chunks=500000),
         _cell("mm_dedicated_point", "run", app="matmul", n=500, P=7),
         _cell("sor_paper_point", "run", app="sor", n=2000, P=7, maxiter=15),
         _cell("lu_point", "run", app="lu", n=300, P=4),
@@ -140,7 +131,6 @@ SUITES: dict[str, list[dict[str, Any]]] = {
     "ci-smoke": [
         _cell("pingpong", "pingpong", n_messages=20000),
         _cell("compute_loop", "compute_loop", n_chunks=50000),
-        _cell("compute_batch", "compute_batch", n_chunks=200000),
         _cell("mm_pair", "figure_pair", app="matmul", n=500, P=4),
         _cell(
             "sor_loaded_pair",
@@ -214,7 +204,6 @@ def run_suite(
     state_dir: str | None = None,
     timeout_s: float | None = None,
     self_chaos: Any = None,
-    engine: str | None = None,
 ) -> dict[str, Any]:
     """Run every cell of ``suite`` (or ``all``) and return the document.
 
@@ -229,12 +218,9 @@ def run_suite(
     ``max_p`` and ``topologies`` filter cells (see :func:`_job_selected`)
     — the nightly lane uses them to bound wall clock.
 
-    ``engine`` forces an event-core mode (``reference`` / ``batch``) on
-    every cell that simulates through :class:`repro.sim.Cluster`; the
-    choice is recorded in the document so baselines are compared
-    like-for-like.  Known-noisy ``two_cluster`` topology cells always
-    run at least twice (best-of policy) to damp interconnect-model
-    timing jitter in the nightly lane.
+    Known-noisy ``two_cluster`` topology cells always run at least
+    twice (best-of policy) to damp interconnect-model timing jitter in
+    the nightly lane.
     """
     from ..orchestrator import JobSpec, submit_sweep
 
@@ -250,8 +236,6 @@ def run_suite(
         if _job_selected(spec, max_p, topologies)
     ]
     for job in jobs:
-        if engine is not None and job["cell"] in _ENGINE_CELLS:
-            job["params"] = {**job["params"], "engine": engine}
         if job["params"].get("topology") == "two_cluster":
             # Retry-once policy for the known-noisy two_cluster cells:
             # best-of-2 minimum damps the bimodal timing of the
@@ -320,8 +304,6 @@ def run_suite(
         "repeat": repeat,
         "cells": cells,
     }
-    if engine is not None:
-        doc["engine"] = engine
     if sweep.interrupted:
         doc["interrupted"] = True
     if state_dir is not None:
@@ -647,13 +629,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "'kill-worker:2' (testing hook)",
     )
     parser.add_argument(
-        "--engine",
-        choices=("auto", "reference", "batch"),
-        default=None,
-        help="force an event-core mode on every engine-aware cell "
-        "(default: each cell's own default, i.e. auto)",
-    )
-    parser.add_argument(
         "--list", action="store_true", help="list suites and cells, then exit"
     )
     args = parser.parse_args(argv)
@@ -699,7 +674,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             state_dir=args.state_dir,
             timeout_s=args.timeout,
             self_chaos=self_chaos,
-            engine=args.engine,
         )
     except KeyError as exc:
         print(f"bench: {exc.args[0]}")

@@ -31,7 +31,7 @@ from ..experiments.common import PAPER_QUANTUM, PAPER_SPEED, run_point
 from ..runtime import run_application
 from ..scale.crossover import cell_scaling
 from ..strategies.robustness import cell_perturbation
-from ..sim import Cluster, Compute, ComputeBatch, ConstantLoad, Recv, Send
+from ..sim import Cluster, Compute, ConstantLoad, Recv, Send
 
 __all__ = ["CELLS", "run_cell"]
 
@@ -50,10 +50,10 @@ def _result(wall_s: float, events: int, **meta: Any) -> dict[str, Any]:
     return {"metrics": metrics, "meta": meta}
 
 
-def cell_pingpong(n_messages: int = 5000, engine: str = "auto") -> dict[str, Any]:
+def cell_pingpong(n_messages: int = 5000) -> dict[str, Any]:
     """Two processors exchanging small tagged messages (message path)."""
     spec = ClusterSpec(n_slaves=2, processor=ProcessorSpec(), network=NetworkSpec())
-    cluster = Cluster(spec, engine=engine)
+    cluster = Cluster(spec)
 
     def ping(ctx):
         for i in range(n_messages):
@@ -76,13 +76,12 @@ def cell_pingpong(n_messages: int = 5000, engine: str = "auto") -> dict[str, Any
         n_messages=n_messages,
         messages=cluster.message_count,
         sim_elapsed=cluster.engine.now,
-        engine=cluster.engine_mode,
     )
 
 
-def cell_compute_loop(n_chunks: int = 20000, engine: str = "auto") -> dict[str, Any]:
+def cell_compute_loop(n_chunks: int = 20000) -> dict[str, Any]:
     """One processor issuing many small compute bursts (scheduler path)."""
-    cluster = Cluster(ClusterSpec(n_slaves=1), engine=engine)
+    cluster = Cluster(ClusterSpec(n_slaves=1))
 
     def worker(ctx):
         for _ in range(n_chunks):
@@ -97,43 +96,6 @@ def cell_compute_loop(n_chunks: int = 20000, engine: str = "auto") -> dict[str, 
         cluster.engine.events_processed,
         n_chunks=n_chunks,
         sim_elapsed=cluster.engine.now,
-        engine=cluster.engine_mode,
-    )
-
-
-def cell_compute_batch(
-    n_chunks: int = 50000, block: int = 1000, engine: str = "auto"
-) -> dict[str, Any]:
-    """The compute_loop workload issued as ComputeBatch syscalls.
-
-    Simulates the *same* schedule as ``cell_compute_loop`` with the same
-    ``n_chunks`` (identical ``sim_elapsed`` and event count — every
-    segment is still one event), but hands the engine ``block`` segments
-    at a time so the batch core can advance them in one vectorized step.
-    The 10x perf gate compares this cell against the pre-PR-5
-    ``compute_loop`` baseline row (see ``repro.bench.perfgate``).
-    """
-    cluster = Cluster(ClusterSpec(n_slaves=1), engine=engine)
-    ops = [1000.0] * block
-
-    def worker(ctx):
-        for _ in range(n_chunks // block):
-            yield ComputeBatch(ops)
-        rem = n_chunks % block
-        if rem:
-            yield ComputeBatch([1000.0] * rem)
-
-    cluster.spawn(0, worker)
-    t0 = time.perf_counter()
-    cluster.run()
-    wall = time.perf_counter() - t0
-    return _result(
-        wall,
-        cluster.engine.events_processed,
-        n_chunks=n_chunks,
-        block=block,
-        sim_elapsed=cluster.engine.now,
-        engine=cluster.engine_mode,
     )
 
 
@@ -145,13 +107,12 @@ def cell_run(
     dlb: bool = True,
     load_k: int = 0,
     load_pid: int = 0,
-    engine: str = "auto",
 ) -> dict[str, Any]:
     """One full application run (wall time of a figure-style cell)."""
     plan = _BUILDERS[app](n, P, maxiter)
     loads = {load_pid: ConstantLoad(k=load_k)} if load_k else None
     t0 = time.perf_counter()
-    res = run_point(plan, P, loads=loads, dlb=dlb, engine=engine)
+    res = run_point(plan, P, loads=loads, dlb=dlb)
     wall = time.perf_counter() - t0
     return _result(
         wall,
@@ -161,7 +122,6 @@ def cell_run(
         P=P,
         dlb=dlb,
         load_k=load_k,
-        engine=engine,
         sim_elapsed=res.elapsed,
         speedup=res.speedup,
         messages=res.message_count,
@@ -175,7 +135,6 @@ def cell_figure_pair(
     maxiter: int = 15,
     load_k: int = 0,
     load_pid: int = 0,
-    engine: str = "auto",
 ) -> dict[str, Any]:
     """A static + DLB pair at one processor count (one figure cell).
 
@@ -185,12 +144,8 @@ def cell_figure_pair(
     loads = {load_pid: ConstantLoad(k=load_k)} if load_k else None
     t0 = time.perf_counter()
     plan = _BUILDERS[app](n, P, maxiter)
-    r_sta = run_point(
-        plan, P, loads=dict(loads) if loads else None, dlb=False, engine=engine
-    )
-    r_dlb = run_point(
-        plan, P, loads=dict(loads) if loads else None, dlb=True, engine=engine
-    )
+    r_sta = run_point(plan, P, loads=dict(loads) if loads else None, dlb=False)
+    r_dlb = run_point(plan, P, loads=dict(loads) if loads else None, dlb=True)
     wall = time.perf_counter() - t0
     return _result(
         wall,
@@ -251,7 +206,6 @@ def cell_checkpoint(
 CELLS = {
     "pingpong": cell_pingpong,
     "compute_loop": cell_compute_loop,
-    "compute_batch": cell_compute_batch,
     "run": cell_run,
     "figure_pair": cell_figure_pair,
     "checkpoint": cell_checkpoint,

@@ -92,7 +92,6 @@ def _run_cfg_from_args(args: argparse.Namespace) -> RunConfig:
         dlb_enabled=not args.no_dlb,
         ckpt=_ckpt_from_args(args),
         strategy=getattr(args, "strategy", "centralized") or "centralized",
-        engine=getattr(args, "engine", "auto") or "auto",
     )
 
 
@@ -317,13 +316,13 @@ def _cmd_check(args: argparse.Namespace) -> int:
         results.extend(_check_steal_protocol())
     if args.model:
         results.extend(_check_models(args))
-    if args.engines:
-        from .analysis.equivalence import check_engine_equivalence
+    if args.injector_equivalence:
+        from .analysis.equivalence import check_injector_equivalence
 
         results.append(
             CheckResult(
-                subject="engine-equivalence[batch=reference]",
-                diagnostics=check_engine_equivalence(),
+                subject="injector-equivalence[silent=none]",
+                diagnostics=check_injector_equivalence(),
             )
         )
     if args.events is not None:
@@ -332,7 +331,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
                 subject=args.events, diagnostics=check_log_file(args.events)
             )
         )
-    focused = args.events is not None or args.model or args.engines
+    focused = args.events is not None or args.model or args.injector_equivalence
     if not focused or args.apps or args.plan_factory:
         protocol_pending = True
         for name, plan in _check_subjects(args):
@@ -809,16 +808,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             ),
         )
         p.add_argument(
-            "--engine",
-            choices=("auto", "reference", "batch"),
-            default="auto",
-            help=(
-                "event core: 'batch' is the vectorized pooled-heap core, "
-                "'reference' the original loop; 'auto' (default) picks "
-                "batch unless fault injection forces the reference path"
-            ),
-        )
-        p.add_argument(
             "--faults",
             metavar="NAME_OR_PATH",
             default=None,
@@ -934,12 +923,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         ),
     )
     p_check.add_argument(
-        "--engines",
+        "--injector-equivalence",
         action="store_true",
         help=(
-            "also run the differential engine-equivalence suite: every "
-            "golden-trace app under engine=reference and engine=batch, "
-            "diffing trace bytes and run outcomes (RA8xx)"
+            "also run the injector-equivalence suite: every golden-trace "
+            "app with and without a silent fault injector, diffing trace "
+            "bytes and run outcomes (RA8xx)"
         ),
     )
     p_check.add_argument(

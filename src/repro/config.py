@@ -384,12 +384,6 @@ class RunConfig:
     ``trapezoid``).  The name is validated where it is consumed
     (:func:`repro.strategies.run_strategy`), not here, so the config
     module stays dependency-free.
-
-    ``engine`` selects the simulator event core: ``"reference"`` is the
-    original heap loop, ``"batch"`` the pooled/vectorized core that is
-    byte-identical on observed traces, and ``"auto"`` (default) resolves
-    to ``batch`` unless fault injection is armed — an armed
-    :class:`~repro.faults.FaultInjector` always forces ``reference``.
     """
 
     cluster: ClusterSpec = field(default_factory=ClusterSpec)
@@ -402,13 +396,7 @@ class RunConfig:
     trace_enabled: bool = False
     max_virtual_time: float = 1.0e7
     strategy: str = "centralized"
-    engine: str = "auto"
 
     def __post_init__(self) -> None:
         if not self.strategy or not isinstance(self.strategy, str):
             raise ConfigError(f"strategy must be a non-empty name, got {self.strategy!r}")
-        if self.engine not in ("auto", "reference", "batch"):
-            raise ConfigError(
-                "engine must be 'auto', 'reference', or 'batch', "
-                f"got {self.engine!r}"
-            )

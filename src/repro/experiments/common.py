@@ -40,7 +40,6 @@ def run_point(
     grain: GrainConfig | None = None,
     network: NetworkSpec | None = None,
     recorder: Recorder | None = None,
-    engine: str = "auto",
 ) -> RunResult:
     """One simulated run with paper-calibrated defaults."""
     cfg = RunConfig(
@@ -56,7 +55,6 @@ def run_point(
         execute_numerics=execute_numerics,
         dlb_enabled=dlb,
         trace_enabled=trace,
-        engine=engine,
     )
     return run_application(plan, cfg, loads=loads, seed=seed, recorder=recorder)
 

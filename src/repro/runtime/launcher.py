@@ -199,13 +199,7 @@ def run_application(
             f"{run_cfg.cluster.n_slaves} slaves; every slave needs at "
             "least one column to anchor its halo exchange"
         )
-    cluster = Cluster(
-        run_cfg.cluster,
-        dict(loads or {}),
-        recorder,
-        injector,
-        engine=run_cfg.engine,
-    )
+    cluster = Cluster(run_cfg.cluster, dict(loads or {}), recorder, injector)
     rng = np.random.default_rng(seed)
 
     global_state = (

@@ -632,14 +632,7 @@ def run_hierarchical(
     injector = None
     if faults is not None and not faults.empty:
         injector = FaultInjector(faults, master_pid=tree.root)
-    cluster = Cluster(
-        spec,
-        loads,
-        recorder,
-        injector,
-        fabric_attach=attach,
-        engine=run_cfg.engine,
-    )
+    cluster = Cluster(spec, loads, recorder, injector, fabric_attach=attach)
     if recorder is not None and recorder.enabled:
         recorder.metrics.gauge("scale.levels").set(float(tree.levels))
         recorder.metrics.gauge("scale.n_internal").set(float(tree.n_internal))

@@ -20,7 +20,7 @@ Typical use::
     cluster.run()
 """
 
-from .engine import BatchEngine, Engine
+from .engine import Engine
 from .events import Message
 from .load import (
     CompositeLoad,
@@ -41,14 +41,13 @@ from .network import (
     TwoClusterTopology,
     build_topology,
 )
-from .process import Compute, ComputeBatch, Poll, Recv, Send, Sleep, Now
+from .process import Compute, Poll, Recv, Send, Sleep, Now
 from .processor import Processor
 from .rusage import RusageReport
 from .trace import Trace
 
 __all__ = [
     "Engine",
-    "BatchEngine",
     "Message",
     "LoadGenerator",
     "LoadTrace",
@@ -67,7 +66,6 @@ __all__ = [
     "build_topology",
     "Fabric",
     "Compute",
-    "ComputeBatch",
     "Send",
     "Recv",
     "Poll",

@@ -24,7 +24,7 @@ from typing import Any, Callable
 from ..errors import SimulationError
 from ..obs import NULL_RECORDER, Recorder
 
-__all__ = ["Engine", "BatchEngine"]
+__all__ = ["Engine"]
 
 
 class Engine:
@@ -35,9 +35,9 @@ class Engine:
     module) build message passing and CPU scheduling on top of it.
 
     When given an enabled :class:`~repro.obs.Recorder`, each ``run``
-    call emits an ``engine/run`` span; with the default disabled
-    recorder the event loop is the uninstrumented fast path.  Either
-    way ``events_processed`` counts every event fired.
+    call emits an ``engine/run`` span and adds to the ``engine.events``
+    counter once the loop exits.  Either way ``events_processed`` counts
+    every event fired.
     """
 
     __slots__ = ("_now", "_seq", "_heap", "_running", "_obs", "events_processed")
@@ -88,10 +88,9 @@ class Engine:
         """
         if self._running:
             raise SimulationError("engine.run() is not re-entrant")
-        if self._obs.enabled:
-            return self._run_instrumented(until)
         self._running = True
         heap = self._heap
+        t_start = self._now
         fired = 0
         try:
             while heap:
@@ -112,172 +111,14 @@ class Engine:
         finally:
             self._running = False
             self.events_processed += fired
-
-    def _run_instrumented(self, until: float) -> float:
-        """``run`` with an ``engine/run`` span and event-count metrics.
-
-        Kept separate so the disabled path stays the bare loop above.
-        """
-        self._running = True
-        heap = self._heap
-        t_start = self._now
-        fired = 0
-        try:
-            while heap:
-                t = heap[0][0]
-                if t > until:
-                    break
-                self._now = t
-                while heap and heap[0][0] == t:
-                    _, _, fn, args = heappop(heap)
-                    fired += 1
-                    fn(*args)
-            if until > self._now and not math.isinf(until):
-                self._now = until
-            return self._now
-        finally:
-            self._running = False
-            self.events_processed += fired
-            self._obs.metrics.counter("engine.events").inc(fired)
-            self._obs.emit_span(
-                "engine",
-                "run",
-                t_start,
-                self._now,
-                value=float(fired),
-                meta={"pending": len(self._heap)},
-            )
-
-
-class BatchEngine(Engine):
-    """Engine variant with pooled heap entries and inline batch advance.
-
-    Drop-in replacement for :class:`Engine` with two throughput changes
-    and identical observable behaviour:
-
-    - **Allocation-free heap path.**  Entries are mutable 4-slot lists
-      recycled through a freelist (``_pool``) instead of fresh
-      ``(t, seq, fn, args)`` tuples; the drain loop returns each popped
-      entry to the pool before firing its callback.  Entry comparison
-      never reaches the callback slots because ``seq`` is unique, so
-      heap ordering is unchanged — but lists and tuples do not compare,
-      so *every* producer pushing directly onto ``_heap`` must push
-      pooled lists (the machine layer's batch syscall table does).
-
-    - **Inline advance bookkeeping.**  The machine layer may advance a
-      task through consecutive compute segments without a heap round
-      trip when the segment finish is strictly earlier than every
-      pending event and inside the active ``run`` window (``_until``).
-      Each analytically-advanced event increments ``_inline``; the run
-      loop folds that into ``events_processed`` and the ``engine/run``
-      span so counts stay byte-identical to the reference engine.
-    """
-
-    __slots__ = ("_pool", "_until", "_inline")
-
-    def __init__(self, recorder: Recorder | None = None) -> None:
-        super().__init__(recorder)
-        self._pool: list[list[Any]] = []
-        self._until = math.inf
-        self._inline = 0
-
-    def call_at(self, t: float, fn: Callable[..., Any], *args: Any) -> None:
-        """Schedule ``fn(*args)`` at ``t`` on a pooled heap entry."""
-        now = self._now
-        if t < now:
-            if t != t:  # NaN: the only float for which this holds
-                raise SimulationError("cannot schedule event at NaN time")
-            if t < now - 1e-12:
-                raise SimulationError(
-                    f"cannot schedule event in the past: t={t} < now={now}"
+            obs = self._obs
+            if obs.enabled:
+                obs.metrics.counter("engine.events").inc(fired)
+                obs.emit_span(
+                    "engine",
+                    "run",
+                    t_start,
+                    self._now,
+                    value=float(fired),
+                    meta={"pending": len(heap)},
                 )
-            t = now
-        elif t != t:
-            raise SimulationError("cannot schedule event at NaN time")
-        pool = self._pool
-        if pool:
-            entry = pool.pop()
-            entry[0] = t
-            entry[1] = self._seq
-            entry[2] = fn
-            entry[3] = args
-        else:
-            entry = [t, self._seq, fn, args]
-        heappush(self._heap, entry)
-        self._seq += 1
-
-    def run(self, until: float = math.inf) -> float:
-        if self._running:
-            raise SimulationError("engine.run() is not re-entrant")
-        if self._obs.enabled:
-            return self._run_instrumented(until)
-        self._running = True
-        self._until = until
-        heap = self._heap
-        pool = self._pool
-        fired = 0
-        try:
-            while heap:
-                t = heap[0][0]
-                if t > until:
-                    break
-                self._now = t
-                while heap and heap[0][0] == t:
-                    entry = heappop(heap)
-                    fn = entry[2]
-                    args = entry[3]
-                    # Recycle before firing: fn may push (and reuse) it.
-                    # Only args is cleared: fn slots hold shared bound
-                    # methods, so retaining them pins nothing transient.
-                    entry[3] = None
-                    pool.append(entry)
-                    fired += 1
-                    fn(*args)
-        finally:
-            self._running = False
-            self._until = math.inf
-            self.events_processed += fired + self._inline
-            self._inline = 0
-        if until > self._now and not math.isinf(until):
-            self._now = until
-        return self._now
-
-    def _run_instrumented(self, until: float) -> float:
-        self._running = True
-        self._until = until
-        heap = self._heap
-        pool = self._pool
-        t_start = self._now
-        fired = 0
-        try:
-            while heap:
-                t = heap[0][0]
-                if t > until:
-                    break
-                self._now = t
-                while heap and heap[0][0] == t:
-                    entry = heappop(heap)
-                    fn = entry[2]
-                    args = entry[3]
-                    entry[3] = None
-                    pool.append(entry)
-                    fired += 1
-                    fn(*args)
-            if until > self._now and not math.isinf(until):
-                self._now = until
-            return self._now
-        finally:
-            self._running = False
-            self._until = math.inf
-            total = fired + self._inline
-            self._inline = 0
-            self.events_processed += total
-            self._obs.metrics.counter("engine.events").inc(total)
-            self._obs.emit_span(
-                "engine",
-                "run",
-                t_start,
-                self._now,
-                value=float(total),
-                meta={"pending": len(self._heap)},
-            )

@@ -23,17 +23,10 @@ class Message:
         t_arrived: virtual time the message entered the destination mailbox.
         seq: per-(src, dst) wire sequence number, stamped only when fault
             injection is active; lets the receiver deduplicate copies.
-            ``-1`` means unsequenced (fault-free fast path).
+            ``-1`` means unsequenced (no fault injector armed).
 
-    Pooling contract (batch engine): the batch cluster recycles message
-    shells through a freelist instead of allocating one per send.  A
-    shell handed to a receiving task stays valid until that task's
-    *next* receive completes — a task that yielded another ``Recv`` or
-    ``Poll`` has, by construction, finished reading the previous
-    message, so the shell it held is refilled for a later send.  Code
-    that retains ``Message`` objects across receives (none in this
-    repository does) must keep the payload, not the shell, or run with
-    ``engine="reference"`` where every message is a fresh allocation.
+    A fresh ``Message`` is allocated per send, so a receiver may keep
+    the object (not only its payload) for as long as it likes.
     """
 
     src: int
@@ -44,31 +37,6 @@ class Message:
     t_sent: float = field(default=0.0, compare=False)
     t_arrived: float = field(default=0.0, compare=False)
     seq: int = field(default=-1, compare=False)
-
-    def fill(
-        self,
-        src: int,
-        dst: int,
-        tag: str,
-        payload: Any,
-        nbytes: int,
-        t_sent: float,
-    ) -> "Message":
-        """Reinitialize a pooled shell in place (batch-engine freelist).
-
-        Resets every field the constructor would, including the
-        ``t_arrived`` / ``seq`` defaults, so a recycled shell is
-        indistinguishable from ``Message(src, dst, tag, ...)``.
-        """
-        self.src = src
-        self.dst = dst
-        self.tag = tag
-        self.payload = payload
-        self.nbytes = nbytes
-        self.t_sent = t_sent
-        self.t_arrived = 0.0
-        self.seq = -1
-        return self
 
     def __repr__(self) -> str:  # keep payloads out of debug output
         return (

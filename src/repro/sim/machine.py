@@ -11,18 +11,16 @@ import math
 from heapq import heappush
 from typing import Any, Callable, Generator, Iterable
 
-import numpy as np
-
 from ..config import ClusterSpec
 from ..errors import DeadlockError, SimulationError
 from ..fastcopy import PASSTHROUGH, payload_copier
 from ..faults.injector import FaultInjector
 from ..obs import NULL_RECORDER, Recorder
-from .engine import BatchEngine, Engine
+from .engine import Engine
 from .events import Message
 from .load import LoadGenerator, NoLoad
-from .network import Fabric, Mailbox, build_topology, snapshot_payload
-from .process import Compute, ComputeBatch, Now, Poll, Recv, Send, Sleep
+from .network import Fabric, Mailbox, build_topology
+from .process import Compute, Now, Poll, Recv, Send, Sleep
 from .processor import Processor
 from .rusage import RusageReport, TaskUsage
 
@@ -85,12 +83,7 @@ class TaskContext:
 
 
 class _Task:
-    # ``last_msg`` is the batch engine's message-recycle anchor: the
-    # shell most recently handed to this task, returned to the pool when
-    # the task's next receive completes (see repro.sim.events.Message).
-    __slots__ = (
-        "pid", "gen", "done", "blocked_on", "finish_time", "name", "last_msg"
-    )
+    __slots__ = ("pid", "gen", "done", "blocked_on", "finish_time", "name")
 
     def __init__(self, pid: int, gen: Generator[Any, Any, Any], name: str):
         self.pid = pid
@@ -99,7 +92,6 @@ class _Task:
         self.blocked_on: tuple[int | None, str | None] | None = None
         self.finish_time: float | None = None
         self.name = name
-        self.last_msg: Message | None = None
 
 
 class Cluster:
@@ -117,24 +109,10 @@ class Cluster:
         recorder: Recorder | None = None,
         injector: FaultInjector | None = None,
         fabric_attach: dict[int, int] | None = None,
-        engine: str = "auto",
     ):
-        if engine not in ("auto", "reference", "batch"):
-            raise SimulationError(
-                f"unknown engine mode {engine!r}; "
-                "choices: auto, reference, batch"
-            )
         self.spec = spec
         self.obs = recorder if recorder is not None else NULL_RECORDER
-        # Engine-mode resolution: the batch core runs whenever no fault
-        # injector is armed.  Injection always defers to the reference
-        # path — stall clamping and per-copy transmission fates must
-        # hook every resume and every wire crossing — so an armed
-        # injector forces ``reference`` even when ``batch`` was asked
-        # for explicitly.
-        use_batch = injector is None and engine != "reference"
-        self.engine_mode = "batch" if use_batch else "reference"
-        self.engine = BatchEngine(self.obs) if use_batch else Engine(self.obs)
+        self.engine = Engine(self.obs)
         loads = dict(loads or {})
         for pid in loads:
             if not 0 <= pid < spec.n_processors:
@@ -172,26 +150,11 @@ class Cluster:
         self._call_at = self.engine.call_at
         self._step_cb = self._step
         self._observe = self.obs.enabled
-        # Per-instance copy of the syscall dispatch table (batch variants
-        # on the batch engine, fast variants unless fault injection needs
-        # stall clamping on every resume); subclassed syscalls get cached
-        # into it by _resolve_syscall.
-        if use_batch:
-            self._handlers = dict(_SYSCALLS_BATCH)
-        elif injector is not None:
-            self._handlers = dict(_SYSCALLS_SAFE)
-        else:
-            self._handlers = dict(_SYSCALLS_FAST)
+        self._deliver_cb = self._deliver
+        # Per-instance copy of the syscall dispatch table; subclassed
+        # syscalls get cached into it by _resolve_syscall.
+        self._handlers = dict(_SYSCALLS)
         self._handlers_bases = tuple(self._handlers.items())
-        self._deliver_cb = self._batch_deliver if use_batch else self._deliver
-        # ComputeBatch chains schedule themselves by mode-specific
-        # continuation callbacks; pre-bound like _step_cb.
-        self._chain_safe_cb = self._do_batch_chain
-        self._chain_fast_cb = self._fast_batch_chain
-        self._chain_batch_cb = self._batch_chain
-        self._batch_advance_cb = self._batch_advance
-        # Message-shell freelist (batch engine only; see Message.fill).
-        self._msg_pool: list[Message] = []
         # Delivery can hand a message straight to a blocked receiver and
         # push the resume onto the heap directly only when no injector
         # needs stall clamping and no observer needs true queue depths.
@@ -284,175 +247,68 @@ class Cluster:
                 return handler
         raise SimulationError(f"unknown syscall from task {task.pid}: {req!r}")
 
-    # Per-syscall handlers, dispatched by concrete request type.  Two
-    # variants exist per syscall: the ``_do_*`` handlers route resumes
-    # through ``_resume_later`` (fault-injection stall clamping), while
-    # the ``_fast_*`` handlers — installed when no injector is present —
-    # schedule straight on the engine, skipping a call layer per event.
-    # Splitting the isinstance ladder keeps each resume to one dict
-    # lookup either way.
+    # Per-syscall handlers, dispatched by concrete request type.  Each
+    # pushes its resume straight onto the engine heap instead of going
+    # through Engine.call_at: every scheduled time below is ``now`` plus
+    # a non-negative, non-NaN increment (run_cpu validates its inputs),
+    # so call_at's past/NaN guards cannot fire.  The entry layout must
+    # match Engine's ``(t, seq, fn, args)``.  Under fault injection a
+    # branch first slides the resume past any stall window of the host.
 
     def _do_compute(self, task: _Task, req: Compute) -> None:
-        if req.fn is not None:
-            req.fn()
-        finish = self.processors[task.pid].run_ops(self.engine._now, req.ops)
-        self._resume_later(finish, task, None)
-
-    def _do_recv(self, task: _Task, req: Recv) -> None:
-        msg = self.mailboxes[task.pid].take(req.src, req.tag)
-        if msg is not None:
-            finish = self.processors[task.pid].run_cpu(
-                self.engine._now, self._recv_cpu
-            )
-            self._resume_later(finish, task, msg)
-        else:
-            task.blocked_on = (req.src, req.tag)
-
-    def _do_poll(self, task: _Task, req: Poll) -> None:
-        now = self.engine._now
-        msg = self.mailboxes[task.pid].take(req.src, req.tag)
-        if msg is not None:
-            finish = self.processors[task.pid].run_cpu(now, self._recv_cpu)
-            self._resume_later(finish, task, msg)
-        else:
-            self._resume_later(now, task, None)
-
-    def _do_sleep(self, task: _Task, req: Sleep) -> None:
-        if req.dt < 0:
-            raise SimulationError(f"negative sleep: {req.dt}")
-        self._resume_later(self.engine._now + req.dt, task, None)
-
-    def _do_now(self, task: _Task, _req: Now) -> None:
-        now = self.engine._now
-        self._resume_later(now, task, now)
-
-    # ComputeBatch: semantically a chain of Compute yields without the
-    # per-segment generator resume.  Each engine mode runs the chain as
-    # a sequence of continuation events so virtual times, accounting,
-    # spans, and the per-segment event count are identical to the
-    # equivalent Compute chain; the batch engine additionally collapses
-    # the chain into one vectorized advance when it provably owns the
-    # whole time window (see _batch_advance).
-
-    @staticmethod
-    def _check_batch(req: ComputeBatch) -> int:
-        n = len(req.ops)
-        if req.fns is not None and len(req.fns) != n:
-            raise SimulationError(
-                f"ComputeBatch: fns length {len(req.fns)} != ops length {n}"
-            )
-        return n
-
-    def _do_compute_batch(self, task: _Task, req: ComputeBatch) -> None:
-        if self._check_batch(req) == 0:
-            self._resume_later(self.engine._now, task, None)
-            return
-        self._do_batch_chain(task, req.ops, req.fns, 0)
-
-    def _do_batch_chain(
-        self, task: _Task, ops: Any, fns: Any, idx: int
-    ) -> None:
-        if task.pid in self._dead:
-            return  # crashed host: the chain never continues
-        if fns is not None:
-            fn = fns[idx]
-            if fn is not None:
-                fn()
-        finish = self.processors[task.pid].run_ops(self.engine._now, ops[idx])
-        idx += 1
-        if idx == len(ops):
-            self._resume_later(finish, task, None)
-            return
-        injector = self.injector
-        if injector is not None:
-            finish = injector.stall_clamp(task.pid, finish)
-        self._call_at(finish, self._chain_safe_cb, task, ops, fns, idx)
-
-    # The fast handlers push heap entries directly instead of going
-    # through Engine.call_at: every scheduled time below is computed
-    # from ``now`` plus a non-negative, non-NaN increment (run_cpu
-    # validates its inputs), so call_at's past/NaN guards cannot fire.
-    # The entry layout must match Engine's ``(t, seq, fn, args)``.
-
-    def _fast_compute(self, task: _Task, req: Compute) -> None:
         if req.fn is not None:
             req.fn()
         proc = self.processors[task.pid]
         eng = self.engine
         finish = proc.run_cpu(eng._now, req.ops / proc._speed)
+        if self.injector is not None:
+            finish = self.injector.stall_clamp(task.pid, finish)
         heappush(eng._heap, (finish, eng._seq, self._step_cb, (task, None)))
         eng._seq += 1
 
-    def _fast_recv(self, task: _Task, req: Recv) -> None:
+    def _do_recv(self, task: _Task, req: Recv) -> None:
         box = self.mailboxes[task.pid]
         # Skip the take() call for an empty queue — the common case when
         # receivers block ahead of arrivals.
         msg = box.take(req.src, req.tag) if box._queue else None
-        if msg is not None:
-            eng = self.engine
-            finish = self.processors[task.pid].run_cpu(eng._now, self._recv_cpu)
-            heappush(eng._heap, (finish, eng._seq, self._step_cb, (task, msg)))
-            eng._seq += 1
-        else:
+        if msg is None:
             task.blocked_on = (req.src, req.tag)
-
-    def _fast_poll(self, task: _Task, req: Poll) -> None:
+            return
         eng = self.engine
-        now = eng._now
+        finish = self.processors[task.pid].run_cpu(eng._now, self._recv_cpu)
+        if self.injector is not None:
+            finish = self.injector.stall_clamp(task.pid, finish)
+        heappush(eng._heap, (finish, eng._seq, self._step_cb, (task, msg)))
+        eng._seq += 1
+
+    def _do_poll(self, task: _Task, req: Poll) -> None:
+        eng = self.engine
+        t = eng._now
         box = self.mailboxes[task.pid]
         msg = box.take(req.src, req.tag) if box._queue else None
         if msg is not None:
-            finish = self.processors[task.pid].run_cpu(now, self._recv_cpu)
-            heappush(eng._heap, (finish, eng._seq, self._step_cb, (task, msg)))
-        else:
-            heappush(eng._heap, (now, eng._seq, self._step_cb, (task, None)))
+            t = self.processors[task.pid].run_cpu(t, self._recv_cpu)
+        if self.injector is not None:
+            t = self.injector.stall_clamp(task.pid, t)
+        heappush(eng._heap, (t, eng._seq, self._step_cb, (task, msg)))
         eng._seq += 1
 
-    def _fast_sleep(self, task: _Task, req: Sleep) -> None:
+    def _do_sleep(self, task: _Task, req: Sleep) -> None:
         # Sleeps are rare and ``dt`` is caller-supplied: keep call_at's
         # validation.
-        dt = req.dt
-        if dt < 0:
-            raise SimulationError(f"negative sleep: {dt}")
-        self._call_at(self.engine._now + dt, self._step_cb, task, None)
+        if req.dt < 0:
+            raise SimulationError(f"negative sleep: {req.dt}")
+        self._resume_later(self.engine._now + req.dt, task, None)
 
-    def _fast_now(self, task: _Task, _req: Now) -> None:
+    def _do_now(self, task: _Task, _req: Now) -> None:
         eng = self.engine
-        now = eng._now
-        heappush(eng._heap, (now, eng._seq, self._step_cb, (task, now)))
+        now = t = eng._now
+        if self.injector is not None:
+            t = self.injector.stall_clamp(task.pid, t)
+        heappush(eng._heap, (t, eng._seq, self._step_cb, (task, now)))
         eng._seq += 1
 
-    def _fast_compute_batch(self, task: _Task, req: ComputeBatch) -> None:
-        if self._check_batch(req) == 0:
-            eng = self.engine
-            heappush(
-                eng._heap, (eng._now, eng._seq, self._step_cb, (task, None))
-            )
-            eng._seq += 1
-            return
-        self._fast_batch_chain(task, req.ops, req.fns, 0)
-
-    def _fast_batch_chain(
-        self, task: _Task, ops: Any, fns: Any, idx: int
-    ) -> None:
-        if fns is not None:
-            fn = fns[idx]
-            if fn is not None:
-                fn()
-        proc = self.processors[task.pid]
-        eng = self.engine
-        finish = proc.run_cpu(eng._now, ops[idx] / proc._speed)
-        idx += 1
-        if idx == len(ops):
-            heappush(eng._heap, (finish, eng._seq, self._step_cb, (task, None)))
-        else:
-            heappush(
-                eng._heap,
-                (finish, eng._seq, self._chain_fast_cb, (task, ops, fns, idx)),
-            )
-        eng._seq += 1
-
-    def _fast_send(self, task: _Task, req: Send) -> None:
+    def _do_send(self, task: _Task, req: Send) -> None:
         if not 0 <= req.dst < self._n_procs:
             raise SimulationError(f"send to unknown processor {req.dst}")
         nbytes = req.nbytes
@@ -470,6 +326,8 @@ class Cluster:
             # float summation order (and thus traces) bit-identical.
             arrival = cpu_done + (self._net_latency + nbytes / self._net_bandwidth)
         else:
+            # Also books the route's links when the fabric models
+            # contention, with or without an injector.
             arrival = self._fabric.arrival(task.pid, req.dst, nbytes, cpu_done)
         self.message_count += 1
         self.bytes_sent += nbytes
@@ -479,359 +337,20 @@ class Cluster:
             self.obs.metrics.counter(f"net.bytes.{kind}").inc(nbytes)
             self.obs.metrics.counter("net.msgs_total").inc()
             self.obs.metrics.counter("net.bytes_total").inc(nbytes)
+        if self.injector is not None:
+            # Reliable transport: sequence the copy, then let _transmit
+            # decide its fate and price each wire crossing itself.
+            key = (task.pid, req.dst)
+            msg.seq = self._send_seq.get(key, 0)
+            self._send_seq[key] = msg.seq + 1
+            self._transmit(msg, cpu_done, attempt=0)
+            self._resume_later(cpu_done, task, None)
+            return
         seq = eng._seq
         heap = eng._heap
         heappush(heap, (arrival, seq, self._deliver_cb, (msg,)))
         heappush(heap, (cpu_done, seq + 1, self._step_cb, (task, None)))
         eng._seq = seq + 2
-
-    # ------------------------------------------------------------------
-    # Batch-engine syscall handlers
-    # ------------------------------------------------------------------
-    #
-    # Installed when the cluster runs on a BatchEngine (no injector).
-    # Three changes over the fast handlers, none observable:
-    #
-    # - heap entries come from the engine's freelist (mutable 4-slot
-    #   lists; the drain loop recycles them), so the steady-state event
-    #   path allocates no entry objects;
-    # - Message shells are recycled through ``_msg_pool`` under the
-    #   contract documented on :class:`repro.sim.events.Message`;
-    # - consecutive compute segments are advanced without a heap round
-    #   trip (``_batch_compute`` trampoline) or in one numpy pass
-    #   (``_batch_advance``) when the segment finish is *strictly*
-    #   earlier than every pending event and inside the run window —
-    #   exactly the condition under which the reference engine would
-    #   pop the segment's resume next, alone, so event order (and with
-    #   it every trace byte) is preserved by construction.
-
-    def _batch_compute(self, task: _Task, req: Compute) -> None:
-        proc = self.processors[task.pid]
-        eng = self.engine
-        heap = eng._heap
-        until = eng._until
-        step_cb = self._step_cb
-        inline = 0
-        while True:
-            if req.fn is not None:
-                req.fn()
-            finish = proc.run_cpu(eng._now, req.ops / proc._speed)
-            if finish > until or (heap and heap[0][0] <= finish):
-                # Not provably next: take the heap round trip.
-                pool = eng._pool
-                if pool:
-                    entry = pool.pop()
-                    entry[0] = finish
-                    entry[1] = eng._seq
-                    entry[2] = step_cb
-                    entry[3] = (task, None)
-                else:
-                    entry = [finish, eng._seq, step_cb, (task, None)]
-                heappush(heap, entry)
-                eng._seq += 1
-                break
-            # This resume is strictly the earliest pending event in the
-            # run window: fire it inline (identical to push + pop).
-            eng._now = finish
-            inline += 1
-            try:
-                req = task.gen.send(None)
-            except StopIteration:
-                task.done = True
-                task.finish_time = finish
-                break
-            if req.__class__ is Compute:
-                continue
-            eng._inline += inline
-            handler = self._handlers.get(req.__class__)
-            if handler is None:
-                handler = self._resolve_syscall(req, task)
-            handler(self, task, req)
-            return
-        eng._inline += inline
-
-    def _batch_compute_batch(self, task: _Task, req: ComputeBatch) -> None:
-        if self._check_batch(req) == 0:
-            eng = self.engine
-            self._batch_push(eng, eng._now, self._step_cb, (task, None))
-            return
-        self._batch_advance(task, req.ops, req.fns, 0)
-
-    def _batch_advance(
-        self, task: _Task, ops: Any, fns: Any, idx: int
-    ) -> None:
-        """Run ComputeBatch segments ``idx..n-1``; vectorize when safe.
-
-        The one-shot numpy advance fires only when the remaining
-        segments carry no eager kernels, the processor is dedicated and
-        unobserved, and the whole tail finishes strictly before every
-        pending event (and inside the run window) — the window in which
-        the reference engine would fire the tail's resumes next, with
-        nothing interleaved.  Otherwise one segment runs and the tail
-        re-enters through a continuation event, retrying the vectorized
-        path at every link (the contended window may have drained).
-        """
-        eng = self.engine
-        proc = self.processors[task.pid]
-        heap = eng._heap
-        if fns is None and proc._unloaded and not self._observe:
-            cpu = np.asarray(ops[idx:], dtype=np.float64) / proc._speed
-            finish = proc.batch_finish(eng._now, cpu)
-            if finish <= eng._until and (not heap or heap[0][0] > finish):
-                proc.run_cpu_batch(eng._now, cpu)
-                # n-idx segment events: (n-idx-1) advanced analytically
-                # plus the final resume, which stays a real heap event.
-                eng._inline += len(cpu) - 1
-                self._batch_push(eng, finish, self._step_cb, (task, None))
-                return
-        self._batch_chain(task, ops, fns, idx)
-
-    def _batch_chain(self, task: _Task, ops: Any, fns: Any, idx: int) -> None:
-        if fns is not None:
-            fn = fns[idx]
-            if fn is not None:
-                fn()
-        eng = self.engine
-        proc = self.processors[task.pid]
-        finish = proc.run_cpu(eng._now, ops[idx] / proc._speed)
-        idx += 1
-        if idx == len(ops):
-            self._batch_push(eng, finish, self._step_cb, (task, None))
-        elif fns is None:
-            # Re-try the vectorized tail once the clock reaches finish.
-            self._batch_push(
-                eng, finish, self._batch_advance_cb, (task, ops, fns, idx)
-            )
-        else:
-            self._batch_push(
-                eng, finish, self._chain_batch_cb, (task, ops, fns, idx)
-            )
-
-    @staticmethod
-    def _batch_push(
-        eng: Engine, t: float, fn: Callable[..., None], args: tuple[Any, ...]
-    ) -> None:
-        """Push a pooled heap entry (batch engine; ``t`` is >= now)."""
-        pool = eng._pool
-        if pool:
-            entry = pool.pop()
-            entry[0] = t
-            entry[1] = eng._seq
-            entry[2] = fn
-            entry[3] = args
-        else:
-            entry = [t, eng._seq, fn, args]
-        heappush(eng._heap, entry)
-        eng._seq += 1
-
-    def _batch_recv(self, task: _Task, req: Recv) -> None:
-        box = self.mailboxes[task.pid]
-        msg = box.take(req.src, req.tag) if box._size else None
-        if msg is not None:
-            eng = self.engine
-            finish = self.processors[task.pid].run_cpu(eng._now, self._recv_cpu)
-            prev = task.last_msg
-            if prev is not None:
-                prev.payload = None
-                self._msg_pool.append(prev)
-            task.last_msg = msg
-            pool = eng._pool
-            seq = eng._seq
-            if pool:
-                entry = pool.pop()
-                entry[0] = finish
-                entry[1] = seq
-                entry[2] = self._step_cb
-                entry[3] = (task, msg)
-            else:
-                entry = [finish, seq, self._step_cb, (task, msg)]
-            heappush(eng._heap, entry)
-            eng._seq = seq + 1
-        else:
-            task.blocked_on = (req.src, req.tag)
-
-    def _batch_poll(self, task: _Task, req: Poll) -> None:
-        eng = self.engine
-        now = eng._now
-        box = self.mailboxes[task.pid]
-        msg = box.take(req.src, req.tag) if box._size else None
-        if msg is not None:
-            finish = self.processors[task.pid].run_cpu(now, self._recv_cpu)
-            prev = task.last_msg
-            if prev is not None:
-                prev.payload = None
-                self._msg_pool.append(prev)
-            task.last_msg = msg
-            self._batch_push(eng, finish, self._step_cb, (task, msg))
-        else:
-            self._batch_push(eng, now, self._step_cb, (task, None))
-
-    def _batch_sleep(self, task: _Task, req: Sleep) -> None:
-        dt = req.dt
-        if dt < 0:
-            raise SimulationError(f"negative sleep: {dt}")
-        self._call_at(self.engine._now + dt, self._step_cb, task, None)
-
-    def _batch_now(self, task: _Task, _req: Now) -> None:
-        eng = self.engine
-        now = eng._now
-        pool = eng._pool
-        seq = eng._seq
-        if pool:
-            entry = pool.pop()
-            entry[0] = now
-            entry[1] = seq
-            entry[2] = self._step_cb
-            entry[3] = (task, now)
-        else:
-            entry = [now, seq, self._step_cb, (task, now)]
-        heappush(eng._heap, entry)
-        eng._seq = seq + 1
-
-    def _batch_send(self, task: _Task, req: Send) -> None:
-        if not 0 <= req.dst < self._n_procs:
-            raise SimulationError(f"send to unknown processor {req.dst}")
-        nbytes = req.nbytes
-        eng = self.engine
-        cpu_done = self.processors[task.pid].run_cpu(eng._now, self._send_cpu)
-        payload = req.payload
-        copier = payload_copier(payload.__class__)
-        if copier is not PASSTHROUGH:
-            payload = copier(payload)
-        mpool = self._msg_pool
-        if mpool:
-            msg = mpool.pop().fill(
-                task.pid, req.dst, req.tag, payload, nbytes, cpu_done
-            )
-        else:
-            msg = Message(task.pid, req.dst, req.tag, payload, nbytes, cpu_done)
-        if self._fabric is None:
-            # Inlined NetworkSpec.transfer_time; the parentheses keep the
-            # float summation order (and thus traces) bit-identical.
-            arrival = cpu_done + (self._net_latency + nbytes / self._net_bandwidth)
-        else:
-            arrival = self._fabric.arrival(task.pid, req.dst, nbytes, cpu_done)
-        self.message_count += 1
-        self.bytes_sent += nbytes
-        if self._observe:
-            kind = _tag_class(req.tag)
-            self.obs.metrics.counter(f"net.msgs.{kind}").inc()
-            self.obs.metrics.counter(f"net.bytes.{kind}").inc(nbytes)
-            self.obs.metrics.counter("net.msgs_total").inc()
-            self.obs.metrics.counter("net.bytes_total").inc(nbytes)
-        heap = eng._heap
-        pool = eng._pool
-        seq = eng._seq
-        if pool:
-            entry = pool.pop()
-            entry[0] = arrival
-            entry[1] = seq
-            entry[2] = self._deliver_cb
-            entry[3] = (msg,)
-        else:
-            entry = [arrival, seq, self._deliver_cb, (msg,)]
-        heappush(heap, entry)
-        if pool:
-            entry = pool.pop()
-            entry[0] = cpu_done
-            entry[1] = seq + 1
-            entry[2] = self._step_cb
-            entry[3] = (task, None)
-        else:
-            entry = [cpu_done, seq + 1, self._step_cb, (task, None)]
-        heappush(heap, entry)
-        eng._seq = seq + 2
-
-    def _batch_deliver(self, msg: Message) -> None:
-        # No seq-dedupe branch: the batch engine never runs with a fault
-        # injector, so messages are always unsequenced (seq == -1).
-        eng = self.engine
-        now = eng._now
-        msg.t_arrived = now
-        dst_task = self._tasks.get(msg.dst)
-        if dst_task is not None and dst_task.blocked_on is not None:
-            if not self._observe:
-                src, tag = dst_task.blocked_on
-                if (src is None or msg.src == src) and (
-                    tag is None or msg.tag == tag
-                ):
-                    # Direct handoff (see _deliver for the argument);
-                    # skipped when observing so net/msg spans report
-                    # true queue depths.
-                    dst_task.blocked_on = None
-                    finish = self.processors[msg.dst].run_cpu(
-                        now, self._recv_cpu
-                    )
-                    prev = dst_task.last_msg
-                    if prev is not None:
-                        prev.payload = None
-                        self._msg_pool.append(prev)
-                    dst_task.last_msg = msg
-                    pool = eng._pool
-                    seq = eng._seq
-                    if pool:
-                        entry = pool.pop()
-                        entry[0] = finish
-                        entry[1] = seq
-                        entry[2] = self._step_cb
-                        entry[3] = (dst_task, msg)
-                    else:
-                        entry = [finish, seq, self._step_cb, (dst_task, msg)]
-                    heappush(eng._heap, entry)
-                    eng._seq = seq + 1
-                    return
-            box = self.mailboxes[msg.dst]
-            box.deliver(msg)
-            src, tag = dst_task.blocked_on
-            matched = box.take(src, tag)
-            if matched is not None:
-                dst_task.blocked_on = None
-                finish = self.processors[msg.dst].run_cpu(
-                    eng._now, self._recv_cpu
-                )
-                prev = dst_task.last_msg
-                if prev is not None:
-                    prev.payload = None
-                    self._msg_pool.append(prev)
-                dst_task.last_msg = matched
-                self._batch_push(
-                    eng, finish, self._step_cb, (dst_task, matched)
-                )
-            return
-        self.mailboxes[msg.dst].deliver(msg)
-
-    def _do_send(self, task: _Task, req: Send) -> None:
-        if not 0 <= req.dst < self.spec.n_processors:
-            raise SimulationError(f"send to unknown processor {req.dst}")
-        nbytes = req.nbytes
-        cpu_done = self.processors[task.pid].run_cpu(
-            self.engine._now, self._send_cpu
-        )
-        msg = Message(
-            task.pid, req.dst, req.tag, snapshot_payload(req.payload), nbytes, cpu_done
-        )
-        if self._fabric is None:
-            # Inlined NetworkSpec.transfer_time; the parentheses keep the
-            # float summation order (and thus traces) bit-identical.
-            arrival = cpu_done + (self._net_latency + nbytes / self._net_bandwidth)
-        else:
-            arrival = self._fabric.arrival(task.pid, req.dst, nbytes, cpu_done)
-        self.message_count += 1
-        self.bytes_sent += nbytes
-        if self._observe:
-            kind = _tag_class(req.tag)
-            self.obs.metrics.counter(f"net.msgs.{kind}").inc()
-            self.obs.metrics.counter(f"net.bytes.{kind}").inc(nbytes)
-            self.obs.metrics.counter("net.msgs_total").inc()
-            self.obs.metrics.counter("net.bytes_total").inc(nbytes)
-        if self.injector is None:
-            self._call_at(arrival, self._deliver_cb, msg)
-        else:
-            key = (task.pid, req.dst)
-            msg.seq = self._send_seq.get(key, 0)
-            self._send_seq[key] = msg.seq + 1
-            self._transmit(msg, cpu_done, attempt=0)
-        self._resume_later(cpu_done, task, None)
 
     def _transmit(self, msg: Message, t_send: float, attempt: int) -> None:
         """One wire transmission attempt under fault injection.
@@ -1015,34 +534,13 @@ class Cluster:
         return range(self.spec.n_slaves)
 
 
-# Concrete-type dispatch tables for task syscalls; filled after the
-# class body so the unbound handlers can be referenced directly.
-_SYSCALLS_SAFE: dict[type, Callable[[Cluster, _Task, Any], None]] = {
+# Concrete-type dispatch table for task syscalls; filled after the class
+# body so the unbound handlers can be referenced directly.
+_SYSCALLS: dict[type, Callable[[Cluster, _Task, Any], None]] = {
     Compute: Cluster._do_compute,
-    ComputeBatch: Cluster._do_compute_batch,
     Send: Cluster._do_send,
     Recv: Cluster._do_recv,
     Poll: Cluster._do_poll,
     Sleep: Cluster._do_sleep,
     Now: Cluster._do_now,
-}
-
-_SYSCALLS_FAST: dict[type, Callable[[Cluster, _Task, Any], None]] = {
-    Compute: Cluster._fast_compute,
-    ComputeBatch: Cluster._fast_compute_batch,
-    Send: Cluster._fast_send,
-    Recv: Cluster._fast_recv,
-    Poll: Cluster._fast_poll,
-    Sleep: Cluster._fast_sleep,
-    Now: Cluster._fast_now,
-}
-
-_SYSCALLS_BATCH: dict[type, Callable[[Cluster, _Task, Any], None]] = {
-    Compute: Cluster._batch_compute,
-    ComputeBatch: Cluster._batch_compute_batch,
-    Send: Cluster._batch_send,
-    Recv: Cluster._batch_recv,
-    Poll: Cluster._batch_poll,
-    Sleep: Cluster._batch_sleep,
-    Now: Cluster._batch_now,
 }

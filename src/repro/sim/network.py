@@ -18,6 +18,7 @@ diffusion balancer (see :mod:`repro.baselines.diffusion`).
 from __future__ import annotations
 
 import math
+from collections import deque
 
 from ..config import NetworkSpec, TopologySpec
 from ..errors import ConfigError
@@ -43,30 +44,21 @@ class Mailbox:
 
     With an enabled :class:`~repro.obs.Recorder`, each delivery emits a
     ``net/msg`` span covering the message's wire time (send to arrival).
-
-    Storage is a flat list with index-recycled slots rather than a
-    deque: a selective ``take`` from the middle leaves a ``None`` hole
-    instead of shifting every later element, the head index rides past
-    consumed slots, and the backing list is compacted only when holes
-    dominate.  FIFO order (oldest matching message first) is unchanged.
     """
 
-    __slots__ = ("pid", "_obs", "_queue", "_head", "_size")
+    __slots__ = ("pid", "_obs", "_queue")
 
     def __init__(self, pid: int = -1, recorder: Recorder | None = None) -> None:
         self.pid = pid
         self._obs = recorder if recorder is not None else NULL_RECORDER
-        self._queue: list[Message | None] = []
-        self._head = 0
-        self._size = 0
+        self._queue: deque[Message] = deque()
 
     def __len__(self) -> int:
-        return self._size
+        return len(self._queue)
 
     def deliver(self, msg: Message) -> None:
         """Append an arrived message."""
         self._queue.append(msg)
-        self._size += 1
         if self._obs.enabled:
             t_arrived = max(msg.t_arrived, msg.t_sent)
             self._obs.emit_span(
@@ -76,7 +68,7 @@ class Mailbox:
                 t_arrived,
                 pid=msg.dst,
                 value=float(msg.nbytes),
-                meta={"src": msg.src, "tag": msg.tag, "queued": self._size},
+                meta={"src": msg.src, "tag": msg.tag, "queued": len(self._queue)},
             )
 
     @staticmethod
@@ -87,45 +79,15 @@ class Mailbox:
         """Remove and return the oldest matching message, or ``None``."""
         # The match predicate is inlined (see ``_matches``): take() runs
         # once per receive and the call overhead is measurable.
-        queue = self._queue
-        for i in range(self._head, len(queue)):
-            msg = queue[i]
-            if msg is None:
-                continue
+        for i, msg in enumerate(self._queue):
             if (src is None or msg.src == src) and (tag is None or msg.tag == tag):
-                queue[i] = None
-                size = self._size - 1
-                self._size = size
-                if size == 0:
-                    queue.clear()
-                    self._head = 0
-                    return msg
-                if i == self._head:
-                    # Slide the head past the hole run it now leads.
-                    head = i + 1
-                    n = len(queue)
-                    while head < n and queue[head] is None:
-                        head += 1
-                    self._head = head
-                    # Recycle the consumed prefix once it dominates.
-                    if head > 32 and head * 2 >= n:
-                        del queue[:head]
-                        self._head = 0
-                elif len(queue) - size > 32 and (len(queue) - size) * 2 >= len(
-                    queue
-                ):
-                    # Mid-queue holes dominate: compact, keeping order.
-                    self._queue = [m for m in queue[self._head:] if m is not None]
-                    self._head = 0
+                del self._queue[i]
                 return msg
         return None
 
     def peek(self, src: int | None = None, tag: str | None = None) -> Message | None:
         """Return (without removing) the oldest matching message."""
-        for i in range(self._head, len(self._queue)):
-            msg = self._queue[i]
-            if msg is None:
-                continue
+        for msg in self._queue:
             if (src is None or msg.src == src) and (tag is None or msg.tag == tag):
                 return msg
         return None

@@ -8,8 +8,6 @@ layer satisfies the request and resumes the generator with the result.
 ``Compute``       consume CPU (``ops`` at the processor's speed);
                   optionally run a real numeric kernel eagerly for
                   correctness.
-``ComputeBatch``  consume a whole sequence of compute segments in one
-                  syscall; semantically a chain of ``Compute`` yields.
 ``Send``          asynchronous message send (returns immediately after
                   the sender's per-message CPU overhead).
 ``Recv``          blocking selective receive -> :class:`Message`.
@@ -22,9 +20,9 @@ layer satisfies the request and resumes the generator with the result.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
-__all__ = ["Compute", "ComputeBatch", "Send", "Recv", "Poll", "Sleep", "Now"]
+__all__ = ["Compute", "Send", "Recv", "Poll", "Sleep", "Now"]
 
 
 @dataclass(slots=True)
@@ -38,28 +36,6 @@ class Compute:
 
     ops: float
     fn: Callable[[], Any] | None = None
-
-
-@dataclass(slots=True)
-class ComputeBatch:
-    """Consume a sequence of compute segments in one syscall.
-
-    ``yield ComputeBatch(ops)`` is semantically identical to
-    ``for o in ops: yield Compute(o)`` — the same virtual finish times,
-    the same per-segment CPU accounting and observability spans, and the
-    same per-segment event count — except the task's generator is only
-    resumed once, after the final segment.  That makes the whole chain a
-    single generator round trip, which the batch engine can advance
-    analytically (array-wise over the load staircase) when nothing else
-    is scheduled inside the chain's time window.
-
-    ``fns``, when given, must have one entry per segment; each non-None
-    callable runs eagerly when its segment *starts* in virtual time,
-    exactly like ``Compute.fn``.
-    """
-
-    ops: Sequence[float]
-    fns: Sequence[Callable[[], Any] | None] | None = None
 
 
 @dataclass(slots=True)

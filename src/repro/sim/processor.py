@@ -20,8 +20,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from ..config import ProcessorSpec
 from ..errors import SimulationError
 from ..obs import NULL_RECORDER, Recorder
@@ -227,68 +225,6 @@ class Processor:
         self.app_cpu_total += cpu
         if k >= 1:
             self.app_cpu_while_loaded += cpu
-
-    # ------------------------------------------------------------------
-    # Vectorized batch advance (dedicated processors, unobserved)
-    # ------------------------------------------------------------------
-    #
-    # For an unloaded processor, run_cpu degenerates to sequential float
-    # addition: each segment with cpu > _EPS advances the clock and the
-    # accounting by exactly cpu.  np.cumsum evaluates the same left-to-
-    # right addition chain in C, so a whole vector of segments can be
-    # advanced in one array pass with bit-identical results (guarded by
-    # the engine-equivalence property suite).  Loaded or observed
-    # processors fall back to per-segment run_cpu at the call site —
-    # span emission and the staircase walk are inherently sequential.
-
-    def batch_eligible(self) -> bool:
-        """True when ``run_cpu_batch`` may replace sequential ``run_cpu``."""
-        return self._unloaded and not self._observe
-
-    def batch_finish(self, t0: float, cpu: np.ndarray) -> float:
-        """Pure query: finish time of running ``cpu`` segments from ``t0``.
-
-        Bit-identical to folding ``run_cpu`` over the segments on an
-        unloaded processor (tiny segments below the accounting epsilon
-        advance nothing, exactly like run_cpu's dedicated fast path).
-        """
-        big = cpu[cpu > _EPS]
-        if not big.size:
-            return t0
-        acc = np.empty(big.size + 1)
-        acc[0] = t0
-        acc[1:] = big
-        return float(np.cumsum(acc)[-1])
-
-    def run_cpu_batch(self, t0: float, cpu: np.ndarray) -> float:
-        """Execute a vector of compute segments starting at ``t0``.
-
-        Requires :meth:`batch_eligible`; performs the same validation,
-        accounting and ``_busy_until`` updates as the equivalent
-        sequence of :meth:`run_cpu` calls and returns the final finish
-        time.
-        """
-        if cpu.size and float(cpu.min()) < 0:
-            raise SimulationError(
-                f"negative cpu request: {float(cpu.min())}"
-            )
-        if t0 < self._busy_until - 1e-9:
-            raise SimulationError(
-                f"processor {self.pid}: overlapping compute requests "
-                f"(t0={t0} < busy_until={self._busy_until})"
-            )
-        big = cpu[cpu > _EPS]
-        if not big.size:
-            self._busy_until = t0
-            return t0
-        acc = np.empty(big.size + 1)
-        acc[1:] = big
-        acc[0] = t0
-        t = float(np.cumsum(acc)[-1])
-        acc[0] = self.app_cpu_total
-        self.app_cpu_total = float(np.cumsum(acc)[-1])
-        self._busy_until = t
-        return t
 
     # ------------------------------------------------------------------
     # Accounting queries

@@ -455,9 +455,7 @@ def run_stealing(
     if faults is not None and not faults.empty:
         faults.validate_for(n)
         injector = FaultInjector(faults, master_pid=run_cfg.cluster.master_pid)
-    cluster = Cluster(
-        run_cfg.cluster, loads, recorder, injector, engine=run_cfg.engine
-    )
+    cluster = Cluster(run_cfg.cluster, loads, recorder, injector)
     exec_num = run_cfg.execute_numerics
     rng = np.random.default_rng(seed)
     global_state = plan.kernels.make_global(rng) if exec_num else None

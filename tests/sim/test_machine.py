@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.analysis.equivalence import SILENT_PLAN
 from repro.config import ClusterSpec, NetworkSpec, ProcessorSpec
 from repro.errors import DeadlockError, SimulationError
+from repro.faults import FaultInjector
 from repro.sim import Cluster, Compute, Now, Poll, Recv, Send, Sleep
 from repro.sim.load import ConstantLoad
 
@@ -65,6 +67,28 @@ class TestComputeAndTime:
         cl.spawn(0, task)
         cl.run()
         assert cl.task_finish_time(0) == pytest.approx(2.0, abs=0.11)
+
+    def test_run_until_mid_chain_is_resumable(self):
+        def build():
+            cl = make_cluster(n_slaves=1)
+
+            def task(ctx):
+                for _ in range(100):
+                    yield Compute(1000.0)
+
+            cl.spawn(0, task)
+            return cl
+
+        cut = 37 * 1000.0 / 1e6  # mid-chain
+        split, whole = build(), build()
+        assert split.run(until=cut) == cut
+        assert split.engine.pending() == 1
+        split.run()
+        whole.run()
+        assert split.engine.now == whole.engine.now
+        assert split.engine.events_processed == whole.engine.events_processed
+        assert split.task_finish_time(0) == whole.task_finish_time(0)
+        assert split.processors[0].app_cpu_total == whole.processors[0].app_cpu_total
 
 
 class TestMessaging:
@@ -211,8 +235,56 @@ class TestMessaging:
         cl.run()
         assert got == [0, 1, 2, 3, 4]
 
+    def test_received_messages_stay_valid_across_receives(self):
+        cl = make_cluster()
+        kept = []
+
+        def sender(ctx):
+            for i in range(3):
+                yield Send(dst=1, tag="t", payload={"v": i}, nbytes=8)
+
+        def receiver(ctx):
+            for _ in range(3):
+                kept.append((yield Recv(tag="t")))
+
+        cl.spawn(0, sender)
+        cl.spawn(1, receiver)
+        cl.run()
+        assert [(m.src, m.tag, m.payload["v"]) for m in kept] == [
+            (0, "t", 0),
+            (0, "t", 1),
+            (0, "t", 2),
+        ]
+        assert len({id(m) for m in kept}) == 3
+
 
 class TestErrors:
+    def test_negative_compute_rejected(self):
+        cl = make_cluster()
+
+        def task(ctx):
+            yield Compute(1.0)
+            yield Compute(-2.0)
+
+        cl.spawn(0, task)
+        with pytest.raises(SimulationError, match="negative"):
+            cl.run()
+
+    def test_negative_compute_rejected_under_injector(self):
+        # The Compute handler's fault-injection branch must not bypass
+        # the CPU validation.
+        spec = make_cluster().spec
+        inj = FaultInjector(SILENT_PLAN, master_pid=spec.master_pid)
+        cl = Cluster(spec, None, None, inj)
+
+        def task(ctx):
+            yield Compute(1.0)
+            yield Compute(-2.0)
+
+        cl.spawn(0, task)
+        with pytest.raises(SimulationError, match="negative"):
+            cl.run()
+
     def test_deadlock_detected(self):
         cl = make_cluster()
 

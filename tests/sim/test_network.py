@@ -47,6 +47,26 @@ class TestMailbox:
         assert box.take(tag="z") is None
         assert box.peek(src=9) is None
 
+    def test_fifo_per_filter_after_selective_takes(self):
+        box = Mailbox()
+        for i in range(6):
+            box.deliver(msg(src=i % 2, payload=i))
+        # Draining src=1 first takes from the middle of the queue.
+        assert [box.take(src=1).payload for _ in range(3)] == [1, 3, 5]
+        assert len(box) == 3
+        assert [box.take(src=0).payload for _ in range(3)] == [0, 2, 4]
+        assert len(box) == 0
+        assert box.take() is None
+
+    def test_peek_after_take_sees_next_oldest(self):
+        box = Mailbox()
+        box.deliver(msg(tag="a", payload=1))
+        box.deliver(msg(tag="b", payload=2))
+        assert box.take(tag="a").payload == 1
+        assert box.peek().payload == 2
+        assert box.peek(tag="a") is None
+        assert len(box) == 1
+
 
 class TestSnapshotPayload:
     def test_ndarray_copied(self):

@@ -6,12 +6,20 @@ tests exercise the harness plumbing, not simulator wall time.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.bench import SCHEMA_VERSION, SUITES, compare_docs, main, validate_doc
 from repro.bench.harness import run_suite
 from repro.cli import main as cli_main
+
+BASELINE = (
+    Path(__file__).resolve().parents[1]
+    / "benchmarks"
+    / "results"
+    / "BENCH_baseline.json"
+)
 
 TINY_SUITE = [
     {"name": "pingpong", "cell": "pingpong", "params": {"n_messages": 50}},
@@ -163,6 +171,21 @@ def test_compare_docs_warns_on_sim_elapsed_drift():
     )
     assert cmp_doc["ok"]
     assert any("drifted" in w for w in cmp_doc["warnings"])
+
+
+@pytest.mark.parametrize("name", ["perturb_pareto_spike", "sor_loaded_pair"])
+def test_committed_baseline_matches_simulated_outcome(name):
+    # The CI bench job warns on any sim_elapsed drift; the committed
+    # baseline must record what the code actually simulates.
+    from repro.bench.workloads import run_cell
+
+    baseline = json.loads(BASELINE.read_text(encoding="utf-8"))
+    (row,) = [
+        c for c in baseline["cells"] if c["suite"] == "ci-smoke" and c["name"] == name
+    ]
+    (spec,) = [s for s in SUITES["ci-smoke"] if s["name"] == name]
+    out = run_cell({**spec, "suite": "ci-smoke"})
+    assert out["meta"]["sim_elapsed"] == row["meta"]["sim_elapsed"]
 
 
 TINY_SCALING_SUITE = [

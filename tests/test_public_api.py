@@ -18,7 +18,6 @@ MODULES = [
     "repro.cli",
     "repro.bench",
     "repro.bench.harness",
-    "repro.bench.perfgate",
     "repro.bench.workloads",
     "repro.sim",
     "repro.sim.engine",
