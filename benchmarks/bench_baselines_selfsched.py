@@ -2,7 +2,8 @@
 
 Self-scheduling keeps a central queue (cheap on shared memory, but on a
 distributed-memory cluster every chunk ships its input data and returns
-its results); diffusion uses only neighbour-local information.  The
+its results); diffusion uses only neighbour-local information.  Both run
+through the strategy registry (``run_strategy``).  The
 paper's design claims: comparable balancing quality with far less data
 motion than a central queue, and faster response than diffusion.
 """
@@ -10,17 +11,10 @@ motion than a central queue, and faster response than diffusion.
 from _util import once, save_table
 
 from repro.apps.matmul import build_matmul
-from repro.baselines import (
-    ChunkPolicy,
-    FactoringPolicy,
-    GuidedPolicy,
-    TrapezoidPolicy,
-    run_diffusion,
-    run_self_scheduling,
-)
 from repro.config import ClusterSpec, RunConfig
 from repro.experiments.common import ExperimentSeries, run_point
 from repro.sim import ConstantLoad
+from repro.strategies import run_strategy
 
 
 def _run():
@@ -43,14 +37,14 @@ def _run():
     series.add("DLB (this paper)", r.elapsed, r.efficiency, r.message_count, r.bytes_sent / 1e6)
     r = run_point(plan, P, loads=loads, dlb=False)
     series.add("static blocks", r.elapsed, r.efficiency, r.message_count, r.bytes_sent / 1e6)
-    for policy in (ChunkPolicy(8), GuidedPolicy(), FactoringPolicy(), TrapezoidPolicy(n, P)):
-        rs = run_self_scheduling(plan, cfg, policy, loads=loads)
+    for strategy in ("fsc", "gss", "factoring", "trapezoid", "diffusion"):
+        out = run_strategy(strategy, plan, cfg, loads)
+        assert out.lost_units == 0, strategy
+        label = strategy if strategy == "diffusion" else f"self-sched/{strategy}"
         series.add(
-            f"self-sched/{policy.name}", rs.elapsed, rs.efficiency,
-            rs.message_count, rs.bytes_sent / 1e6,
+            label, out.elapsed, out.raw.efficiency,
+            out.message_count, out.bytes_sent / 1e6,
         )
-    rd = run_diffusion(plan, cfg, loads=loads)
-    series.add("diffusion", rd.elapsed, rd.efficiency, rd.message_count, rd.bytes_sent / 1e6)
     return series
 
 
@@ -71,4 +65,4 @@ def test_dlb_vs_related_work(benchmark):
     min_ss_mb = min(v for k, v in mb.items() if k.startswith("self-sched"))
     assert mb["DLB (this paper)"] < min_ss_mb / 3
     # GSS hands the loaded slave an oversized early chunk and loses.
-    assert t["self-sched/guided"] > t["DLB (this paper)"] * 1.3
+    assert t["self-sched/gss"] > t["DLB (this paper)"] * 1.3

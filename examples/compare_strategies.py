@@ -6,25 +6,19 @@ machine speed) on 4 slaves with one competing task on slave 0, under:
 
 - static block distribution (no balancing),
 - the paper's dynamic load balancer,
-- central-queue self-scheduling: chunk / guided / factoring / trapezoid,
+- central-queue self-scheduling: fsc / gss / factoring / trapezoid,
 - near-neighbour diffusion balancing.
 
+The last five run through the strategy registry (``run_strategy``).
 Watch the last column: the central queue ships every chunk's data from
 the master, while the paper's design moves only the imbalance.
 """
 
 from repro.apps import build_matmul
-from repro.baselines import (
-    ChunkPolicy,
-    FactoringPolicy,
-    GuidedPolicy,
-    TrapezoidPolicy,
-    run_diffusion,
-    run_self_scheduling,
-)
 from repro.config import ClusterSpec, RunConfig
 from repro.runtime import run_application
 from repro.sim import ConstantLoad
+from repro.strategies import run_strategy
 
 
 def main() -> None:
@@ -38,25 +32,18 @@ def main() -> None:
 
     print(f"{'strategy':<22} {'elapsed':>9} {'speedup':>8} {'eff':>6} {'msgs':>6} {'MB':>7}")
 
-    def row(name, r):
+    def row(name, r, efficiency):
         print(
-            f"{name:<22} {r.elapsed:>8.1f}s {r.speedup:>8.2f} {r.efficiency:>6.3f} "
+            f"{name:<22} {r.elapsed:>8.1f}s {r.speedup:>8.2f} {efficiency:>6.3f} "
             f"{r.message_count:>6} {r.bytes_sent / 1e6:>7.2f}"
         )
 
-    row("static blocks", run_application(plan, cfg_static, loads=loads))
-    row("DLB (this paper)", run_application(plan, cfg, loads=loads))
-    for policy in (
-        ChunkPolicy(8),
-        GuidedPolicy(),
-        FactoringPolicy(),
-        TrapezoidPolicy(n, n_slaves),
-    ):
-        row(
-            f"self-sched {policy.name}",
-            run_self_scheduling(plan, cfg, policy, loads=loads),
-        )
-    row("diffusion", run_diffusion(plan, cfg, loads=loads))
+    for name, c in (("static blocks", cfg_static), ("DLB (this paper)", cfg)):
+        r = run_application(plan, c, loads=loads)
+        row(name, r, r.efficiency)
+    for strategy in ("fsc", "gss", "factoring", "trapezoid", "diffusion"):
+        out = run_strategy(strategy, plan, cfg, loads)
+        row(strategy, out, out.raw.efficiency)
 
 
 if __name__ == "__main__":

@@ -1,31 +1,17 @@
 """Comparison schedulers from the paper's related work (Section 6).
 
-- :mod:`self_sched` — central task-queue self-scheduling (chunk, guided,
-  factoring, trapezoid), the shared-memory lineage the paper contrasts
-  with; on a distributed-memory cluster every chunk ships its data, which
-  is exactly the locality cost the paper's design avoids.
 - :mod:`diffusion` — receiver/sender-initiated near-neighbour diffusion
   balancing (Willebeek-LeMair & Reeves / gradient-model style), which
   uses only local information.
 
-The paper's *static block distribution* baseline is the DLB runtime with
+Central task-queue self-scheduling (chunk, guided, factoring,
+trapezoid) is a strategy, not a separate runtime: run it with
+:func:`repro.strategies.run_strategy` (``"fsc"``, ``"gss"``,
+``"factoring"``, ``"trapezoid"``).  The paper's *static block
+distribution* baseline is the DLB runtime with
 ``RunConfig.dlb_enabled=False`` (hooks compiled in but disabled).
 """
 
 from .diffusion import run_diffusion
-from .self_sched import (
-    ChunkPolicy,
-    FactoringPolicy,
-    GuidedPolicy,
-    TrapezoidPolicy,
-    run_self_scheduling,
-)
 
-__all__ = [
-    "ChunkPolicy",
-    "GuidedPolicy",
-    "FactoringPolicy",
-    "TrapezoidPolicy",
-    "run_self_scheduling",
-    "run_diffusion",
-]
+__all__ = ["run_diffusion"]

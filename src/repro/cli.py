@@ -152,7 +152,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 f"deaths={out.deaths}  lost_units={out.lost_units}  "
                 f"dead={list(out.dead_pids)}"
             )
-        return 0
+        return 1 if out.lost_units else 0
     res = run_application(
         plan, run_cfg, loads=loads, seed=args.seed, faults=faults
     )
@@ -804,7 +804,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             help=(
                 "DLB control plane: 'centralized' is the paper's runtime; "
                 "the rest are the repro.strategies registry "
-                "(PARALLEL_MAP apps only)"
+                "(PARALLEL_MAP apps only; exit code 1 if units were lost)"
             ),
         )
         p.add_argument(

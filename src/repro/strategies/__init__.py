@@ -15,7 +15,9 @@ alternatives:
 - ``rdlb`` — robust self-scheduling (central chunk queue with resilient
   chunk reassignment, no rate filtering);
 - ``fsc`` / ``gss`` / ``factoring`` / ``trapezoid`` — the classic
-  self-scheduling chunking variants from :mod:`repro.baselines.self_sched`.
+  self-scheduling chunking variants (the chunk policies of
+  :mod:`repro.strategies.rdlb`) on the same master, reissuing a chunk
+  only when its holder is declared dead.
 
 Selection is wired through ``RunConfig.strategy`` and
 ``repro run --strategy``.  The perturbation-robustness bench suite

@@ -1,15 +1,28 @@
-"""rDLB-style robust self-scheduling: resilient chunk reassignment.
+"""rDLB-style robust self-scheduling: the one central-queue runtime.
 
-Central-queue self-scheduling (the :mod:`repro.baselines.self_sched`
-family) hardened the way rDLB (Mohammed et al.) hardens DLS techniques:
-the master never blocks, watches request traffic as a heartbeat, and
+A master keeps the loop iterations in a central queue and idle workers
+request the next chunk (paper Section 6, refs [7]-[10]).  Chunk sizes
+come from the classic self-scheduling policies:
+
+- :class:`ChunkPolicy` — fixed-size chunks (chunk self-scheduling).
+- :class:`GuidedPolicy` — guided self-scheduling, chunk = ceil(R / P)
+  (Polychronopoulos & Kuck).
+- :class:`FactoringPolicy` — batches of P equal chunks, each batch half
+  the remaining work (Hummel, Schonberg & Flynn).
+- :class:`TrapezoidPolicy` — linearly decreasing chunk sizes from
+  ``first`` to ``last`` (Tzen & Ni).
+
+The master is hardened the way rDLB (Mohammed et al.) hardens DLS
+techniques: it never blocks, watches request traffic as a heartbeat, and
 when the queue runs dry while chunks are still outstanding it *reissues*
 the oldest outstanding chunk to the next idle requester (bounded
 duplication, first result wins).  No rate filtering, no trend
 estimation, no movement decisions — robustness against both
 perturbation (a slowed worker's chunk is simply finished by someone
 else) and fail-stop crashes comes entirely from reissuing work the
-master still owns.
+master still owns.  With ``dup_max=1`` it is plain self-scheduling plus
+crash recovery, which is how the registry runs FSC/GSS/factoring/
+trapezoid.
 
 The cost is the self-scheduling cost the paper's iteration-ownership
 design avoids — every chunk ships its input data from the master and
@@ -21,6 +34,7 @@ Supports PARALLEL_MAP plans (independent iterations) only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Mapping
 
@@ -38,9 +52,68 @@ from .protocol import RobustTags
 # Module-level alias named `Tags` for the protocol lint's AST resolver.
 Tags = RobustTags
 
-__all__ = ["RdlbConfig", "RdlbResult", "run_rdlb"]
+__all__ = [
+    "ChunkPolicy",
+    "GuidedPolicy",
+    "FactoringPolicy",
+    "TrapezoidPolicy",
+    "RdlbConfig",
+    "RdlbResult",
+    "run_rdlb",
+]
 
 _CHUNKINGS = ("fsc", "gss", "factoring", "trapezoid")
+
+
+class ChunkPolicy:
+    """Fixed-size chunking (CSS)."""
+
+    def __init__(self, chunk: int = 1):
+        if chunk < 1:
+            raise ConfigError(f"chunk must be >= 1, got {chunk}")
+        self.chunk = chunk
+
+    def next_chunk(self, remaining: int, n_slaves: int) -> int:
+        return min(self.chunk, remaining)
+
+
+class GuidedPolicy:
+    """Guided self-scheduling (GSS): chunk = ceil(remaining / P)."""
+
+    def next_chunk(self, remaining: int, n_slaves: int) -> int:
+        return max(1, math.ceil(remaining / n_slaves))
+
+
+class FactoringPolicy:
+    """Factoring: allocate batches of P chunks, each batch covering half
+    the remaining iterations."""
+
+    def __init__(self) -> None:
+        self._batch_left = 0
+        self._batch_chunk = 1
+
+    def next_chunk(self, remaining: int, n_slaves: int) -> int:
+        if self._batch_left <= 0:
+            self._batch_chunk = max(1, math.ceil(remaining / (2 * n_slaves)))
+            self._batch_left = n_slaves
+        self._batch_left -= 1
+        return min(self._batch_chunk, remaining)
+
+
+class TrapezoidPolicy:
+    """Trapezoid self-scheduling (TSS): chunks decrease linearly."""
+
+    def __init__(self, total: int, n_slaves: int, last: int = 1):
+        first = max(1, total // (2 * n_slaves))
+        n_steps = max(1, math.ceil(2 * total / (first + last)))
+        self._chunk = float(first)
+        self._delta = (first - last) / max(1, n_steps - 1)
+        self._last = last
+
+    def next_chunk(self, remaining: int, n_slaves: int) -> int:
+        c = max(self._last, int(round(self._chunk)))
+        self._chunk = max(float(self._last), self._chunk - self._delta)
+        return min(max(1, c), remaining)
 
 
 @dataclass(frozen=True)
@@ -48,9 +121,9 @@ class RdlbConfig:
     """Parameters of the robust self-scheduling plane.
 
     Attributes:
-        chunking: chunk-sizing policy — ``"fsc"`` (fixed-size),
-            ``"gss"`` (guided), ``"factoring"``, or ``"trapezoid"``
-            (the :mod:`repro.baselines.self_sched` policies).
+        chunking: chunk-sizing policy — ``"fsc"`` (:class:`ChunkPolicy`),
+            ``"gss"`` (:class:`GuidedPolicy`), ``"factoring"``, or
+            ``"trapezoid"``.
         chunk: fixed chunk size when ``chunking="fsc"``.
         dup_max: maximum concurrent assignees per chunk (2 = one
             reissue); bounds the duplicated compute.
@@ -65,8 +138,12 @@ class RdlbConfig:
         dead_after: request-traffic silence before a worker is declared
             dead and its assignments freed for reassignment.
         tick: master poll-loop sleep between empty polls.
-        hard_stall: unconditional no-progress bound; the master stops
-            the run (reporting unfinished units lost) so it never hangs.
+        hard_stall: give-up bound once every unstopped worker is
+            declared dead.  A chunk may legitimately outlast
+            ``dead_after`` (a slow or loaded worker looks dead while it
+            computes), so the master keeps waiting; only when every dead
+            worker has been silent for more than ``hard_stall`` does it
+            stop and report the unfinished units lost.
     """
 
     chunking: str = "factoring"
@@ -139,13 +216,6 @@ class RdlbResult:
 
 
 def _make_policy(rc: RdlbConfig, total: int, n_slaves: int):
-    from ..baselines.self_sched import (
-        ChunkPolicy,
-        FactoringPolicy,
-        GuidedPolicy,
-        TrapezoidPolicy,
-    )
-
     if rc.chunking == "fsc":
         return ChunkPolicy(rc.chunk)
     if rc.chunking == "gss":
@@ -224,7 +294,6 @@ def _rdlb_master(
     last_heard = {pid: now for pid in range(n_workers)}
     dead: set[int] = set()
     stopped: set[int] = set()
-    last_progress = now
 
     def _cut(pid: int, now: float):
         """Issue the next queue chunk, or reissue an outstanding one."""
@@ -286,7 +355,15 @@ def _rdlb_master(
         )
         yield Send(pid, Tags.WORK, payload, nbytes)
 
-    while len(stopped | dead) < n_workers:
+    while len(stopped) < n_workers:
+        if len(stopped | dead) == n_workers and (
+            (not queue and not outstanding)
+            or all(now - last_heard[pid] > rc.hard_stall for pid in dead)
+        ):
+            # Every unstopped worker is dead.  A dead verdict may be
+            # false (a chunk can outlast dead_after), so unfinished work
+            # is given up only after hard_stall of total silence.
+            break
         msg = yield Poll(tag=Tags.REQUEST)
         now = ctx.now
         if msg is not None:
@@ -299,7 +376,6 @@ def _rdlb_master(
                 ch = outstanding.pop(cid, None)
                 if ch is not None:
                     done_units += len(ch.units)
-                    last_progress = now
                     results[pid].append((p["units"], p.get("data")))
                 else:
                     # The other assignee finished first: duplicate result.
@@ -326,14 +402,6 @@ def _rdlb_master(
                         "robust", "death", now, 1.0, pid=ctx.pid,
                         meta={"dead": pid},
                     )
-        if now - last_progress > rc.hard_stall and outstanding:
-            # Never hang: declare whatever is still outstanding lost.
-            stats["lost_units"] = stats.get("lost_units", 0) + sum(
-                len(ch.units) for ch in outstanding.values()
-            )
-            outstanding.clear()
-            queue.clear()
-            last_progress = now
 
     # Late stop broadcast: the silence detector cannot distinguish a
     # crashed worker from a live one stuck in a long compute (a
@@ -345,11 +413,7 @@ def _rdlb_master(
         if pid not in stopped:
             yield Send(pid, Tags.WORK, {"chunk": -1, "units": ()}, 16)
 
-    lost = stats.get("lost_units", 0) + sum(
-        len(ch.units) for ch in outstanding.values()
-    )
-    if queue:
-        lost += len(queue)
+    lost = len(queue) + sum(len(ch.units) for ch in outstanding.values())
     stats["lost_units"] = lost
     if lost and obs.enabled:
         obs.metrics.counter("robust.lost_units").inc(lost)

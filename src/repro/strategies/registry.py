@@ -4,17 +4,16 @@
 configs, result types, and fault support differ) into a single callable
 returning a :class:`StrategyOutcome`, which is what the CLI
 (``repro run --strategy``), the perturbation-robustness bench, and the
-chaos harness consume.  The registry also *promotes* the classic
-self-scheduling chunking variants (FSC/GSS/factoring/trapezoid) from
-:mod:`repro.baselines.self_sched` to first-class strategies by routing
-them through the robust self-scheduling master with reassignment
-disabled while the holder is alive (``dup_max=1``) — identical schedule
-to the baseline, plus crash recovery and recorder support for free.
+chaos harness consume.  The classic self-scheduling chunking variants
+(FSC/GSS/factoring/trapezoid) are first-class strategies: they run
+through the robust self-scheduling master with reassignment disabled
+while the holder is alive (``dup_max=1``), which gives the classic chunk
+sequence plus crash recovery and recorder support.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Mapping
 
 from ..config import RunConfig
@@ -54,8 +53,6 @@ STRATEGIES: dict[str, str] = {
     "factoring": "factoring self-scheduling, promoted baseline",
     "trapezoid": "trapezoid self-scheduling, promoted baseline",
 }
-
-_CHUNKING_STRATEGIES = ("fsc", "gss", "factoring", "trapezoid")
 
 
 def available_strategies() -> tuple[str, ...]:
@@ -178,22 +175,9 @@ def run_strategy(
         return _wrap(strategy, plan, n, res)
     # rdlb and the promoted chunking variants share the robust master;
     # the classics just disable alive-holder reassignment.
-    if strategy == "rdlb":
-        rc = rdlb or RdlbConfig()
-    else:
-        base = rdlb or RdlbConfig()
-        chunking = {"fsc": "fsc", "gss": "gss", "trapezoid": "trapezoid"}.get(
-            strategy, "factoring"
-        )
-        rc = RdlbConfig(
-            chunking=chunking,
-            chunk=base.chunk,
-            dup_max=1,
-            reassign_after=base.reassign_after,
-            dead_after=base.dead_after,
-            tick=base.tick,
-            hard_stall=base.hard_stall,
-        )
+    rc = rdlb or RdlbConfig()
+    if strategy != "rdlb":
+        rc = replace(rc, chunking=strategy, dup_max=1)
     res = run_rdlb(
         plan,
         run_cfg,

@@ -1,56 +1,14 @@
-"""Self-scheduling baseline tests."""
+"""Self-scheduling baselines (FSC/GSS/factoring/trapezoid) run through
+the strategy registry's central-queue runtime."""
 
 import numpy as np
 import pytest
 
 from repro.apps import build_lu, build_matmul
-from repro.baselines.self_sched import (
-    ChunkPolicy,
-    FactoringPolicy,
-    GuidedPolicy,
-    TrapezoidPolicy,
-    run_self_scheduling,
-)
 from repro.config import ClusterSpec, ProcessorSpec, RunConfig
-from repro.errors import ProtocolError
+from repro.errors import ConfigError
 from repro.sim import ConstantLoad
-
-
-class TestPolicies:
-    def test_chunk_fixed_size(self):
-        p = ChunkPolicy(8)
-        assert p.next_chunk(100, 4) == 8
-        assert p.next_chunk(5, 4) == 5
-
-    def test_chunk_validation(self):
-        with pytest.raises(ProtocolError):
-            ChunkPolicy(0)
-
-    def test_guided_halves_per_round(self):
-        p = GuidedPolicy()
-        assert p.next_chunk(100, 4) == 25
-        assert p.next_chunk(75, 4) == 19
-        assert p.next_chunk(1, 4) == 1
-
-    def test_factoring_batches(self):
-        p = FactoringPolicy()
-        # First batch: ceil(100 / 8) = 13 for each of 4 requests.
-        sizes = [p.next_chunk(100 - 13 * i, 4) for i in range(4)]
-        assert sizes == [13, 13, 13, 13]
-        # Next batch re-derives from what remains.
-        assert p.next_chunk(48, 4) == 6
-
-    def test_trapezoid_decreasing(self):
-        p = TrapezoidPolicy(total=100, n_slaves=4)
-        sizes = []
-        remaining = 100
-        while remaining > 0:
-            c = p.next_chunk(remaining, 4)
-            sizes.append(c)
-            remaining -= c
-        assert sum(sizes) == 100
-        assert sizes[0] >= sizes[-1]
-        assert all(a >= b for a, b in zip(sizes, sizes[1:]))
+from repro.strategies import RdlbConfig, run_strategy
 
 
 class TestRuns:
@@ -63,45 +21,51 @@ class TestRuns:
         )
 
     @pytest.mark.parametrize(
-        "policy_factory",
+        "run",
         [
-            lambda: ChunkPolicy(4),
-            lambda: GuidedPolicy(),
-            lambda: FactoringPolicy(),
-            lambda: TrapezoidPolicy(50, 3),
+            lambda plan, cfg: run_strategy(
+                "fsc", plan, cfg, rdlb=RdlbConfig(chunk=4), seed=2
+            ),
+            lambda plan, cfg: run_strategy("gss", plan, cfg, seed=2),
+            lambda plan, cfg: run_strategy("factoring", plan, cfg, seed=2),
+            lambda plan, cfg: run_strategy("trapezoid", plan, cfg, seed=2),
         ],
     )
-    def test_numerics_correct(self, policy_factory):
+    def test_numerics_correct(self, run):
+        # 5000 ops per row at 1e3 ops/s: every chunk outlasts
+        # dead_after, so each holder is falsely declared dead mid-chunk
+        # and its result still has to be accepted.
         plan = build_matmul(n=50)
-        res = run_self_scheduling(
-            plan, self._cfg(numerics=True), policy_factory(), seed=2
-        )
+        out = run(plan, self._cfg(numerics=True, speed=1e3))
+        assert out.lost_units == 0 and out.deaths > 0
         g = plan.kernels.make_global(np.random.default_rng(2))
-        np.testing.assert_allclose(res.result, g["A"] @ g["B"], atol=1e-9)
+        np.testing.assert_allclose(out.result, g["A"] @ g["B"], atol=1e-9)
 
     def test_all_chunks_served(self):
         plan = build_matmul(n=64)
-        res = run_self_scheduling(plan, self._cfg(), ChunkPolicy(8), seed=1)
-        assert res.chunks_served == 8
+        out = run_strategy(
+            "fsc", plan, self._cfg(), rdlb=RdlbConfig(chunk=8), seed=1
+        )
+        assert out.raw.chunks_served == 8
 
     def test_load_balances_naturally(self):
         plan = build_matmul(n=120)
         cfg = self._cfg()
         loaded = {0: ConstantLoad(k=3)}
-        res = run_self_scheduling(plan, cfg, FactoringPolicy(), loads=loaded)
+        out = run_strategy("factoring", plan, cfg, loads=loaded)
         # Demand-driven chunking absorbs the slow node: time well under
         # the static worst case (slave 0 at 1/4 speed with 1/3 of work).
         static_worst = plan.total_ops() / 3 * 4 / 2e5
-        assert res.elapsed < static_worst
+        assert out.elapsed < static_worst
 
     def test_metrics_fields(self):
         plan = build_matmul(n=30)
-        res = run_self_scheduling(plan, self._cfg(), GuidedPolicy())
-        assert res.policy == "guided"
-        assert res.speedup > 0
-        assert 0 < res.efficiency <= 1.1
-        assert res.message_count > 0
+        out = run_strategy("gss", plan, self._cfg())
+        assert out.strategy == "gss" and out.raw.chunking == "gss"
+        assert out.speedup > 0
+        assert 0 < out.raw.efficiency <= 1.1
+        assert out.message_count > 0
 
     def test_non_parallel_map_rejected(self):
-        with pytest.raises(ProtocolError):
-            run_self_scheduling(build_lu(n=20), self._cfg(), GuidedPolicy())
+        with pytest.raises(ConfigError):
+            run_strategy("gss", build_lu(n=20), self._cfg())

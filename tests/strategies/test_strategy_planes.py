@@ -15,7 +15,8 @@ from repro.apps import REGISTRY
 from repro.config import ClusterSpec, RunConfig
 from repro.errors import ConfigError
 from repro.faults import FaultPlan, SlaveCrash
-from repro.strategies import run_strategy
+from repro.sim import ConstantLoad
+from repro.strategies import RdlbConfig, run_strategy
 from repro.strategies.robustness import (
     cell_perturbation,
     oracle_makespan,
@@ -44,7 +45,7 @@ def _close(a, b):
 
 class TestNumericsMatchSequential:
     @pytest.mark.parametrize(
-        "strategy", ["stealing", "rdlb", "fsc", "gss", "factoring"]
+        "strategy", ["stealing", "rdlb", "fsc", "gss", "factoring", "trapezoid"]
     )
     def test_adaptive_multi_rep(self, strategy):
         """reps=3 with data-dependent costs: per-unit rep collapsing
@@ -93,6 +94,66 @@ class TestCrashTermination:
         assert out.dead_pids == (1,)
         assert out.lost_units == 0
         assert _close(out.result, _truth(plan))
+
+
+class TestLongChunks:
+    """Chunks that outlast ``dead_after`` are work in progress, not
+    work lost: a worker falsely declared dead keeps computing."""
+
+    @pytest.mark.parametrize("loaded", [False, True])
+    @pytest.mark.parametrize(
+        "strategy", ["rdlb", "fsc", "gss", "factoring", "trapezoid"]
+    )
+    def test_paper_speed_matmul_completes(self, strategy, loaded):
+        # The paper's Section 6 point: 0.5 s per row at 1e6 ops/s, so
+        # even fsc's 8-row chunks outlast dead_after=4 s.
+        plan = REGISTRY["matmul"](n=500, n_slaves_hint=SLAVES)
+        cfg = RunConfig(
+            cluster=ClusterSpec(n_slaves=SLAVES), execute_numerics=False
+        )
+        loads = {0: ConstantLoad(k=1)} if loaded else None
+        out = run_strategy(strategy, plan, cfg, loads, seed=SEED)
+        assert out.raw.completed_units == 500
+        assert out.lost_units == 0
+        assert out.speedup <= SLAVES
+
+    def test_all_workers_crashed_gives_up_after_hard_stall(self):
+        plan = REGISTRY["matmul"](n=64, n_slaves_hint=SLAVES)
+        cfg = RunConfig(
+            cluster=ClusterSpec(n_slaves=SLAVES), execute_numerics=False
+        )
+        rc = RdlbConfig()
+        base = run_strategy("rdlb", plan, cfg, seed=SEED)
+        crash_at = 0.3 * base.elapsed
+        faults = FaultPlan(
+            name="all-crash",
+            crashes=tuple(
+                SlaveCrash(pid=p, at=crash_at) for p in range(SLAVES)
+            ),
+        )
+        out = run_strategy("rdlb", plan, cfg, seed=SEED, faults=faults)
+        assert out.dead_pids == tuple(range(SLAVES))
+        assert out.lost_units > 0
+        assert out.raw.completed_units + out.lost_units == plan.unit_space()[1]
+        # Given up once the last worker heard has been silent hard_stall.
+        assert rc.hard_stall < out.elapsed <= crash_at + rc.hard_stall + rc.tick
+
+
+class TestRegistry:
+    def test_chunking_strategies_keep_rdlb_overrides(self):
+        """RdlbConfig fields other than chunking/dup_max (here
+        retry_wait) reach the promoted chunking strategies."""
+        plan = _plan("adaptive")
+        cfg = RunConfig(
+            cluster=ClusterSpec(n_slaves=SLAVES), execute_numerics=False
+        )
+        default = run_strategy("gss", plan, cfg, seed=SEED)
+        slow = run_strategy(
+            "gss", plan, cfg, seed=SEED, rdlb=RdlbConfig(retry_wait=1.0)
+        )
+        assert slow.raw.chunking == "gss"
+        # Idle workers wait out retry_wait before the stop reply.
+        assert slow.elapsed > default.elapsed
 
 
 class TestPlanShapeGuards:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.faults import FaultPlan, SlaveCrash
 from repro.obs import EventLog, RunReport
 
 
@@ -55,6 +56,37 @@ def test_run_synchronous_oscillating(capsys):
         ]
     )
     assert rc == 0
+
+
+def test_run_strategy_clean(capsys):
+    rc = main(
+        ["run", "matmul", "-n", "500", "--slaves", "4", "--strategy", "factoring"]
+    )
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "[factoring]" in out and "lost_units=0" in out
+
+
+def test_run_strategy_rejects_non_parallel_map(capsys):
+    rc = main(["run", "lu", "-n", "40", "--strategy", "rdlb"])
+    assert rc == 2
+    assert "PARALLEL_MAP" in capsys.readouterr().out
+
+
+def test_run_strategy_lost_units_exit_1(capsys, tmp_path):
+    plan_path = tmp_path / "all-crash.json"
+    FaultPlan(
+        name="all-crash",
+        crashes=tuple(SlaveCrash(pid=p, at_fraction=0.3) for p in range(2)),
+    ).save(plan_path)
+    rc = main(
+        [
+            "run", "matmul", "-n", "64", "--slaves", "2",
+            "--strategy", "rdlb", "--faults", str(plan_path),
+        ]
+    )
+    assert rc == 1
+    assert "lost_units=" in capsys.readouterr().out
 
 
 def test_source_listing(capsys):

@@ -98,7 +98,6 @@ MODULES = [
     "repro.apps.lu",
     "repro.apps.adaptive",
     "repro.baselines",
-    "repro.baselines.self_sched",
     "repro.baselines.diffusion",
     "repro.strategies",
     "repro.strategies.protocol",
