@@ -175,11 +175,12 @@ class _SiteCollector(ast.NodeVisitor):
             if fam is not None:
                 self._sites_for(fam).sends.append(self._locus(node))
         elif name in ("Recv", "Poll") or (
-            isinstance(fn, ast.Attribute) and fn.attr == "_recv_ft"
+            isinstance(fn, ast.Attribute) and fn.attr == "_wait"
         ):
-            # `_recv_ft` is the failure-tolerant wrapper around a
-            # blocking selective Recv (it polls the same tag in a loop);
-            # its tag argument is a receive site like Recv's.
+            # `SlaveCore._wait` is the slave's one wait primitive: a
+            # blocking selective Recv, or a poll loop on the same tag
+            # under failure tolerance; its tag argument is a receive
+            # site like Recv's.
             tag_expr = next(
                 (kw.value for kw in node.keywords if kw.arg == "tag"), None
             )

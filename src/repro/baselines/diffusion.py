@@ -30,7 +30,7 @@ import numpy as np
 
 from ..compiler.plan import ExecutionPlan, LoopShape
 from ..config import RunConfig, TopologySpec
-from ..errors import ConfigError
+from ..errors import ConfigError, SimulationError
 from ..sim import Cluster, Compute, LoadGenerator, Poll, Recv, Send, Sleep
 from ..sim.network import build_topology
 from ..sim.rusage import RusageReport
@@ -208,6 +208,10 @@ def run_diffusion(
             "the central runtime (repro.runtime.run_application)."
         )
     n = run_cfg.cluster.n_slaves
+    loads = dict(loads or {})
+    for pid in loads:
+        if not 0 <= pid < n:
+            raise ConfigError(f"competing load assigned to non-worker pid {pid}")
     topo_spec = topology if topology is not None else run_cfg.cluster.topology
     cluster_spec = run_cfg.cluster
     neighbor_map: dict[int, tuple[int, ...]] | None = None
@@ -219,7 +223,7 @@ def run_diffusion(
         neighbor_map = {pid: topo.neighbors(pid) for pid in range(n)}
         cluster_spec = replace(cluster_spec, topology=topo_spec)
         topo_name = topo_spec.kind
-    cluster = Cluster(cluster_spec, dict(loads or {}))
+    cluster = Cluster(cluster_spec, loads)
     exec_num = run_cfg.execute_numerics
     rng = np.random.default_rng(seed)
     global_state = plan.kernels.make_global(rng) if exec_num else None
@@ -247,12 +251,20 @@ def run_diffusion(
             exchange_every, threshold, stats,
         )
     cluster.spawn(run_cfg.cluster.master_pid, _diff_master, n, hi - lo, sink)
-    cluster.run()
+    cluster.run(until=run_cfg.max_virtual_time)
+    if "results" not in sink:
+        if cluster.engine.pending():
+            raise SimulationError(
+                "diffusion run exceeded "
+                f"max_virtual_time={run_cfg.max_virtual_time}"
+            )
+        cluster.run()  # surfaces DeadlockError diagnostics
+        raise SimulationError("coordinator never gathered results")
     elapsed = max(
         cluster.task_finish_time(p) for p in range(run_cfg.cluster.n_processors)
     )
     result = None
-    if exec_num and sink.get("results"):
+    if exec_num:
         merged = {
             pid: (np.asarray(res["units"]), res.get("data"))
             for pid, res in sink["results"].items()

@@ -281,13 +281,14 @@ class GrainConfig:
 class FaultToleranceConfig:
     """Failure-tolerant runtime parameters (see docs/fault-tolerance.md).
 
-    Disabled by default: with ``enabled=False`` the runtime takes exactly
-    the legacy code paths, so fault-free runs are byte-for-byte identical
-    to runs before fault tolerance existed.
+    Disabled by default.  The flag only decides how the runtime waits:
+    without it every master and slave wait is a blocking receive (the
+    paper's runtime, so fault-free runs make no extra syscalls); with it
+    each wait polls and serves recovery between empty polls.
 
     Attributes:
-        enabled: turn on heartbeats, the master's poll loop, suspicion/
-            death detection, control retries, and work reassignment.
+        enabled: turn on polling waits, heartbeats, suspicion/death
+            detection, control retries, and work reassignment.
         heartbeat_interval: a slave that has not sent the master anything
             (status report, ack) for this long sends an explicit
             heartbeat so silence means trouble, not idleness.

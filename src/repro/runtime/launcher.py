@@ -108,8 +108,8 @@ def resolve_run_cfg(
     - Enabled checkpointing always implies the failure-tolerant runtime
       it rides on (epoch controls travel the recovery channel).
 
-    A fault-free run with checkpointing off is returned unchanged and
-    takes exactly the legacy code paths.
+    A fault-free run with checkpointing off is returned unchanged: the
+    runtime then waits with blocking receives and runs no recovery.
     """
     have_faults = faults is not None and not faults.empty
     needs_recovery = have_faults and bool(
@@ -181,8 +181,8 @@ def run_application(
     configuration is computed by :func:`resolve_run_cfg` (crash/stall/
     partition plans enable ``run_cfg.ft``; crashes on dependence-carrying
     shapes also enable ``run_cfg.ckpt``).  With ``faults`` None (or an
-    empty plan) and checkpointing off, no injector is built and the run
-    takes exactly the legacy code paths.
+    empty plan) and checkpointing off, no injector is built and every
+    runtime wait is a blocking receive.
     """
     run_cfg = resolve_run_cfg(run_cfg or RunConfig(), plan, faults)
     if recorder is None and run_cfg.trace_enabled:

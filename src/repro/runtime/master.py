@@ -277,14 +277,13 @@ class _Master:
             self.pending_orders[t.src].append(order)
             self.pending_orders[t.dst].append(order)
             self.log.moves_issued += 1
-            if self.ft.enabled:
-                # A slave with pending movement is not done, whatever its
-                # last report said; keep the all-done release barrier
-                # honest so grant targets stay alive.
-                for p in (t.src, t.dst):
-                    rep = self.last_report.get(p)
-                    if rep is not None:
-                        rep.done = False
+            # A slave with pending movement is not done, whatever its
+            # last report said; keep the failure-tolerant all-done
+            # release barrier honest so grant targets stay alive.
+            for p in (t.src, t.dst):
+                rep = self.last_report.get(p)
+                if rep is not None:
+                    rep.done = False
         self.last_move_issue_time = now
         if self.obs.enabled and transfers:
             self.obs.metrics.counter("lb.moves_issued").inc(len(transfers))
@@ -466,11 +465,7 @@ class _Master:
                 report.pid in fl.involved() and report.pid not in fl.acked
                 for fl in self.in_flight.values()
             )
-            if (
-                not involved
-                and not self._ft_release_blocked(report.pid)
-                and self._ft_results_complete()
-            ):
+            if not involved and not self._release_held(report.pid):
                 self.released.add(report.pid)
                 if (
                     self.coord is not None
@@ -495,10 +490,60 @@ class _Master:
         )
 
     # ------------------------------------------------------------------
+    # Message plumbing (see _control_loop)
+    # ------------------------------------------------------------------
+
+    def receive(
+        self, tag: str | None = None, *, idle: Callable[[float], None]
+    ):
+        """The master's next message, as ``(msg, now)``.
+
+        Fault-free this is a blocking ``Recv`` on ``tag``, and ``now`` is
+        the arrival time.  With failure tolerance the master polls for
+        any message instead, so recovery runs between messages: queued
+        controls are flushed first, and an empty poll runs ``idle(now)``,
+        flushes again, sleeps one ``master_tick`` and returns
+        ``(None, now)`` so the caller re-checks its own condition.
+        """
+        if not self.ft.enabled:
+            msg = yield Recv(tag=tag)
+            return msg, msg.t_arrived
+        yield from self.flush_ctrls()
+        msg = yield Poll()
+        now = yield Now()
+        if msg is None:
+            idle(now)
+            yield from self.flush_ctrls()
+            yield Sleep(self.ft.master_tick)
+        return msg, now
+
+    def clock(self):
+        """With failure tolerance, flush queued controls and read the
+        time that silence and stall timeouts count from.  Fault-free
+        nothing counts time, so no syscall is made (returns 0.0)."""
+        if not self.ft.enabled:
+            return 0.0
+        yield from self.flush_ctrls()
+        return (yield Now())
+
+    def flush_ctrls(self):
+        while self.ctrl_outbox:
+            dst, ctrl = self.ctrl_outbox.pop(0)
+            yield Send(dst, Tags.CTRL, ctrl, CTRL_BYTES)
+
+    def bank_result(self, msg: Any) -> bool:
+        """Keep a slave's result unless it comes from a dead slave or an
+        older rollback era (a recomputed one is on its way)."""
+        if msg.src in self.dead or msg.payload["era"] != self.era:
+            return False
+        self.results[msg.src] = msg.payload
+        return True
+
+    # ------------------------------------------------------------------
     # Failure tolerance (RunConfig.ft; see docs/fault-tolerance.md)
     # ------------------------------------------------------------------
 
-    def _ft_release_blocked(self, pid: int) -> bool:
+    def _release_held(self, pid: int) -> bool:
         """Release barrier for the failure-tolerant runtime.
 
         A released slave terminates and can no longer adopt reassigned
@@ -506,6 +551,16 @@ class _Master:
         (suspected slaves, unacknowledged controls) and — as a global
         barrier — until every live slave is done, so a late death always
         has a live grant target.
+
+        Nor is anyone released until every non-dead slave's result is
+        banked.  Failure-tolerant slaves return their result as soon as
+        they are done (well before the release), so the master only lets
+        anyone terminate once it could finish the gather without them.  A
+        slave that dies in the silent window between its last report and
+        the suspicion threshold then blocks the release of the survivors —
+        exactly the ones a rollback needs alive.  A banked result only
+        counts while it matches the slave's current ownership (movement
+        or a grant after the early return makes it stale).
         """
         if not self.ft.enabled:
             return False
@@ -517,34 +572,18 @@ class _Master:
             rep = self.last_report.get(q)
             if rep is None or not rep.done:
                 return True
-        return False
-
-    def _ft_results_complete(self) -> bool:
-        """No release until every non-dead slave's result is banked.
-
-        Failure-tolerant slaves return their result as soon as they are
-        done (well before the release), so the master only lets anyone
-        terminate once it could finish the gather without them.  A slave
-        that dies in the silent window between its last report and the
-        suspicion threshold then blocks the release of the survivors —
-        exactly the ones a rollback needs alive.  A banked result only
-        counts while it matches the slave's current ownership (movement
-        or a grant after the early return makes it stale).
-        """
-        if not self.ft.enabled:
-            return True
         for q in range(self.n):
             if q in self.dead:
                 continue
             res = self.results.get(q)
             if res is None:
-                return False
+                return True
             if q in self.released:
                 continue  # verified against ownership at its release
             owned = {int(u) for u in self.partition.owned(q)}
             if {int(u) for u in res["units"]} != owned:
-                return False
-        return True
+                return True
+        return False
 
     def note_heard(self, pid: int, now: float) -> None:
         if pid in self.dead:
@@ -557,7 +596,10 @@ class _Master:
                 self.obs.emit_counter("slave", "recovered", now, 1.0, pid=pid)
 
     def ft_tick(self, now: float) -> None:
-        """Periodic recovery work: control retries and the silence scan."""
+        """Periodic recovery work: control retries, the silence scan and
+        checkpoint epochs (failure tolerance only)."""
+        if not self.ft.enabled:
+            return
         for seq, pc in sorted(self.unacked.items()):
             if pc.dst in self.dead:
                 continue  # cleaned up by declare_dead
@@ -652,7 +694,7 @@ class _Master:
                 self._pull_failed(int(ctrl.meta["pid"]), now)
             return
         if ctrl.kind not in ("cancel_send", "cancel_recv"):
-            return  # grants, fences, and rollbacks need nothing further
+            return  # grants and rollbacks need nothing further
         mid = ctrl.move_id
         assert mid is not None
         fl = self.dead_moves.pop(mid, None)
@@ -1249,109 +1291,97 @@ class _Master:
         return grant
 
 
-def _flush_ctrls(m: _Master):
-    while m.ctrl_outbox:
-        dst, ctrl = m.ctrl_outbox.pop(0)
-        yield Send(dst, Tags.CTRL, ctrl, CTRL_BYTES)
-
-
-def _ft_control_loop(m: _Master, plan: ExecutionPlan):
-    """Failure-tolerant master loop: polling, heartbeats, suspicion,
-    control retries, and a straggler-tolerant gather."""
-    ft = m.ft
-    now = yield Now()
-    for pid in range(m.n):
-        m.last_heard[pid] = now
-    all_pids = set(range(m.n))
-    while not (m.released | m.dead) >= all_pids:
-        yield from _flush_ctrls(m)
-        msg = yield Poll()
-        now = yield Now()
-        if msg is None:
-            m.ft_tick(now)
-            yield from _flush_ctrls(m)
-            yield Sleep(ft.master_tick)
-            continue
-        if msg.src in m.dead:
-            continue  # zombie traffic from a declared-dead slave
-        m.note_heard(msg.src, now)
-        tag = msg.tag
-        if tag == Tags.STATUS:
-            report: SlaveReport = msg.payload
-            if report.era != m.era:
-                # Pre-rollback report: no reply (the restored slave has
-                # already reset its outstanding-reply accounting).
-                m.ft_tick(now)
-                continue
+def _serve(m: _Master, msg: Any, now: float):
+    """Handle one message of the control loop."""
+    tag = msg.tag
+    if tag == Tags.STATUS:
+        report: SlaveReport = msg.payload
+        # A pre-rollback report gets no reply: the restored slave has
+        # already reset its outstanding-reply accounting.
+        if report.era == m.era:
             instr = m.handle_report(report, msg.t_arrived)
             yield Send(report.pid, Tags.INSTR, instr, INSTR_BYTES)
-        elif tag == Tags.HB:
-            pass  # silence probe: note_heard above is the whole point
-        elif tag == Tags.CTRL_ACK:
-            m.handle_ctrl_ack(msg.payload, now)
-        elif tag == Tags.CKPT:
-            m.handle_ckpt_message(msg, now)
-        elif tag.startswith("conv.res."):
-            rep = int(tag.rsplit(".", 1)[1])
-            raw = msg.payload
-            if isinstance(raw, dict):
-                if int(raw.get("era", 0)) != m.era:
-                    m.ft_tick(now)
-                    continue  # pre-rollback residual
-                val = float(raw["res"])
-            else:
-                val = float(raw)
-            bucket = m.residuals.setdefault(rep, {})
-            bucket[msg.src] = val
-            live = {
-                p
-                for p in range(m.n)
-                if p not in m.dead and p not in m.released
-            }
-            if live and live <= set(bucket):
-                global_residual = max(bucket.values())
-                del m.residuals[rep]
-                go = rep + 1 < plan.reps and (
-                    plan.convergence_tol is None
-                    or global_residual > plan.convergence_tol
-                )
-                for pid in sorted(live):
-                    yield Send(pid, Tags.cont(rep + 1), bool(go), 16)
-        elif tag == Tags.RESULT:
-            if (
-                msg.src not in m.dead
-                and int(msg.payload.get("era", 0)) == m.era
-            ):
-                m.results[msg.src] = msg.payload
-        else:  # pragma: no cover - no other tags target the master
-            raise ProtocolError(f"master received unexpected message {tag}")
+    elif tag == Tags.HB:
+        pass  # silence probe: being heard is the whole point
+    elif tag == Tags.CTRL_ACK:
+        m.handle_ctrl_ack(msg.payload, now)
+    elif tag == Tags.CKPT:
+        m.handle_ckpt_message(msg, now)
+    elif tag.startswith("conv.res."):
+        # The master mirrors the slaves' WHILE loop: it reduces the
+        # residuals of repetition ``rep`` and broadcasts the loop
+        # condition's verdict before anyone starts ``rep+1``.
+        rep = int(tag.rsplit(".", 1)[1])
+        raw = msg.payload
+        if isinstance(raw, dict):
+            if int(raw.get("era", 0)) != m.era:
+                return  # pre-rollback residual
+            val = float(raw["res"])
+        else:
+            val = float(raw)
+        bucket = m.residuals.setdefault(rep, {})
+        bucket[msg.src] = val
+        live = {
+            p for p in range(m.n) if p not in m.dead and p not in m.released
+        }
+        if live and live <= set(bucket):
+            global_residual = max(bucket.values())
+            del m.residuals[rep]
+            plan = m.plan
+            go = rep + 1 < plan.reps and (
+                plan.convergence_tol is None
+                or global_residual > plan.convergence_tol
+            )
+            for pid in sorted(live):
+                yield Send(pid, Tags.cont(rep + 1), bool(go), 16)
+    elif tag == Tags.RESULT:
+        m.bank_result(msg)
+    else:  # pragma: no cover - no other tags target the master
+        raise ProtocolError(f"master received unexpected message {tag}")
+
+
+def _control_loop(m: _Master):
+    """Serve reports, residuals and results until every slave is released
+    (or dead), then gather the results still missing.
+
+    Only how the next message arrives (:meth:`_Master.receive`) and
+    whether recovery runs between messages (:meth:`_Master.ft_tick`)
+    depend on failure tolerance.
+    """
+    start = yield from m.clock()
+    for pid in range(m.n):
+        m.last_heard[pid] = start
+    all_pids = set(range(m.n))
+    while not (m.released | m.dead) >= all_pids:
+        msg, now = yield from m.receive(idle=m.ft_tick)
+        if msg is None or msg.src in m.dead:
+            continue  # an idle tick, or zombie traffic from the dead
+        m.note_heard(msg.src, now)
+        yield from _serve(m, msg, now)
         m.ft_tick(now)
-    # Gather: released slaves no longer heartbeat, so silence here is
-    # bounded by an overall progress timeout instead of the silence scan.
-    yield from _flush_ctrls(m)
-    last_progress = yield Now()
+    # Gather: released slaves no longer heartbeat, so a failure-tolerant
+    # wait here is bounded by an overall progress timeout instead of the
+    # silence scan.
+    last_progress = yield from m.clock()
+
+    def stalled(now: float) -> None:
+        if now - last_progress > m.ft.dead_after:
+            raise SlaveLostError(
+                f"released slaves {missing} never returned results"
+            )
+
     while True:
         missing = [
             p for p in range(m.n) if p not in m.results and p not in m.dead
         ]
         if not missing:
             break
-        msg = yield Poll()
-        now = yield Now()
+        msg, now = yield from m.receive(Tags.RESULT, idle=stalled)
         if msg is None:
-            if now - last_progress > ft.dead_after:
-                raise SlaveLostError(
-                    f"released slaves {missing} never returned results"
-                )
-            yield Sleep(ft.master_tick)
             continue
-        if (
-            msg.tag == Tags.RESULT
-            and msg.src not in m.dead
-            and int(msg.payload.get("era", 0)) == m.era
-        ):
-            m.results[msg.src] = msg.payload
-            last_progress = now
+        if msg.tag == Tags.RESULT:
+            if m.bank_result(msg):
+                last_progress = now
         elif msg.tag == Tags.CTRL_ACK:
             m.handle_ctrl_ack(msg.payload, now)
         # anything else (late heartbeats, zombie traffic) is ignored
@@ -1412,47 +1442,7 @@ def master_task(
 
     # Control loop: serve reports (and, for WHILE-repetition plans, the
     # convergence barrier of Section 4.1) until every slave is released.
-    # The failure-tolerant variant polls instead of blocking so it can
-    # run the silence scan and control retries between messages.
-    if run_cfg.ft.enabled:
-        yield from _ft_control_loop(m, plan)
-    else:
-        residuals: dict[int, list[float]] = {}
-        while len(m.released) < m.n:
-            msg = yield Recv()
-            tag = msg.tag
-            if tag == Tags.STATUS:
-                report: SlaveReport = msg.payload
-                instr = m.handle_report(report, msg.t_arrived)
-                yield Send(report.pid, Tags.INSTR, instr, INSTR_BYTES)
-            elif tag.startswith("conv.res."):
-                # The master mirrors the slaves' WHILE loop: it reduces
-                # the residuals of repetition ``rep`` and broadcasts the
-                # loop condition's verdict before anyone starts ``rep+1``.
-                rep = int(tag.rsplit(".", 1)[1])
-                raw = msg.payload
-                val = (
-                    float(raw["res"]) if isinstance(raw, dict) else float(raw)
-                )
-                residuals.setdefault(rep, []).append(val)
-                if len(residuals[rep]) == m.n:
-                    global_residual = max(residuals.pop(rep))
-                    go = rep + 1 < plan.reps and (
-                        plan.convergence_tol is None
-                        or global_residual > plan.convergence_tol
-                    )
-                    for pid in range(m.n):
-                        yield Send(pid, Tags.cont(rep + 1), bool(go), 16)
-            elif tag == Tags.RESULT:
-                m.results[msg.src] = msg.payload
-            else:  # pragma: no cover - no other tags target the master
-                raise ProtocolError(
-                    f"master received unexpected message {tag}"
-                )
-
-        while len(m.results) < m.n:
-            msg = yield Recv(tag=Tags.RESULT)
-            m.results[msg.src] = msg.payload
+    yield from _control_loop(m)
 
     # Completeness check: every unit exactly once across slave results.
     seen: dict[int, int] = {}

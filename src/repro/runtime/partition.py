@@ -318,28 +318,13 @@ class IndexPartition:
         """
         if len(target_counts) != self.n_slaves:
             raise PartitionError("target counts length mismatch")
-        cur = self.counts(active)
-        if sum(target_counts) != sum(cur):
-            raise PartitionError(
-                f"target sum {sum(target_counts)} != active units {sum(cur)}"
-            )
-        surplus = [c - t for c, t in zip(cur, target_counts)]
-        donors = [s for s in range(self.n_slaves) if surplus[s] > 0]
-        takers = [s for s in range(self.n_slaves) if surplus[s] < 0]
-        transfers: list[Transfer] = []
-        for d in donors:
-            pool = [u for u in self._owned[d] if active is None or active(u)]
-            while surplus[d] > 0 and takers:
-                t = takers[0]
-                n = min(surplus[d], -surplus[t])
-                units = tuple(pool[-n:])
-                pool = pool[:-n]
-                transfers.append(Transfer(src=d, dst=t, units=units))
-                surplus[d] -= n
-                surplus[t] += n
-                if surplus[t] == 0:
-                    takers.pop(0)
-        return transfers
+        return transfers_from_sets(
+            {
+                s: [u for u in o if active is None or active(u)]
+                for s, o in enumerate(self._owned)
+            },
+            target_counts,
+        )
 
     def apply(self, transfers: Sequence[Transfer]) -> "IndexPartition":
         owned = [list(o) for o in self._owned]

@@ -37,9 +37,9 @@ import numpy as np
 
 from ..ckpt import SlaveSnapshot
 from ..errors import MovementError, ProtocolError
-from ..sim import Now, Poll, Recv, Send, Sleep
+from ..sim import Now, Poll, Send
 from .movement import MovePayload
-from .protocol import Instructions, MoveOrder, Tags
+from .protocol import MoveOrder, Tags
 from .slave import SlaveCore
 
 __all__ = ["PipelineSlave"]
@@ -111,11 +111,12 @@ class PipelineSlave(SlaveCore):
         while self.rep < plan.reps and not self.stopped:
             rep = self.rep
             if self.block == 0:
-                if self.ft.enabled and self.ckpt.enabled:
-                    # Top of sweep: the checkpoint barrier point.  The
-                    # neighbour waits below only poll controls while
-                    # blocked, so guarantee one poll (and a deposit of a
-                    # pending snapshot) even on a fast path.
+                if self.ckpt.enabled:
+                    # Top of sweep: the checkpoint barrier point
+                    # (checkpointing implies the failure-tolerant
+                    # runtime).  The neighbour waits below only poll
+                    # controls while blocked, so guarantee one poll (and
+                    # a deposit of a pending snapshot) even on a fast path.
                     yield from self._poll_ctrl()
                 if plan.dynamic_reps:
                     # Deferred movement executes at the sweep boundary,
@@ -179,7 +180,7 @@ class PipelineSlave(SlaveCore):
         # a partition that no longer exists.
         payload: Any = {"era": self.era, "res": res} if self.ckpt.enabled else res
         yield Send(self.master, Tags.residual(rep), payload, 16)
-        msg = yield from self._recv_ft(src=self.master, tag=Tags.cont(rep + 1))
+        msg = yield from self._wait(self.master, Tags.cont(rep + 1))
         if not msg.payload:
             self.stopped = True
 
@@ -228,35 +229,25 @@ class PipelineSlave(SlaveCore):
         payloads are handled (possibly merging work and bumping the
         expected generation, which is why ``expected_fn`` is re-evaluated
         each time), everything else is stashed for later."""
-        tick = self.ft.wait_tick / 16
-        while True:
+
+        def check(msg):
             tag = expected_fn()
-            if tag in self.stash:
-                return self.stash.pop(tag)
-            if self.ft.enabled:
-                # Poll instead of blocking so recovery controls (and
-                # checkpoint chores) are served while the neighbour is
-                # slow — or dead.  Exponential backoff keeps the common
-                # almost-here wait fine-grained without busy-polling an
-                # absent (possibly dead) neighbour.
-                msg = yield Poll(src=src)
-                if msg is None:
-                    yield from self._poll_ctrl()
-                    yield from self._maybe_heartbeat()
-                    yield Sleep(tick)
-                    tick = min(tick * 2, self.ft.wait_tick)
-                    continue
-            else:
-                msg = yield Recv(src=src)
+            if msg is None:
+                return self.stash.pop(tag, None)
             if msg.tag == tag:
                 return msg
             if msg.tag.startswith("lb.move."):
-                yield from self._handle_move_message(msg)
+                order = self._order_for_payload(msg)
+                if order is not None:
+                    yield from self._accept_move(order, msg.payload)
             elif msg.tag == Tags.CKPT:
                 # Buddy placement: the neighbour may also be our ward.
                 self._store_buddy_deposit(msg.payload)
             else:
                 self.stash[msg.tag] = msg
+            return None
+
+        return (yield from self._wait(src, check=check))
 
     # ------------------------------------------------------------------
     # Movement: sending side
@@ -337,33 +328,6 @@ class PipelineSlave(SlaveCore):
             msg = yield Poll(src=order.transfer.src, tag=Tags.move(order.move_id))
             if msg is not None:
                 yield from self._accept_move(order, msg.payload)
-
-    def _handle_move_message(self, msg) -> Generator[Any, Any, None]:
-        if self.ledger.is_voided(msg.payload.move_id):
-            return  # stale pre-rollback movement payload
-        order = next(
-            (
-                o
-                for o in self.ledger.pending_recvs()
-                if Tags.move(o.move_id) == msg.tag
-            ),
-            None,
-        )
-        if order is None:
-            # The payload outran the master's movement order (which we
-            # only read at hooks, and we may be blocked on a neighbour).
-            # The payload itself carries units and phase, so synthesize
-            # the order and apply now; the ledger drops the late order.
-            payload: MovePayload = msg.payload
-            from .partition import Transfer
-
-            order = MoveOrder(
-                move_id=payload.move_id,
-                transfer=Transfer(
-                    src=msg.src, dst=self.pid, units=tuple(payload.units)
-                ),
-            )
-        yield from self._accept_move(order, msg.payload)
 
     def _accept_move(
         self, order: MoveOrder, payload: MovePayload
@@ -565,44 +529,11 @@ class PipelineSlave(SlaveCore):
     # End-of-run drain
     # ------------------------------------------------------------------
 
-    def _lifecycle(self) -> Generator[Any, Any, None]:
-        while True:
-            yield from self.work_loop()
-            while self.outstanding_replies > 0:
-                msg = yield from self._recv_ft(src=self.master, tag=Tags.INSTR)
-                instr: Instructions = msg.payload
-                if instr.era != self.era:
-                    continue  # stale pre-rollback reply
-                self.outstanding_replies -= 1
-                yield from self._apply_instructions(instr)
-            # Outstanding movement payloads must be consumed before the
-            # result gather; block for each.
-            for order in self.ledger.pending_recvs():
-                if self.ft.enabled:
-                    msg = yield from self._recv_move_ft(order)
-                    if msg is None:
-                        continue  # move voided: its sender died
-                else:
-                    msg = yield Recv(
-                        src=order.transfer.src, tag=Tags.move(order.move_id)
-                    )
+    def drain_moves(self) -> Generator[Any, Any, None]:
+        """Consume every outstanding movement payload before the result
+        gather, then merge a set-aside one that is now due."""
+        for order in self.ledger.pending_recvs():
+            msg = yield from self._await_move(order)
+            if msg is not None:  # None: move voided, its sender died
                 yield from self._accept_move(order, msg.payload)
-            yield from self._merge_set_aside_if_due()
-            if self.work_remaining():
-                continue
-            yield from self._exchange(done=True)
-            if self.released:
-                break
-            if not self.work_remaining() and not self.ledger.has_pending():
-                if self.ft.enabled:
-                    # Done-time return (see SlaveCore._maybe_early_result);
-                    # re-report quickly, the release waits on the gather.
-                    yield from self._maybe_early_result()
-                    yield from self._poll_ctrl()
-                    yield from self._maybe_heartbeat()
-                    yield Sleep(4 * self.ft.wait_tick)
-                else:
-                    yield Sleep(0.1)
-        yield from (
-            self._maybe_early_result() if self.ft.enabled else self._send_result()
-        )
+        yield from self._merge_set_aside_if_due()

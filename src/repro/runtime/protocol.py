@@ -47,7 +47,6 @@ class Tags:
     RESULT = "app.result"
     STATUS = "lb.status"
     INSTR = "lb.instr"
-    START = "lb.start"
     # Failure-tolerant runtime only (RunConfig.ft.enabled):
     HB = "lb.hb"  # slave -> master explicit heartbeat, no reply
     CTRL = "lb.ctrl"  # master -> slave recovery control (Ctrl)
@@ -119,8 +118,8 @@ class SlaveReport:
     # decisions use remaining work where the shape allows tracking it.
     remaining_units: tuple[int, ...] | None = None
     # Rollback era (checkpointing only).  The master increments its era
-    # on every rollback and drops reports from older eras; 0 always on
-    # legacy paths so fault-free wire payloads are unchanged.
+    # on every rollback and drops reports from older eras; 0 until the
+    # first rollback.
     era: int = 0
 
     @property
@@ -163,7 +162,6 @@ class Ctrl:
         ``cancel_send`` / ``cancel_recv`` — movement ``move_id`` is void
             because the peer died; the ack's status tells the master
             whether this side had already executed its half.
-        ``fence`` — no-op; exists only to elicit an ack.
         ``ckpt`` — take a snapshot at the epoch barrier in ``meta``
             (``epoch``/``barrier``/``committed``/``buddy``); the ack is
             ``miss`` when the slave already passed the barrier.
@@ -215,7 +213,7 @@ class Instructions:
     release: bool = False
     note: str = ""
     # Rollback era (checkpointing only); slaves drop instructions from
-    # older eras.  0 always on legacy paths (wire payloads unchanged).
+    # older eras.  0 until the first rollback.
     era: int = 0
 
     def has_moves(self) -> bool:

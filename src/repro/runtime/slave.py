@@ -17,7 +17,7 @@ PIPELINE interpreter (SOR) lives in :mod:`repro.runtime.pipeline`.
 
 from __future__ import annotations
 
-from typing import Any, Generator
+from typing import Any, Callable, Generator
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from ..fastcopy import fast_state_copy
 from ..obs import NULL_RECORDER
 from ..sim import Compute, Now, Poll, Recv, Send, Sleep, TaskContext
 from .movement import MovementLedger, MovePayload
+from .partition import Transfer
 from .protocol import (
     CKPT_MANIFEST_BYTES,
     CTRL_ACK_BYTES,
@@ -114,14 +115,14 @@ class SlaveCore:
         self.rep = 0
         self.block = 0
         self.released = False
-        # Failure-tolerant runtime (no effect while cfg.ft.enabled is
-        # False: every wait below takes the legacy blocking path).
+        # Failure-tolerant runtime (RunConfig.ft): decides how _wait
+        # waits (a blocking Recv without it, a serving poll with it).
         self.ft = run_cfg.ft
         self._last_master_send = 0.0
         self._ctrl_acks: dict[int, str] = {}  # ctrl seq -> recorded status
-        # (era, owned) of the result last sent early (done-time return,
-        # before the release) so idle standby rounds don't resend it.
-        self._early_result_key: tuple[int, tuple[int, ...]] | None = None
+        # (era, owned) of the result last sent, so a failure-tolerant
+        # slave's idle standby rounds and its release don't resend it.
+        self._result_key: tuple[int, tuple[int, ...]] | None = None
         # Checkpoint/rollback runtime (RunConfig.ckpt; inert while
         # cfg.ckpt.enabled is False — no snapshots, no extra messages).
         self.ckpt = run_cfg.ckpt
@@ -240,8 +241,6 @@ class SlaveCore:
             raise RollbackSignal()
 
     def _apply_ctrl(self, ctrl: Ctrl) -> str:
-        if ctrl.kind == "fence":
-            return "ok"
         if ctrl.kind in ("cancel_send", "cancel_recv"):
             assert ctrl.move_id is not None
             return (
@@ -430,7 +429,7 @@ class SlaveCore:
         self.meas_work = 0.0
         self.outstanding_replies = 0
         self.released = False
-        self._early_result_key = None
+        self._result_key = None
         self._pending_ckpt = None
         self._local_ckpts = {
             e: s for e, s in self._local_ckpts.items() if e <= epoch
@@ -463,46 +462,117 @@ class SlaveCore:
             f"shape {self.plan.shape.name}"
         )
 
-    def _recv_ft(self, src: int | None, tag: str | None):
-        """Failure-tolerant blocking receive.
+    # -- waiting ------------------------------------------------------------
 
-        With fault tolerance off this is exactly a blocking ``Recv``.
-        Otherwise it polls, so recovery controls are still served and
-        heartbeats still flow while the expected message is delayed.
+    def _wait(
+        self,
+        src: int | None = None,
+        tag: str | None = None,
+        *,
+        check: Callable[[Any], Generator[Any, Any, Any]] | None = None,
+        give_up: Callable[[], bool] | None = None,
+    ) -> Generator[Any, Any, Any]:
+        """Wait for the next message from ``src`` with ``tag`` (``None``
+        matches anything): the slave's one wait primitive.
+
+        Without failure tolerance this is a blocking ``Recv``.  With it
+        the slave polls instead, so a slow or dead peer cannot wedge
+        recovery: between empty polls it serves recovery controls and
+        checkpoint chores and keeps its heartbeat going, backing off
+        exponentially (a message that is almost here costs a fine-grained
+        wait, an absent one degrades to ``wait_tick`` polling).  A wait
+        that accepts any message receives the controls itself — its
+        ``check`` dispatches them — so only the heartbeat and the
+        checkpoint chores run between its polls.
+
+        ``give_up`` is asked once controls are served; when it holds, the
+        wait returns ``None``.  ``check`` makes the wait a dispatch loop
+        for callers with a condition of their own: it runs with ``None``
+        before every receive attempt (so the caller re-checks after every
+        empty poll) and with every message received, and the wait returns
+        its first non-``None`` result.
         """
-        if not self.ft.enabled:
-            msg = yield Recv(src=src, tag=tag)
-            return msg
-        # Exponential backoff: a message that is almost here costs a
-        # fine-grained wait, an absent one degrades to wait_tick polling.
+        receive = Poll if self.ft.enabled else Recv
+        serve_ctrl = src is not None or tag is not None
         tick = self.ft.wait_tick / 16
         while True:
-            msg = yield Poll(src=src, tag=tag)
+            if check is not None:
+                done = yield from check(None)
+                if done is not None:
+                    return done
+            msg = yield receive(src=src, tag=tag)
             if msg is not None:
-                return msg
-            yield from self._poll_ctrl()
-            yield from self._maybe_heartbeat()
+                if check is None:
+                    return msg
+                done = yield from check(msg)
+                if done is not None:
+                    return done
+                continue
+            if serve_ctrl:
+                yield from self._poll_ctrl()
+                if give_up is not None and give_up():
+                    return None
+                yield from self._maybe_heartbeat()
+            else:
+                yield from self._maybe_heartbeat()
+                if self.ckpt.enabled:
+                    yield from self._ckpt_housekeeping()
             yield Sleep(tick)
             tick = min(tick * 2, self.ft.wait_tick)
 
-    def _recv_move_ft(self, order: MoveOrder):
-        """Wait for a movement payload, giving up if the master voids
-        the move (its sender died); returns the message or ``None``."""
-        tick = self.ft.wait_tick / 16
-        while True:
-            msg = yield Poll(
-                src=order.transfer.src, tag=Tags.move(order.move_id)
+    def _await_move(self, order: MoveOrder) -> Generator[Any, Any, Any]:
+        """Wait for ``order``'s movement payload; ``None`` once the master
+        voids the move (its sender died)."""
+        mid = order.move_id
+        return (
+            yield from self._wait(
+                order.transfer.src,
+                Tags.move(mid),
+                give_up=lambda: self.ledger.is_voided(mid),
             )
-            if msg is not None:
-                return msg
-            yield from self._poll_ctrl()
-            if self.ledger.is_voided(order.move_id):
-                return None
-            yield from self._maybe_heartbeat()
-            yield Sleep(tick)
-            tick = min(tick * 2, self.ft.wait_tick)
+        )
 
-    def _exchange(self, done: bool) -> Generator[Any, Any, Instructions | None]:
+    def _await_reply(self) -> Generator[Any, Any, None]:
+        """Wait for the master's reply to our oldest outstanding report
+        and apply it.  Replies from an older rollback era are stale (sent
+        before the master rolled the run back) and are dropped; ours is
+        still coming."""
+        while True:
+            msg = yield from self._wait(self.master, Tags.INSTR)
+            if (yield from self._take_reply(msg.payload)):
+                return
+
+    def _take_reply(self, instr: Instructions) -> Generator[Any, Any, bool]:
+        """Apply one instruction reply; ``False`` if it is stale."""
+        if instr.era != self.era:
+            return False
+        self.outstanding_replies -= 1
+        yield from self._apply_instructions(instr)
+        return True
+
+    def _order_for_payload(self, msg) -> MoveOrder | None:
+        """The receive order a movement payload belongs to.
+
+        A payload can outrun the master's order, which is only read at
+        hooks while the receiver may be blocked elsewhere.  The payload
+        carries its units, so the order is then synthesized from it and
+        the ledger drops the late original.  ``None`` for a stale
+        pre-rollback payload.
+        """
+        payload: MovePayload = msg.payload
+        if self.ledger.is_voided(payload.move_id):
+            return None
+        for order in self.ledger.pending_recvs():
+            if order.move_id == payload.move_id:
+                return order
+        return MoveOrder(
+            move_id=payload.move_id,
+            transfer=Transfer(
+                src=msg.src, dst=self.pid, units=tuple(payload.units)
+            ),
+        )
+
+    def _exchange(self, done: bool) -> Generator[Any, Any, None]:
         applied, canceled, move_cost = self.ledger.pop_report_fields()
         report = SlaveReport(
             pid=self.pid,
@@ -540,32 +610,16 @@ class SlaveCore:
         self._last_master_send = self.ctx.now
         self.outstanding_replies += 1
         if done or not self.cfg.balancer.pipelined:
-            # Synchronous interaction (Figure 2a): block for instructions.
-            # Replies from an older rollback era are stale (sent before
-            # the master rolled the run back) and are dropped; ours is
-            # still coming.  Era is always 0 on legacy paths, so this
-            # loop runs exactly once there.
-            while True:
-                msg = yield from self._recv_ft(src=self.master, tag=Tags.INSTR)
-                instr: Instructions = msg.payload
-                if instr.era != self.era:
-                    continue
-                self.outstanding_replies -= 1
-                yield from self._apply_instructions(instr)
-                return instr
+            # Synchronous interaction (Figure 2a): wait for instructions.
+            yield from self._await_reply()
+            return
         # Pipelined interaction (Figure 2b): pick up the reply to a
         # *previous* report if it has arrived; never block.  Stale-era
         # replies are dropped without consuming the outstanding count.
         while True:
             msg = yield Poll(src=self.master, tag=Tags.INSTR)
-            if msg is None:
-                return None
-            instr = msg.payload
-            if instr.era != self.era:
-                continue
-            self.outstanding_replies -= 1
-            yield from self._apply_instructions(instr)
-            return None
+            if msg is None or (yield from self._take_reply(msg.payload)):
+                return
 
     def note_move(self, kind: str, t0: float, t1: float, order: MoveOrder) -> None:
         """Record one work-movement side (marshalling or applying) as a
@@ -618,14 +672,9 @@ class SlaveCore:
     def execute_moves(self) -> Generator[Any, Any, None]:
         yield from self.execute_sends()
         for order in self.ledger.pending_recvs():
-            if self.ft.enabled:
-                msg = yield from self._recv_move_ft(order)
-                if msg is None:
-                    continue  # move voided: its sender died
-            else:
-                msg = yield Recv(
-                    src=order.transfer.src, tag=Tags.move(order.move_id)
-                )
+            msg = yield from self._await_move(order)
+            if msg is None:
+                continue  # move voided: its sender died
             t0 = yield Now()
             yield from self.apply_recv(order, msg.payload)
             t1 = yield Now()
@@ -663,13 +712,21 @@ class SlaveCore:
         }
 
     def _send_result(self) -> Generator[Any, Any, None]:
-        """Ship the result gather message to the master."""
+        """Ship the result gather message to the master, once per
+        (era, ownership).
+
+        A failure-tolerant slave also sends it at done-time, before the
+        release (see :meth:`_stand_by`); movement or a grant after that
+        changes ``owned`` (or the era), which re-arms the send.  The era
+        tag keeps a result computed before a rollback from shadowing the
+        recomputed one.
+        """
+        key = (self.era, tuple(int(u) for u in self.owned))
+        if self._result_key == key:
+            return
+        self._result_key = key
         payload = self.result_payload()
-        if self.ft.enabled:
-            # Era-tagged so a result computed before a rollback cannot
-            # shadow the recomputed one.
-            payload = dict(payload)
-            payload["era"] = self.era
+        payload["era"] = self.era
         nbytes = (
             self.kernels().result_bytes(len(self.owned))
             if self.exec_num
@@ -677,25 +734,31 @@ class SlaveCore:
         )
         yield Send(self.master, Tags.RESULT, payload, nbytes)
 
-    def _maybe_early_result(self) -> Generator[Any, Any, None]:
-        """Failure-tolerant done-time return: send the result as soon as
-        the work is finished instead of waiting for the release, so the
-        master banks it before letting anyone terminate (and a crash in
-        the pre-suspicion silent window cannot strand survivors without
-        a rollback peer).  Movement or a grant after an early return
-        changes ``owned`` (or the era), which re-arms the send."""
-        key = (self.era, tuple(int(u) for u in self.owned))
-        if self._early_result_key != key:
-            self._early_result_key = key
-            yield from self._send_result()
-
     # -- lifecycle ---------------------------------------------------------
 
     def drain_moves(self) -> Generator[Any, Any, None]:
-        """Block until every pending movement order has executed (used at
-        end of run; shapes with deferred receives override)."""
+        """Wait until every pending movement order has executed (end of
+        run; shapes with deferred receives override)."""
         while self.ledger.has_pending():
             yield from self.execute_moves()
+
+    def _stand_by(self) -> Generator[Any, Any, None]:
+        """Pause before reporting done again: the master asked us to stand
+        by (a peer may still be moving work toward us, or reassigned work
+        may yet arrive).
+
+        The failure-tolerant release hinges on every result being banked,
+        so such a slave returns its result already (a crash in the
+        pre-suspicion silent window then cannot strand the survivors
+        without a rollback peer), serves recovery, and re-reports quickly.
+        """
+        if not self.ft.enabled:
+            yield Sleep(0.1)
+            return
+        yield from self._send_result()
+        yield from self._poll_ctrl()
+        yield from self._maybe_heartbeat()
+        yield Sleep(4 * self.ft.wait_tick)
 
     def main(self) -> Generator[Any, Any, None]:
         if self.ckpt.enabled:
@@ -713,14 +776,9 @@ class SlaveCore:
         while True:
             yield from self.work_loop()
             # Drain outstanding pipelined replies so no movement order is
-            # silently abandoned.  Stale-era replies don't count.
+            # silently abandoned.
             while self.outstanding_replies > 0:
-                msg = yield from self._recv_ft(src=self.master, tag=Tags.INSTR)
-                instr: Instructions = msg.payload
-                if instr.era != self.era:
-                    continue
-                self.outstanding_replies -= 1
-                yield from self._apply_instructions(instr)
+                yield from self._await_reply()
             yield from self.drain_moves()
             if self.work_remaining():
                 continue  # movement handed us fresh work
@@ -730,21 +788,8 @@ class SlaveCore:
             if self.released:
                 break
             if not self.work_remaining() and not self.ledger.has_pending():
-                # Master asked us to stand by (e.g. a peer still moving
-                # work toward us, or reassigned work may yet arrive);
-                # return the result already, then report again shortly.
-                # The release hinges on every result being banked, so the
-                # failure-tolerant standby re-reports quickly.
-                if self.ft.enabled:
-                    yield from self._maybe_early_result()
-                    yield from self._poll_ctrl()
-                    yield from self._maybe_heartbeat()
-                    yield Sleep(4 * self.ft.wait_tick)
-                else:
-                    yield Sleep(0.1)
-        yield from (
-            self._maybe_early_result() if self.ft.enabled else self._send_result()
-        )
+                yield from self._stand_by()
+        yield from self._send_result()
 
 
 class ParallelMapSlave(SlaveCore):
@@ -967,10 +1012,6 @@ class ReductionFrontSlave(SlaveCore):
                 front = yield from self._produce_front(k)
             else:
                 front = yield from self._recv_front(k)
-                if k in self.completed:
-                    # The front's unit moved to us while we waited (its
-                    # previous owner broadcast before sending it here).
-                    pass
             self.front_cache[k] = front
             # --- update my active units that are exactly at rep k.
             lo, hi = plan.domain(k)
@@ -1016,103 +1057,63 @@ class ReductionFrontSlave(SlaveCore):
     def drain_moves(self) -> Generator[Any, Any, None]:
         yield from self.execute_sends()
         for order in self.ledger.pending_recvs():
-            if self.ft.enabled:
-                msg = yield from self._recv_move_ft(order)
-                if msg is None:
-                    continue  # move voided: its sender died
-            else:
-                msg = yield Recv(
-                    src=order.transfer.src, tag=Tags.move(order.move_id)
-                )
+            msg = yield from self._await_move(order)
+            if msg is None:
+                continue  # move voided: its sender died
             yield from self.apply_recv(order, msg.payload)
             self.ledger.complete_recv(order.move_id)
 
     def _recv_front(self, k: int):
         """Receive the broadcast front for step ``k``.
 
-        Blocking on the bare front tag can deadlock when the front's
+        Waiting on the bare front tag can deadlock when the front's
         owning unit is in flight toward us (the payload and the master's
-        order would sit unread in the mailbox), so this loop dispatches
+        order would sit unread in the mailbox), so this wait dispatches
         whatever arrives: instructions are applied (executing any moves),
         move payloads are applied directly, and the front is returned as
-        soon as it shows up.
+        soon as it shows up — or computed here once its unit moved in.
         """
-        tick = self.ft.wait_tick / 16
-        while True:
-            if k in self.front_cache:
-                return self.front_cache[k]
-            msg = yield Poll(tag=Tags.front(k))
-            if msg is not None:
-                return msg.payload
-            if self.ft.enabled:
-                # Failure-tolerant variant of the blocking dispatch: poll
-                # for anything, serving heartbeats and checkpoint chores
-                # while the front is delayed.
-                msg = yield Poll()
+
+        def check(msg):
+            if msg is None:
+                if k in self.front_cache:
+                    return True
+                msg = yield Poll(tag=Tags.front(k))
                 if msg is None:
-                    yield from self._maybe_heartbeat()
-                    if self.ckpt.enabled:
-                        yield from self._ckpt_housekeeping()
-                    yield Sleep(tick)
-                    tick = min(tick * 2, self.ft.wait_tick)
-                    continue
-            else:
-                msg = yield Recv()
+                    return None
             tag = msg.tag
-            if tag == Tags.front(k):
-                return msg.payload
             if tag.startswith("front."):
-                # A future step's broadcast (we lag the cluster); keep it
-                # for when our loop gets there.
+                # Ours, or a future step's broadcast (we lag the
+                # cluster) kept for when our loop gets there.
                 self.front_cache[int(tag.split(".")[1])] = msg.payload
-            elif tag == Tags.INSTR:
-                instr: Instructions = msg.payload
-                if instr.era != self.era:
-                    continue  # stale pre-rollback reply
-                self.outstanding_replies -= 1
-                yield from self._apply_instructions(instr)
-                if k in self.completed:
-                    # A move just handed us the front's unit; compute and
-                    # broadcast it ourselves.
-                    return (yield from self._produce_front(k))
+                return True if k in self.front_cache else None
+            if tag == Tags.INSTR:
+                if not (yield from self._take_reply(msg.payload)):
+                    return None
+            elif tag.startswith("lb.move."):
+                order = self._order_for_payload(msg)
+                if order is not None:
+                    yield from self.apply_recv(order, msg.payload)
+                    self.ledger.complete_recv(order.move_id)
             elif tag == Tags.CTRL:
                 yield from self._handle_ctrl_msg(msg)
                 if self.ckpt.enabled:
                     yield from self._ckpt_housekeeping()
+                return None
             elif tag == Tags.CKPT:
                 self._store_buddy_deposit(msg.payload)
-            elif tag.startswith("lb.move."):
-                yield from self._apply_move_payload(msg)
-                if k in self.completed:
-                    return (yield from self._produce_front(k))
+                return None
             else:  # pragma: no cover - no other tags reach slaves here
                 raise ProtocolError(f"unexpected message {tag} at front recv")
+            if k not in self.completed:
+                return None
+            # A move just handed us the front's unit; compute and
+            # broadcast it ourselves.
+            self.front_cache[k] = yield from self._produce_front(k)
+            return True
 
-    def _apply_move_payload(self, msg):
-        """Apply a movement payload that arrived before (or without) its
-        order being read; the ledger reconciles the late order."""
-        from .partition import Transfer
-
-        payload = msg.payload
-        if self.ledger.is_voided(payload.move_id):
-            return  # stale pre-rollback movement payload
-        order = next(
-            (
-                o
-                for o in self.ledger.pending_recvs()
-                if o.move_id == payload.move_id
-            ),
-            None,
-        )
-        if order is None:
-            order = MoveOrder(
-                move_id=payload.move_id,
-                transfer=Transfer(
-                    src=msg.src, dst=self.pid, units=tuple(payload.units)
-                ),
-            )
-        yield from self.apply_recv(order, payload)
-        self.ledger.complete_recv(order.move_id)
+        yield from self._wait(check=check)
+        return self.front_cache[k]
 
     def _produce_front(self, k: int):
         """Owner-side front computation + broadcast (skipped if a prior

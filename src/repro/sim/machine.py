@@ -33,7 +33,7 @@ def _tag_class(tag: str) -> str:
     """Coarse message class for metrics: the paper's overhead categories."""
     if tag == "lb.status":
         return "status"
-    if tag in ("lb.instr", "lb.start"):
+    if tag == "lb.instr":
         return "instr"
     if tag.startswith("lb.move."):
         return "move"

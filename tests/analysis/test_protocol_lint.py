@@ -32,12 +32,14 @@ class TestShippedRuntime:
             d.format() for d in found
         ]
 
-    def test_dead_start_channel_is_ra403(self):
+    def test_no_ra4xx_findings(self):
+        # Every tag family is sent and waited for through a blocking
+        # receive site (`_wait` counts as one), and every control kind
+        # is both constructed and handled: no warnings either.
         found = check_protocol()
-        dead = [d for d in found if d.code == "RA403"]
-        assert any("lb.start" in d.message for d in dead)
-        # Every live family is paired: no other RA403.
-        assert all("lb.start" in d.message for d in dead)
+        assert not [d for d in found if d.code.startswith("RA4")], [
+            d.format() for d in found
+        ]
 
 
 class TestSyntheticSources:

@@ -1,13 +1,16 @@
 """Diffusion baseline tests."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.apps import build_lu, build_matmul, build_sor
+from repro.baselines import diffusion
 from repro.baselines.diffusion import run_diffusion
 from repro.config import ClusterSpec, ProcessorSpec, RunConfig, TopologySpec
-from repro.errors import ConfigError
-from repro.sim import ConstantLoad
+from repro.errors import ConfigError, SimulationError
+from repro.sim import ConstantLoad, Send
 
 
 def cfg(numerics=False, n_slaves=3, speed=2e5):
@@ -101,3 +104,31 @@ class TestTopologyAwareDiffusion:
         plan = build_matmul(n=40)
         res = run_diffusion(plan, cfg())
         assert res.topology == "chain"
+
+
+class TestRunGuards:
+    """``run_diffusion`` fails loudly like the other PARALLEL_MAP planes."""
+
+    def test_run_past_max_virtual_time_raises(self):
+        plan = build_matmul(n=40)
+        run_cfg = replace(cfg(), max_virtual_time=0.01)
+        with pytest.raises(SimulationError, match="max_virtual_time"):
+            run_diffusion(plan, run_cfg)
+
+    def test_coordinator_without_results_raises(self, monkeypatch):
+        def terminate_only(ctx, n_slaves, total_units, sink):
+            # Stops every slave but never gathers their results.
+            for pid in range(n_slaves):
+                yield Send(pid, diffusion._TERM, None, 16)
+
+        monkeypatch.setattr(diffusion, "_diff_master", terminate_only)
+        with pytest.raises(SimulationError, match="never gathered"):
+            run_diffusion(build_matmul(n=40), cfg())
+
+    @pytest.mark.parametrize("pid", [-1, 3])
+    def test_load_on_non_worker_pid_rejected(self, pid):
+        # pid 3 is the coordinator's processor with three slaves.
+        with pytest.raises(ConfigError, match="non-worker pid"):
+            run_diffusion(
+                build_matmul(n=40), cfg(), loads={pid: ConstantLoad(k=1)}
+            )

@@ -6,7 +6,10 @@ must stay byte-identical, and the RunReport-level metrics and numeric
 results must not move at all.  This suite pins sha256 hashes of the
 JSONL trace plus the key metrics for MM/SOR/LU (and a checkpointed SOR
 run, which exercises the slave snapshot copy path) against goldens
-captured before the optimizations landed.
+captured before the optimizations landed.  The failure-tolerant cases
+(a crash under each schedule shape, a stall) pin the runtime's polling
+paths: reassignment, rollback, buddy snapshot pulls and the WHILE-loop
+convergence barrier across a rollback.
 
 Regenerate (only when a *deliberate* semantic change occurs)::
 
@@ -26,6 +29,7 @@ import pytest
 
 from repro.apps import build_lu, build_matmul, build_sor
 from repro.config import CheckpointConfig, ClusterSpec, ProcessorSpec, RunConfig
+from repro.faults import named_plan
 from repro.obs import Recorder
 from repro.runtime import run_application
 from repro.scale import run_hierarchical
@@ -34,10 +38,14 @@ from repro.sim import ConstantLoad, OscillatingLoad
 GOLDENS_PATH = Path(__file__).with_name("golden_traces.json")
 
 
-def _cfg(ckpt: bool = False) -> RunConfig:
+def _cfg(
+    ckpt: bool = False, placement: str = "master", interval: float = 0.5
+) -> RunConfig:
     return RunConfig(
         cluster=ClusterSpec(n_slaves=4, processor=ProcessorSpec(speed=3e4)),
-        ckpt=CheckpointConfig(enabled=ckpt, interval=0.5),
+        ckpt=CheckpointConfig(
+            enabled=ckpt, interval=interval, placement=placement
+        ),
     )
 
 
@@ -62,7 +70,45 @@ CASES = {
         _cfg(ckpt=True),
         {0: ConstantLoad(k=1)},
     ),
+    # A WHILE sweep loop: the master's convergence barrier every sweep.
+    "sor_while": lambda: (
+        build_sor(n=48, maxiter=6, tol=1e-9),
+        _cfg(),
+        {1: OscillatingLoad(k=2, period=4, duration=2)},
+    ),
+    "matmul_crash": lambda: (
+        build_matmul(n=64),
+        _cfg(),
+        {0: ConstantLoad(k=1)},
+    ),
+    "sor_crash": lambda: (
+        build_sor(n=48, maxiter=6, tol=1e-9),
+        _cfg(ckpt=True),
+        {0: ConstantLoad(k=1)},
+    ),
+    # n=80 at a 0.2 s interval commits an epoch before the crash, so the
+    # rollback pulls the dead slave's snapshot from its buddy.
+    "lu_crash_buddy": lambda: (
+        build_lu(n=80),
+        _cfg(ckpt=True, placement="buddy", interval=0.2),
+        {2: ConstantLoad(k=1)},
+    ),
+    "sor_stall": lambda: (
+        build_sor(n=48, maxiter=6, tol=1e-9),
+        _cfg(),
+        {1: OscillatingLoad(k=2, period=4, duration=2)},
+    ),
 }
+
+# Named fault plans for the failure-tolerant cases; fractional fault
+# times are pinned against the fault-free run of the same case.
+FAULTS = {
+    "matmul_crash": "one-crash",
+    "sor_crash": "one-crash",
+    "lu_crash_buddy": "one-crash",
+    "sor_stall": "stall",
+}
+FAULT_SEED = 5
 
 # Hierarchical control-plane cases run through run_hierarchical instead
 # of the central runtime; fanout 2 over 8 leaves builds a three-level
@@ -95,12 +141,20 @@ def run_case(name: str) -> dict:
     if name in HIER_CASES:
         return _run_hier_case(name)
     plan, cfg, loads = CASES[name]()
+    faults = None
+    if name in FAULTS:
+        baseline = run_application(plan, cfg, loads=loads, seed=7)
+        faults = named_plan(FAULTS[name], seed=FAULT_SEED).resolved(
+            baseline.elapsed
+        )
     recorder = Recorder()
-    res = run_application(plan, cfg, loads=loads, seed=7, recorder=recorder)
+    res = run_application(
+        plan, cfg, loads=loads, seed=7, recorder=recorder, faults=faults
+    )
     trace = recorder.log.to_jsonl().encode("utf-8")
     rh = hashlib.sha256()
     _result_digest(res.result, rh)
-    return {
+    doc = {
         "trace_sha256": hashlib.sha256(trace).hexdigest(),
         "result_sha256": rh.hexdigest(),
         "metrics": {
@@ -116,6 +170,15 @@ def run_case(name: str) -> dict:
             "trace_events": len(recorder.log),
         },
     }
+    if faults is not None:
+        doc["metrics"].update(
+            dead_pids=list(res.dead_pids),
+            rollbacks=res.log.rollbacks,
+            units_reassigned=res.log.units_reassigned,
+            units_restored=res.log.units_restored,
+            ckpt_epochs_aborted=res.log.ckpt_epochs_aborted,
+        )
+    return doc
 
 
 def _run_hier_case(name: str) -> dict:
@@ -175,6 +238,18 @@ def test_ckpt_case_exercises_snapshot_path(goldens: dict) -> None:
     # Guard against the checkpoint golden silently degenerating into a
     # plain run (which would stop covering the snapshot copy path).
     assert goldens["sor_ckpt"]["metrics"]["ckpt_snapshots"] > 0
+
+
+def test_fault_cases_exercise_recovery(goldens: dict) -> None:
+    # Likewise for the failure-tolerant goldens: each crash case must
+    # really lose slave 1 and recover (reassignment for the map,
+    # rollback for the dependence-carrying shapes).
+    for name in ("matmul_crash", "sor_crash", "lu_crash_buddy"):
+        assert goldens[name]["metrics"]["dead_pids"] == [1], name
+    assert goldens["matmul_crash"]["metrics"]["units_reassigned"] > 0
+    for name in ("sor_crash", "lu_crash_buddy"):
+        assert goldens[name]["metrics"]["rollbacks"] >= 1, name
+        assert goldens[name]["metrics"]["ckpt_epochs_committed"] >= 1, name
 
 
 if __name__ == "__main__":
