@@ -9,7 +9,9 @@ run, which exercises the slave snapshot copy path) against goldens
 captured before the optimizations landed.  The failure-tolerant cases
 (a crash under each schedule shape, a stall) pin the runtime's polling
 paths: reassignment, rollback, buddy snapshot pulls and the WHILE-loop
-convergence barrier across a rollback.
+convergence barrier across a rollback.  The plane cases pin the other
+PARALLEL_MAP control planes (sub-master tree, work stealing, rDLB,
+guided self-scheduling, diffusion), crashes included.
 
 Regenerate (only when a *deliberate* semantic change occurs)::
 
@@ -28,12 +30,20 @@ import numpy as np
 import pytest
 
 from repro.apps import build_lu, build_matmul, build_sor
-from repro.config import CheckpointConfig, ClusterSpec, ProcessorSpec, RunConfig
-from repro.faults import named_plan
+from repro.baselines.diffusion import run_diffusion
+from repro.config import (
+    CheckpointConfig,
+    ClusterSpec,
+    ProcessorSpec,
+    RunConfig,
+    TopologySpec,
+)
+from repro.faults import FaultPlan, SlaveCrash, named_plan
 from repro.obs import Recorder
 from repro.runtime import run_application
 from repro.scale import run_hierarchical
 from repro.sim import ConstantLoad, OscillatingLoad
+from repro.strategies import run_strategy
 
 GOLDENS_PATH = Path(__file__).with_name("golden_traces.json")
 
@@ -110,15 +120,94 @@ FAULTS = {
 }
 FAULT_SEED = 5
 
-# Hierarchical control-plane cases run through run_hierarchical instead
-# of the central runtime; fanout 2 over 8 leaves builds a three-level
-# tree, so the golden pins SUM aggregation and TAKE routing too.
-HIER_CASES = {
-    "hier_matmul": lambda: (
-        build_matmul(n=48),
-        RunConfig(cluster=ClusterSpec(n_slaves=8, processor=ProcessorSpec(speed=3e4))),
-        {0: ConstantLoad(k=1)},
-        2,  # fanout
+
+def _plane_cfg(n_slaves: int) -> RunConfig:
+    return RunConfig(
+        cluster=ClusterSpec(n_slaves=n_slaves, processor=ProcessorSpec(speed=3e4))
+    )
+
+
+def _strategy(strategy: str, crash: bool = False):
+    """Run ``strategy`` on MM with a loaded worker 0; with ``crash``,
+    worker 1 dies at a quarter of the fault-free makespan."""
+
+    def run(recorder: Recorder | None):
+        plan, cfg, loads = build_matmul(n=48), _plane_cfg(4), {0: ConstantLoad(k=1)}
+        faults = None
+        if crash:
+            base = run_strategy(strategy, plan, cfg, loads, seed=7)
+            faults = FaultPlan(
+                name=f"{strategy}-crash",
+                crashes=(SlaveCrash(pid=1, at=0.25 * base.elapsed),),
+            )
+        return run_strategy(
+            strategy, plan, cfg, loads, seed=7, recorder=recorder, faults=faults
+        ).raw
+
+    return run
+
+
+_STEAL = (
+    "steals",
+    "steal_hits",
+    "steal_denies",
+    "steal_aborts",
+    "units_stolen",
+    "completed_units",
+    "lost_units",
+    "deaths",
+    "dead_pids",
+)
+_RDLB = (
+    "chunks_served",
+    "reassigns",
+    "duplicate_results",
+    "completed_units",
+    "lost_units",
+    "deaths",
+    "dead_pids",
+)
+
+# The other PARALLEL_MAP control planes: name -> (run(recorder) -> the
+# plane's result, traced?, plane counters pinned as metrics).  Fanout 2
+# over 8 leaves builds a three-level tree, so hier_matmul pins SUM
+# aggregation and TAKE routing too.  run_diffusion takes no recorder,
+# so its case pins metrics and result only.
+PLANE_CASES = {
+    "hier_matmul": (
+        lambda recorder: run_hierarchical(
+            build_matmul(n=48),
+            _plane_cfg(8),
+            {0: ConstantLoad(k=1)},
+            fanout=2,
+            seed=7,
+            recorder=recorder,
+        ),
+        True,
+        (
+            "moves",
+            "units_moved",
+            "takes",
+            "reports",
+            "deaths",
+            "reparents",
+            "levels",
+        ),
+    ),
+    "stealing_matmul": (_strategy("stealing"), True, _STEAL),
+    "stealing_crash": (_strategy("stealing", crash=True), True, _STEAL),
+    "rdlb_crash": (_strategy("rdlb", crash=True), True, _RDLB),
+    "gss_matmul": (_strategy("gss"), True, _RDLB),
+    "diffusion_mesh2d": (
+        lambda recorder: run_diffusion(
+            build_matmul(n=48),
+            _plane_cfg(8),
+            {0: ConstantLoad(k=3)},
+            seed=7,
+            topology=TopologySpec(kind="mesh2d"),
+        ),
+        False,
+        ("moves", "units_moved", "topology"),
     ),
 }
 
@@ -138,8 +227,8 @@ def _result_digest(obj, h: "hashlib._Hash") -> None:
 
 
 def run_case(name: str) -> dict:
-    if name in HIER_CASES:
-        return _run_hier_case(name)
+    if name in PLANE_CASES:
+        return _run_plane_case(name)
     plan, cfg, loads = CASES[name]()
     faults = None
     if name in FAULTS:
@@ -181,32 +270,26 @@ def run_case(name: str) -> dict:
     return doc
 
 
-def _run_hier_case(name: str) -> dict:
-    plan, cfg, loads, fanout = HIER_CASES[name]()
-    recorder = Recorder()
-    res = run_hierarchical(
-        plan, cfg, loads, fanout=fanout, seed=7, recorder=recorder
-    )
-    trace = recorder.log.to_jsonl().encode("utf-8")
+def _run_plane_case(name: str) -> dict:
+    run, traced, counters = PLANE_CASES[name]
+    recorder = Recorder() if traced else None
+    res = run(recorder)
     rh = hashlib.sha256()
     _result_digest(res.result, rh)
-    return {
-        "trace_sha256": hashlib.sha256(trace).hexdigest(),
-        "result_sha256": rh.hexdigest(),
-        "metrics": {
-            "elapsed": res.elapsed,
-            "message_count": res.message_count,
-            "bytes_sent": res.bytes_sent,
-            "moves": res.moves,
-            "units_moved": res.units_moved,
-            "takes": res.takes,
-            "reports": res.reports,
-            "deaths": res.deaths,
-            "reparents": res.reparents,
-            "levels": res.levels,
-            "trace_events": len(recorder.log),
-        },
+    metrics = {
+        "elapsed": res.elapsed,
+        "message_count": res.message_count,
+        "bytes_sent": res.bytes_sent,
     }
+    for counter in counters:
+        value = getattr(res, counter)
+        metrics[counter] = list(value) if isinstance(value, tuple) else value
+    doc = {"result_sha256": rh.hexdigest(), "metrics": metrics}
+    if recorder is not None:
+        trace = recorder.log.to_jsonl().encode("utf-8")
+        doc["trace_sha256"] = hashlib.sha256(trace).hexdigest()
+        metrics["trace_events"] = len(recorder.log)
+    return doc
 
 
 @pytest.fixture(scope="module")
@@ -218,7 +301,7 @@ def goldens() -> dict:
     return json.loads(GOLDENS_PATH.read_text(encoding="utf-8"))
 
 
-@pytest.mark.parametrize("name", sorted(CASES) + sorted(HIER_CASES))
+@pytest.mark.parametrize("name", sorted(CASES) + sorted(PLANE_CASES))
 def test_trace_matches_golden(name: str, goldens: dict) -> None:
     assert name in goldens, f"no golden for {name!r}; regenerate goldens"
     got = run_case(name)
@@ -229,7 +312,7 @@ def test_trace_matches_golden(name: str, goldens: dict) -> None:
     assert got["result_sha256"] == want["result_sha256"], (
         f"{name}: numeric result drifted from golden"
     )
-    assert got["trace_sha256"] == want["trace_sha256"], (
+    assert got.get("trace_sha256") == want.get("trace_sha256"), (
         f"{name}: event trace is no longer byte-identical to golden"
     )
 
@@ -252,8 +335,20 @@ def test_fault_cases_exercise_recovery(goldens: dict) -> None:
         assert goldens[name]["metrics"]["ckpt_epochs_committed"] >= 1, name
 
 
+def test_plane_cases_exercise_their_protocols(goldens: dict) -> None:
+    # Each plane golden must really move work (or lose a worker), so a
+    # degenerate run cannot pin a protocol it never exercised.
+    assert goldens["stealing_matmul"]["metrics"]["steal_hits"] > 0
+    assert goldens["gss_matmul"]["metrics"]["chunks_served"] > 4
+    assert goldens["diffusion_mesh2d"]["metrics"]["moves"] > 0
+    for name in ("stealing_crash", "rdlb_crash"):
+        assert goldens[name]["metrics"]["dead_pids"] == [1], name
+        assert goldens[name]["metrics"]["deaths"] == 1, name
+    assert goldens["rdlb_crash"]["metrics"]["lost_units"] == 0
+
+
 if __name__ == "__main__":
-    doc = {name: run_case(name) for name in sorted(CASES) + sorted(HIER_CASES)}
+    doc = {name: run_case(name) for name in sorted(CASES) + sorted(PLANE_CASES)}
     GOLDENS_PATH.write_text(
         json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
