@@ -20,6 +20,7 @@ from ..config import RunConfig
 from ..errors import ConfigError
 from ..faults import FaultPlan
 from ..obs import Recorder
+from ..runtime.mapplane import MapResult
 from ..sim import LoadGenerator
 from .rdlb import RdlbConfig, run_rdlb
 from .stealing import StealingConfig, run_stealing
@@ -97,19 +98,19 @@ class StrategyOutcome:
         )
 
 
-def _wrap(strategy: str, plan, n_slaves: int, res: Any) -> StrategyOutcome:
+def _wrap(strategy: str, res: MapResult) -> StrategyOutcome:
     return StrategyOutcome(
         strategy=strategy,
-        name=plan.name,
-        n_slaves=n_slaves,
+        name=res.name,
+        n_slaves=res.n_slaves,
         elapsed=res.elapsed,
         sequential_time=res.sequential_time,
         message_count=res.message_count,
         bytes_sent=res.bytes_sent,
-        lost_units=getattr(res, "lost_units", 0),
-        deaths=getattr(res, "deaths", 0),
-        dead_pids=tuple(getattr(res, "dead_pids", ())),
-        result=getattr(res, "result", None),
+        lost_units=res.lost_units,
+        deaths=res.deaths,
+        dead_pids=res.dead_pids,
+        result=res.result,
         raw=res,
     )
 
@@ -138,7 +139,6 @@ def run_strategy(
             f"choose from {', '.join(available_strategies())}"
         )
     run_cfg = run_cfg or RunConfig()
-    n = run_cfg.cluster.n_slaves
     if strategy in ("rate", "hier"):
         from ..scale.hierarchy import run_hierarchical
 
@@ -151,7 +151,7 @@ def run_strategy(
             recorder=recorder,
             faults=faults,
         )
-        return _wrap(strategy, plan, n, res)
+        return _wrap(strategy, res)
     if strategy == "diffusion":
         from ..baselines.diffusion import run_diffusion
 
@@ -161,7 +161,7 @@ def run_strategy(
                 "run it without --faults"
             )
         res = run_diffusion(plan, run_cfg, loads, seed=seed)
-        return _wrap(strategy, plan, n, res)
+        return _wrap(strategy, res)
     if strategy == "stealing":
         res = run_stealing(
             plan,
@@ -172,7 +172,7 @@ def run_strategy(
             recorder=recorder,
             faults=faults,
         )
-        return _wrap(strategy, plan, n, res)
+        return _wrap(strategy, res)
     # rdlb and the promoted chunking variants share the robust master;
     # the classics just disable alive-holder reassignment.
     rc = rdlb or RdlbConfig()
@@ -187,4 +187,4 @@ def run_strategy(
         recorder=recorder,
         faults=faults,
     )
-    return _wrap(strategy, plan, n, res)
+    return _wrap(strategy, res)

@@ -25,18 +25,17 @@ meaning for dependence-carrying shapes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Mapping
 
 import numpy as np
 
-from ..compiler.plan import ExecutionPlan, LoopShape
+from ..compiler.plan import ExecutionPlan
 from ..config import RunConfig
 from ..errors import ConfigError
-from ..faults import FaultInjector, FaultPlan
+from ..faults import FaultPlan
 from ..obs import Recorder
-from ..runtime.partition import proportional_counts
-from ..sim import Cluster, Compute, LoadGenerator, Poll, Recv, Send, Sleep
-from ..sim.rusage import RusageReport
+from ..runtime.mapplane import MapResult, MapRun, UnitBag
+from ..sim import Compute, LoadGenerator, Poll, Send, Sleep
 from .protocol import StealTags
 
 # Module-level alias named `Tags` so the protocol lint's AST resolver
@@ -104,36 +103,16 @@ class StealingConfig:
             raise ConfigError("need 0 < stall_grace < hard_stall")
 
 
-@dataclass
-class StealingResult:
+@dataclass(kw_only=True)
+class StealingResult(MapResult):
     """Outcome and metrics of one work-stealing run."""
 
-    name: str
-    n_slaves: int
-    elapsed: float
-    sequential_time: float
-    rusage: RusageReport
-    message_count: int
-    bytes_sent: int
     steals: int
     steal_hits: int
     steal_denies: int
     steal_aborts: int
     units_stolen: int
     completed_units: int
-    lost_units: int
-    deaths: int
-    result: Any = None
-    dead_pids: tuple[int, ...] = ()
-    recorder: Recorder | None = None
-
-    @property
-    def speedup(self) -> float:
-        return self.sequential_time / self.elapsed if self.elapsed > 0 else 0.0
-
-    @property
-    def efficiency(self) -> float:
-        return self.rusage.efficiency(self.sequential_time, list(range(self.n_slaves)))
 
     def summary(self) -> str:
         lost = f" lost={self.lost_units}" if self.lost_units else ""
@@ -147,24 +126,17 @@ class StealingResult:
 
 def _worker_task(
     ctx,
-    plan: ExecutionPlan,
-    exec_num: bool,
-    init_units: tuple[int, ...],
-    local,
+    bag: UnitBag,
     n_workers: int,
     sc: StealingConfig,
     stats: dict,
     seed: int,
 ):
-    kernels = plan.kernels
-    unit_bytes = plan.movement.unit_bytes
     obs = ctx.obs
     pid = ctx.pid
     coord = ctx.master_pid
     rng = np.random.default_rng([seed, pid])
-    pending = list(init_units)
-    done_units: list[int] = []
-    done = 0
+    pending = bag.pending
     units_since = 0
     last_report = 0.0
     req_seq = 0
@@ -188,19 +160,13 @@ def _worker_task(
                 # Accept stolen units unconditionally — even when the
                 # request was aborted (late WORK): dropping it would
                 # lose the units the victim already gave up.
-                units = list(msg.payload["units"])
-                if exec_num and msg.payload.get("data") is not None:
-                    kernels.unpack_units(
-                        local, np.asarray(units), msg.payload["data"], {}
-                    )
-                pending.extend(units)
-                pending.sort()
-                stats["units_stolen"] = stats.get("units_stolen", 0) + len(units)
+                n_units = bag.accept(msg.payload)
+                stats["units_stolen"] = stats.get("units_stolen", 0) + n_units
                 if obs.enabled:
                     obs.metrics.counter("steal.hits").inc()
-                    obs.metrics.counter("steal.units").inc(len(units))
+                    obs.metrics.counter("steal.units").inc(n_units)
                     obs.emit_counter(
-                        "steal", "hit", ctx.now, float(len(units)),
+                        "steal", "hit", ctx.now, float(n_units),
                         pid=pid, meta={"victim": msg.src},
                     )
                 if outstanding is not None and outstanding[1] == msg.payload["req"]:
@@ -221,14 +187,9 @@ def _worker_task(
                     continue
                 k = int(len(pending) * sc.steal_fraction)
                 if k >= 1 and thief != pid:
-                    give = pending[-k:]
-                    del pending[-k:]
-                    payload: dict[str, Any] = {"req": req, "units": tuple(give)}
-                    if exec_num:
-                        payload["data"] = kernels.pack_units(
-                            local, np.asarray(give), {}
-                        )
-                    yield Send(thief, Tags.WORK, payload, max(16, k * unit_bytes))
+                    payload, nbytes = bag.give(k)
+                    payload["req"] = req
+                    yield Send(thief, Tags.WORK, payload, max(16, nbytes))
                     stats["serves"] = stats.get("serves", 0) + 1
                 else:
                     yield Send(thief, Tags.DENY, {"req": req}, 16)
@@ -247,20 +208,8 @@ def _worker_task(
             break
         now = ctx.now
         if pending:
-            u = pending.pop(0)
-            arr = np.array([u])
-            # All reps of one unit run back to back: PARALLEL_MAP units
-            # are independent, so per-unit rep collapsing is exact
-            # (dynamic-reps plans are rejected at entry).
-            ops = sum(plan.unit_cost(rep, u) for rep in range(plan.reps))
-
-            def _do(arr=arr):
-                for rep in range(plan.reps):
-                    kernels.run_units(local, rep, arr)
-
-            yield Compute(ops, fn=_do if exec_num else None)
-            done_units.append(u)
-            done += 1
+            ops, fn = bag.next_unit()
+            yield Compute(ops, fn=fn)
             units_since += 1
         else:
             if outstanding is None and n_workers > 1:
@@ -300,16 +249,13 @@ def _worker_task(
             yield Send(
                 ctx.master_pid,
                 Tags.REPORT,
-                {"done": done, "remaining": len(pending)},
+                {"done": len(bag.done), "remaining": len(pending)},
                 32,
             )
             last_report = now
             units_since = 0
 
-    payload = {"units": tuple(done_units)}
-    if exec_num:
-        payload["data"] = kernels.local_result(local)
-    nbytes = kernels.result_bytes(len(done_units)) if exec_num else 64
+    payload, nbytes = bag.result()
     yield Send(coord, Tags.RESULT, payload, nbytes)
 
 
@@ -330,6 +276,24 @@ def _coord_task(
     dead: set[int] = set()
     last_progress = now
 
+    def _scan(now: float, spared=()) -> None:
+        """Declare workers silent for ``dead_after`` dead (``spared``
+        ones excepted)."""
+        for pid in range(n_workers):
+            if (
+                pid not in dead
+                and pid not in spared
+                and now - last_heard[pid] > sc.dead_after
+            ):
+                dead.add(pid)
+                stats["deaths"] = stats.get("deaths", 0) + 1
+                if obs.enabled:
+                    obs.metrics.counter("steal.deaths").inc()
+                    obs.emit_counter(
+                        "steal", "death", now, 1.0, pid=ctx.pid,
+                        meta={"dead": pid, "last_remaining": rem_of[pid]},
+                    )
+
     while True:
         progressed = False
         while True:
@@ -348,16 +312,7 @@ def _coord_task(
         done_total = sum(done_of.values())
         if done_total >= total_units:
             break
-        for pid in range(n_workers):
-            if pid not in dead and now - last_heard[pid] > sc.dead_after:
-                dead.add(pid)
-                stats["deaths"] = stats.get("deaths", 0) + 1
-                if obs.enabled:
-                    obs.metrics.counter("steal.deaths").inc()
-                    obs.emit_counter(
-                        "steal", "death", now, 1.0, pid=ctx.pid,
-                        meta={"dead": pid, "last_remaining": rem_of[pid]},
-                    )
+        _scan(now)
         live = [pid for pid in range(n_workers) if pid not in dead]
         if not live:
             break
@@ -392,20 +347,7 @@ def _coord_task(
             results[msg.src] = msg.payload
             last_heard[msg.src] = now
             continue
-        for pid in range(n_workers):
-            if (
-                pid not in dead
-                and pid not in results
-                and now - last_heard[pid] > sc.dead_after
-            ):
-                dead.add(pid)
-                stats["deaths"] = stats.get("deaths", 0) + 1
-                if obs.enabled:
-                    obs.metrics.counter("steal.deaths").inc()
-                    obs.emit_counter(
-                        "steal", "death", now, 1.0, pid=ctx.pid,
-                        meta={"dead": pid, "last_remaining": rem_of[pid]},
-                    )
+        _scan(now, spared=results)
         if now - gather_start > sc.hard_stall:
             break  # unconditional: a stealing run must never hang
         yield Sleep(sc.tick)
@@ -432,85 +374,26 @@ def run_stealing(
     """
     run_cfg = run_cfg or RunConfig()
     sc = stealing or StealingConfig()
-    if plan.shape is not LoopShape.PARALLEL_MAP:
-        raise ConfigError(
-            "work stealing supports PARALLEL_MAP plans (independent "
-            f"iterations) only; plan {plan.name!r} has shape "
-            f"{plan.shape.name}. PIPELINE and REDUCTION_FRONT loops need "
-            "the central runtime (repro.runtime.run_application)."
-        )
-    if plan.dynamic_reps:
-        raise ConfigError(
-            "work stealing cannot run dynamic-reps (WHILE) plans: plan "
-            f"{plan.name!r} decides its repetition count from a global "
-            "convergence test, which needs the central runtime's sweep "
-            "barrier."
-        )
-    n = run_cfg.cluster.n_slaves
-    loads = dict(loads or {})
-    for pid in loads:
-        if not 0 <= pid < n:
-            raise ConfigError(f"competing load assigned to non-worker pid {pid}")
-    injector = None
-    if faults is not None and not faults.empty:
-        faults.validate_for(n)
-        injector = FaultInjector(faults, master_pid=run_cfg.cluster.master_pid)
-    cluster = Cluster(run_cfg.cluster, loads, recorder, injector)
-    exec_num = run_cfg.execute_numerics
-    rng = np.random.default_rng(seed)
-    global_state = plan.kernels.make_global(rng) if exec_num else None
-    lo, hi = plan.unit_space()
-    counts = proportional_counts(hi - lo, [1.0] * n, minimum=1)
-    stats: dict[str, int] = {}
-    sink: dict[str, Any] = {}
-    start = lo
-    for pid in range(n):
-        units = tuple(range(start, start + counts[pid]))
-        start += counts[pid]
-        local = (
-            plan.kernels.make_local(global_state, np.asarray(units))
-            if exec_num
-            else None
-        )
-        cluster.spawn(
-            pid, _worker_task, plan, exec_num, units, local, n, sc, stats, seed
-        )
-    cluster.spawn(
-        run_cfg.cluster.master_pid, _coord_task, n, hi - lo, sc, stats, sink
+    mr = MapRun(
+        "work stealing",
+        plan,
+        run_cfg,
+        loads,
+        seed=seed,
+        recorder=recorder,
+        faults=faults,
     )
-    cluster.run(until=run_cfg.max_virtual_time)
-    if "results" not in sink:
-        from ..errors import SimulationError
-
-        if cluster.engine.pending():
-            raise SimulationError(
-                f"stealing run exceeded max_virtual_time={run_cfg.max_virtual_time}"
-            )
-        cluster.run()  # surfaces DeadlockError diagnostics
-        raise SimulationError("coordinator never gathered results")
-
-    elapsed = max(
-        cluster.task_finish_time(pid)
-        for pid in range(run_cfg.cluster.n_processors)
-        if pid not in cluster.dead_pids
+    n, stats = mr.n, mr.stats
+    for pid, bag in enumerate(mr.split()):
+        mr.cluster.spawn(pid, _worker_task, bag, n, sc, stats, seed)
+    mr.cluster.spawn(
+        run_cfg.cluster.master_pid, _coord_task, n, mr.total_units, sc, stats,
+        mr.sink,
     )
-    completed = sum(len(res["units"]) for res in sink["results"].values())
-    result = None
-    if exec_num and sink.get("results"):
-        merged = {
-            pid: (np.asarray(res["units"]), res.get("data"))
-            for pid, res in sink["results"].items()
-            if res.get("data") is not None and len(res["units"])
-        }
-        result = plan.kernels.merge_results(global_state, merged)
-    return StealingResult(
-        name=plan.name,
-        n_slaves=n,
-        elapsed=elapsed,
-        sequential_time=plan.total_ops() / run_cfg.cluster.processor.speed,
-        rusage=cluster.rusage(elapsed),
-        message_count=cluster.message_count,
-        bytes_sent=cluster.bytes_sent,
+    mr.run()
+    completed = sum(len(res["units"]) for res in mr.sink["results"].values())
+    return mr.finish(
+        StealingResult,
         steals=stats.get("steals", 0),
         steal_hits=stats.get("serves", 0),
         steal_denies=stats.get("denies", 0),
@@ -521,9 +404,6 @@ def run_stealing(
         # gathered — this also covers units a crashed worker computed
         # but never got to hand over (the coordinator's steal.lost_units
         # counter tracks only never-computed units).
-        lost_units=(hi - lo) - completed,
+        lost_units=mr.total_units - completed,
         deaths=stats.get("deaths", 0),
-        result=result,
-        dead_pids=tuple(sorted(cluster.dead_pids)),
-        recorder=recorder,
     )

@@ -92,6 +92,7 @@ MODULES = [
     "repro.runtime.slave",
     "repro.runtime.pipeline",
     "repro.runtime.launcher",
+    "repro.runtime.mapplane",
     "repro.apps",
     "repro.apps.matmul",
     "repro.apps.sor",
