@@ -2,8 +2,9 @@
 
 Each control plane ships a thin *model shim* next to its runtime code
 (``repro.runtime.protocol_model``, ``repro.faults.protocol_model``,
-``repro.ckpt.protocol_model``, ``repro.scale.protocol_model``) that
-abstracts the protocol into finite-state :class:`Actor`\\ s.  This
+``repro.ckpt.protocol_model``, ``repro.scale.protocol_model``,
+``repro.strategies.protocol_model``, ``repro.strategies.rdlb_model``)
+that abstracts the protocol into finite-state :class:`Actor`\\ s.  This
 package owns the plane-agnostic machinery: the actor/message substrate
 (:mod:`.core`), the exhaustive explorer with partial-order reduction
 and the bounded fallback (:mod:`.explore`), counterexample rendering

@@ -30,7 +30,7 @@ __all__ = [
 ]
 
 #: Planes a sweep may be filtered to.
-SWEEP_PLANES = ("centralized", "ft", "ckpt", "hier", "steal")
+SWEEP_PLANES = ("centralized", "ft", "ckpt", "hier", "steal", "rb")
 
 
 def standard_sweep(planes: tuple[str, ...] | None = None) -> list[Model]:
@@ -49,6 +49,8 @@ def standard_sweep(planes: tuple[str, ...] | None = None) -> list[Model]:
     from ...scale.protocol_model import build_model as build_hier
     from ...strategies.protocol_model import StealConfig
     from ...strategies.protocol_model import build_model as build_steal
+    from ...strategies.rdlb_model import RbConfig
+    from ...strategies.rdlb_model import build_model as build_rb
 
     wanted = set(planes if planes is not None else SWEEP_PLANES)
     unknown = wanted - set(SWEEP_PLANES)
@@ -87,6 +89,9 @@ def standard_sweep(planes: tuple[str, ...] | None = None) -> list[Model]:
         models.append(
             build_steal(StealConfig(crashable=("w0", "w1")))
         )
+    if "rb" in wanted:
+        models.append(build_rb(RbConfig()))
+        models.append(build_rb(RbConfig(crashable=("w1",))))
     return models
 
 
@@ -107,6 +112,8 @@ def mutation_sweep() -> list[tuple[Model, tuple[str, ...]]]:
     from ...scale.protocol_model import build_model as build_hier
     from ...strategies.protocol_model import StealConfig
     from ...strategies.protocol_model import build_model as build_steal
+    from ...strategies.rdlb_model import RbConfig
+    from ...strategies.rdlb_model import build_model as build_rb
 
     pairs: list[tuple[Model, tuple[str, ...]]] = [
         (
@@ -149,6 +156,12 @@ def mutation_sweep() -> list[tuple[Model, tuple[str, ...]]]:
         (build_steal(StealConfig(), "lose_stolen_units"), ("RA701",)),
         (build_steal(StealConfig(), "double_serve"), ("RA702",)),
         (build_steal(StealConfig(), "ignore_late_work"), ("RA701",)),
+        (
+            build_rb(RbConfig(crashable=("w1",)), "no_reissue"),
+            ("RA601", "RA602"),
+        ),
+        (build_rb(RbConfig(), "stop_when_dry"), ("RA701",)),
+        (build_rb(RbConfig(), "count_duplicates"), ("RA701",)),
     ]
     return pairs
 

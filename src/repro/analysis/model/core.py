@@ -202,7 +202,7 @@ class Model:
         name: stable model identifier (used as the diagnostic locus).
         plane: the control plane this model abstracts
             (``centralized`` | ``ft`` | ``ckpt`` | ``hier`` |
-            ``steal``).
+            ``steal`` | ``rb``).
         actors: the participating actors.
         invariants: global safety invariants, evaluated on every state.
         terminal: quiescent-success predicate over actor locals; the

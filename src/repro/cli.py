@@ -130,7 +130,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     loads = _loads_from_args(args)
     faults = _faults_from_args(args, plan, run_cfg, loads)
     if run_cfg.strategy != "centralized":
-        from .errors import ConfigError
+        from .errors import ConfigError, SimulationError
         from .strategies import run_strategy
 
         try:
@@ -140,6 +140,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         except ConfigError as exc:
             print(f"run: {exc}")
             return 2
+        except SimulationError as exc:
+            print(f"run: {exc}")
+            return 1
         print(out.summary())
         print(
             f"sequential: {out.sequential_time:.2f}s  "
@@ -500,11 +503,12 @@ def _cmd_chaos_strategy(args: argparse.Namespace) -> int:
     at 25% and the last worker at 60% of the fault-free horizon).  Every
     cell must terminate and land on the plane's documented contract:
     ``recovered`` (all units complete, result numerically matching the
-    baseline — rDLB's chunk reassignment) or ``lost-expected`` (work
-    stealing's explicit loss report for the dead worker's un-gathered
-    units).  A hang, silent divergence, or implausible loss accounting
-    fails the cell.  PIPELINE / REDUCTION_FRONT apps are skipped — the
-    strategy planes are PARALLEL_MAP-only.
+    baseline — rDLB reissues the dead worker's chunk) or
+    ``lost-expected`` (work stealing's explicit loss report for the dead
+    worker's un-gathered units).  A hang, silent divergence, or
+    implausible loss accounting fails the cell.  PIPELINE /
+    REDUCTION_FRONT apps are skipped — the strategy planes are
+    PARALLEL_MAP-only.
     """
     import json
 
@@ -771,6 +775,7 @@ def _cmd_features(_args: argparse.Namespace) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Parse arguments and dispatch to a subcommand; returns the exit code."""
+    from .analysis.model import SWEEP_PLANES
     from .strategies import available_strategies
 
     parser = argparse.ArgumentParser(
@@ -804,7 +809,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             help=(
                 "DLB control plane: 'centralized' is the paper's runtime; "
                 "the rest are the repro.strategies registry "
-                "(PARALLEL_MAP apps only; exit code 1 if units were lost)"
+                "(PARALLEL_MAP apps only; exit code 1 if units were lost "
+                "or the run could not finish)"
             ),
         )
         p.add_argument(
@@ -918,8 +924,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         help=(
             "also model-check the control planes: exhaustive "
             "deadlock/liveness/unit-conservation verification of the "
-            "centralized, ft, ckpt, hier and steal protocol models "
-            "(RA6xx/RA7xx)"
+            f"{', '.join(SWEEP_PLANES)} protocol models (RA6xx/RA7xx)"
         ),
     )
     p_check.add_argument(
@@ -934,7 +939,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     p_check.add_argument(
         "--model-plane",
         action="append",
-        choices=["centralized", "ft", "ckpt", "hier", "steal"],
+        choices=SWEEP_PLANES,
         default=None,
         metavar="PLANE",
         help="restrict --model to these planes (repeatable; default: all)",

@@ -206,12 +206,13 @@ def chaos_strategy_cells(
 
     Crashes one worker mid-run under ``strategy`` (``stealing`` or
     ``rdlb``) and checks the contract those planes promise: the run
-    terminates (never hangs), the crash is detected, and the outcome is
-    either full recovery (all units complete, result numerically equal
-    to the fault-free baseline — rDLB reassigns the dead worker's
-    chunks) or an explicit loss report (work stealing gives up the dead
-    worker's un-gathered units as ``lost_units``, with the survivors'
-    partial result intact).  Silent divergence or a hang is a failure.
+    terminates (never hangs) and the outcome is either full recovery
+    (all units complete, result numerically equal to the fault-free
+    baseline — rDLB reissues the dead worker's chunk to an idle worker
+    once its queue is dry) or an explicit loss report (work stealing
+    declares the worker dead and gives up its un-gathered units as
+    ``lost_units``, with the survivors' partial result intact).  Silent
+    divergence or a hang is a failure.
 
     Returns ``{"app", "strategy", "skipped", "cells"}`` with the same
     shape as :func:`chaos_hier_cells`.

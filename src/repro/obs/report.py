@@ -469,11 +469,7 @@ def build_run_report(result: RunResultLike, recorder: Recorder) -> RunReport:
         "steal_deaths": metrics.counter_value("steal.deaths"),
         "robust_reassigns": metrics.counter_value("robust.reassigns"),
         "robust_duplicates": metrics.counter_value("robust.duplicates"),
-        "robust_deaths": metrics.counter_value("robust.deaths"),
-        "lost_units": (
-            metrics.counter_value("steal.lost_units")
-            + metrics.counter_value("robust.lost_units")
-        ),
+        "lost_units": metrics.counter_value("steal.lost_units"),
     }
 
     ckpt: dict[str, float] = {

@@ -12,12 +12,12 @@ alternatives:
 - ``diffusion`` — decentralised neighbour exchange;
 - ``stealing`` — decentralised work stealing (steal-half, randomized
   victim selection, steal/deny/abort with termination detection);
-- ``rdlb`` — robust self-scheduling (central chunk queue with resilient
-  chunk reassignment, no rate filtering);
+- ``rdlb`` — robust self-scheduling (central chunk queue that reissues
+  outstanding chunks once it runs dry, no rate filtering);
 - ``fsc`` / ``gss`` / ``factoring`` / ``trapezoid`` — the classic
   self-scheduling chunking variants (the chunk policies of
-  :mod:`repro.strategies.rdlb`) on the same master, reissuing a chunk
-  only when its holder is declared dead.
+  :mod:`repro.strategies.rdlb`) on the same master, never reissuing a
+  chunk (so they refuse crash plans).
 
 Selection is wired through ``RunConfig.strategy`` and
 ``repro run --strategy``.  The perturbation-robustness bench suite

@@ -53,20 +53,19 @@ class StealTags:
 class RobustTags:
     """Tag constants for rDLB-style robust self-scheduling.
 
-    The master owns the chunk queue; a worker's ``REQUEST`` piggybacks
-    the previous chunk's results, and the master answers every request
-    with exactly one ``WORK`` (an empty unit tuple means "stop").  A
-    chunk held by a worker that goes silent is *reassigned* to the next
-    idle requester (bounded duplication, first result wins), which is
-    the rDLB robustness mechanism: no rates are estimated and no
-    movement decisions are made — resilience comes from reissuing work.
+    The master owns the chunk queue and blocks on ``REQUEST``; a
+    worker's request carries the previous chunk's results.  The master
+    answers a request with one ``WORK`` when it has a chunk to give — a
+    fresh one, or once the queue is dry a copy of the oldest outstanding
+    chunk (bounded duplication, first result wins) — and otherwise not
+    at all: the requester waits.  Once every unit's result is in, every
+    worker gets one stop.  No failure detector, no rates, no movement
+    decisions: resilience comes from reissuing work.
     """
 
     # Worker -> master: {"chunk", "units", "data"?} report of the
-    # previous chunk (None on the first request).  Also the heartbeat.
+    # previous chunk (None on the first request).
     REQUEST = "rb.request"
-    # Master -> worker: {"chunk", "units", "data"?}.  units == () with
-    # "retry" set means "nothing to hand out yet, poll again" (the
-    # master never parks a request, so an idle worker keeps
-    # heartbeating); units == () without "retry" stops the worker.
+    # Master -> worker: {"chunk", "units", "data"?}; units == () stops
+    # the worker.
     WORK = "rb.work"

@@ -13,16 +13,17 @@ come from the classic self-scheduling policies:
   ``first`` to ``last`` (Tzen & Ni).
 
 The master is hardened the way rDLB (Mohammed et al.) hardens DLS
-techniques: it never blocks, watches request traffic as a heartbeat, and
-when the queue runs dry while chunks are still outstanding it *reissues*
-the oldest outstanding chunk to the next idle requester (bounded
-duplication, first result wins).  No rate filtering, no trend
-estimation, no movement decisions — robustness against both
-perturbation (a slowed worker's chunk is simply finished by someone
-else) and fail-stop crashes comes entirely from reissuing work the
-master still owns.  With ``dup_max=1`` it is plain self-scheduling plus
-crash recovery, which is how the registry runs FSC/GSS/factoring/
-trapezoid.
+techniques, with no failure detector and no clock: it blocks on
+requests, and a request that finds the queue dry gets a copy of the
+oldest outstanding chunk (bounded duplication, first result wins).  A
+requester with nothing to take gets no reply and waits for the final
+stop.  No rate filtering, no trend estimation, no movement decisions —
+robustness against both perturbation (a slowed worker's chunk is simply
+finished by someone else) and fail-stop crashes comes entirely from
+reissuing work the master still owns: a chunk survives ``dup_max - 1``
+holder crashes.  With ``dup_max=1`` it is plain self-scheduling, which
+is how the registry runs FSC/GSS/factoring/trapezoid; those never
+reissue and so refuse crash plans.
 
 The cost is the self-scheduling cost the paper's iteration-ownership
 design avoids — every chunk ships its input data from the master and
@@ -46,7 +47,7 @@ from ..errors import ConfigError
 from ..faults import FaultPlan
 from ..obs import Recorder
 from ..runtime.mapplane import MapResult, MapRun, all_reps
-from ..sim import Compute, LoadGenerator, Poll, Recv, Send, Sleep
+from ..sim import Compute, LoadGenerator, Recv, Send
 from .protocol import RobustTags
 
 # Module-level alias named `Tags` for the protocol lint's AST resolver.
@@ -125,35 +126,14 @@ class RdlbConfig:
             ``"gss"`` (:class:`GuidedPolicy`), ``"factoring"``, or
             ``"trapezoid"``.
         chunk: fixed chunk size when ``chunking="fsc"``.
-        dup_max: maximum concurrent assignees per chunk (2 = one
-            reissue); bounds the duplicated compute.
-        reassign_after: how long a chunk may be outstanding before an
-            idle requester gets a copy even though the holder still
-            looks alive (perturbation robustness: a worker slowed 10x
-            by competing load is indistinguishable from a dead one).
-        retry_wait: how long a worker with nothing to do waits before
-            re-requesting.  Workers are never parked inside the master —
-            an idle worker keeps polling, which doubles as its
-            heartbeat, so a crash while idle is still detected.
-        dead_after: request-traffic silence before a worker is declared
-            dead and its assignments freed for reassignment.
-        tick: master poll-loop sleep between empty polls.
-        hard_stall: give-up bound once every unstopped worker is
-            declared dead.  A chunk may legitimately outlast
-            ``dead_after`` (a slow or loaded worker looks dead while it
-            computes), so the master keeps waiting; only when every dead
-            worker has been silent for more than ``hard_stall`` does it
-            stop and report the unfinished units lost.
+        dup_max: maximum concurrent holders per chunk (2 = one reissue);
+            bounds the duplicated compute, and a chunk survives
+            ``dup_max - 1`` holder crashes.
     """
 
     chunking: str = "factoring"
     chunk: int = 8
     dup_max: int = 2
-    reassign_after: float = 2.0
-    retry_wait: float = 0.2
-    dead_after: float = 4.0
-    tick: float = 0.02
-    hard_stall: float = 60.0
 
     def __post_init__(self) -> None:
         if self.chunking not in _CHUNKINGS:
@@ -165,14 +145,6 @@ class RdlbConfig:
             raise ConfigError(f"chunk must be >= 1, got {self.chunk}")
         if self.dup_max < 1:
             raise ConfigError(f"dup_max must be >= 1, got {self.dup_max}")
-        if self.reassign_after <= 0 or self.dead_after <= 0:
-            raise ConfigError("reassign_after and dead_after must be positive")
-        if self.retry_wait <= 0 or self.retry_wait >= self.dead_after:
-            raise ConfigError("retry_wait must be positive and < dead_after")
-        if self.tick <= 0:
-            raise ConfigError("tick must be positive")
-        if self.hard_stall <= self.dead_after:
-            raise ConfigError("hard_stall must exceed dead_after")
 
 
 @dataclass(kw_only=True)
@@ -186,12 +158,11 @@ class RdlbResult(MapResult):
     completed_units: int
 
     def summary(self) -> str:
-        lost = f" lost={self.lost_units}" if self.lost_units else ""
         return (
             f"{self.name}: P={self.n_slaves} ({self.chunking}) "
             f"elapsed={self.elapsed:.2f}s speedup={self.speedup:.2f} "
             f"chunks={self.chunks_served} reassigns={self.reassigns} "
-            f"deaths={self.deaths}{lost} msgs={self.message_count}"
+            f"msgs={self.message_count}"
         )
 
 
@@ -208,28 +179,21 @@ def _make_policy(rc: RdlbConfig, total: int, n_slaves: int):
 class _Chunk:
     """Master-side state of one outstanding chunk."""
 
-    __slots__ = ("units", "assignees", "issued_at")
+    __slots__ = ("units", "holders")
 
-    def __init__(self, units: tuple[int, ...], pid: int, now: float):
+    def __init__(self, units: tuple[int, ...], pid: int):
         self.units = units
-        self.assignees = {pid}
-        self.issued_at = now
+        self.holders = {pid}
 
 
-def _rdlb_worker(ctx, plan: ExecutionPlan, rc: RdlbConfig):
+def _rdlb_worker(ctx, plan: ExecutionPlan):
     master = ctx.master_pid
     report: dict[str, Any] | None = None
     while True:
         yield Send(master, Tags.REQUEST, report, 32)
         msg = yield Recv(src=master, tag=Tags.WORK)
-        report = None
         units = msg.payload["units"]
         if not units:
-            if msg.payload.get("retry"):
-                # Nothing to hand out right now; keep polling (this is
-                # also the idle worker's heartbeat).
-                yield Sleep(rc.retry_wait)
-                continue
             return
         # The chunk's input data arrives only when numerics run.
         local = msg.payload.get("data")
@@ -256,65 +220,53 @@ def _rdlb_master(
     total = hi - lo
     queue = list(range(lo, hi))
     policy = _make_policy(rc, total, n_workers)
-    now = ctx.now
-    outstanding: dict[int, _Chunk] = {}
-    next_chunk = 0
-    done_units = 0
+    outstanding: dict[int, _Chunk] = {}  # in issue order: oldest first
     chunks_served = 0
+    done_units = 0
     results: dict[int, list] = {p: [] for p in range(n_workers)}
-    last_heard = {pid: now for pid in range(n_workers)}
-    dead: set[int] = set()
-    stopped: set[int] = set()
 
-    def _cut(pid: int, now: float):
-        """Issue the next queue chunk, or reissue an outstanding one."""
-        nonlocal next_chunk, chunks_served
+    def _cut(pid: int):
+        """The next queue chunk, else a copy of the oldest outstanding
+        chunk ``pid`` may hold, else None."""
+        nonlocal chunks_served
         if queue:
             size = policy.next_chunk(len(queue), n_workers)
-            units, del_ = tuple(queue[:size]), queue[:size]
-            del queue[: len(del_)]
-            cid = next_chunk
-            next_chunk += 1
-            outstanding[cid] = _Chunk(units, pid, now)
+            units = tuple(queue[:size])
+            del queue[:size]
+            cid = chunks_served
             chunks_served += 1
+            outstanding[cid] = _Chunk(units, pid)
             return cid, units
-        # Queue dry: reissue the oldest eligible outstanding chunk.
-        best: int | None = None
         for cid, ch in outstanding.items():
-            if pid in ch.assignees or len(ch.assignees) >= rc.dup_max:
+            if pid in ch.holders or len(ch.holders) >= rc.dup_max:
                 continue
-            live_holders = [a for a in ch.assignees if a not in dead]
-            if live_holders and now - ch.issued_at <= rc.reassign_after:
-                continue  # holder looks healthy and recent; don't duplicate
-            if best is None or ch.issued_at < outstanding[best].issued_at:
-                best = cid
-        if best is None:
-            return None
-        ch = outstanding[best]
-        ch.assignees.add(pid)
-        stats["reassigns"] = stats.get("reassigns", 0) + 1
-        if obs.enabled:
-            obs.metrics.counter("robust.reassigns").inc()
-            obs.emit_counter(
-                "robust", "reassign", now, float(len(ch.units)),
-                pid=ctx.pid, meta={"chunk": best, "to": pid},
-            )
-        return best, ch.units
-
-    def _serve(pid: int, now: float):
-        """Answer one request: work, a reissue, retry-later, or stop."""
-        cut = _cut(pid, now)
-        if cut is None:
-            if done_units >= total or (queue == [] and not outstanding):
-                stopped.add(pid)
-                yield Send(pid, Tags.WORK, {"chunk": -1, "units": ()}, 16)
-            else:
-                # No chunk to give (all outstanding ones are held by
-                # live recent workers); tell the worker to poll again.
-                yield Send(
-                    pid, Tags.WORK, {"chunk": -1, "units": (), "retry": True}, 16
+            ch.holders.add(pid)
+            stats["reassigns"] = stats.get("reassigns", 0) + 1
+            if obs.enabled:
+                obs.metrics.counter("robust.reassigns").inc()
+                obs.emit_counter(
+                    "robust", "reassign", ctx.now, float(len(ch.units)),
+                    pid=ctx.pid, meta={"chunk": cid, "to": pid},
                 )
-            return
+            return cid, ch.units
+        return None
+
+    while done_units < total:
+        msg = yield Recv(tag=Tags.REQUEST)
+        pid, report = msg.src, msg.payload
+        if report is not None:
+            ch = outstanding.pop(int(report["chunk"]), None)
+            if ch is not None:
+                done_units += len(ch.units)
+                results[pid].append((report["units"], report.get("data")))
+            else:
+                # Another holder's result arrived first.
+                stats["duplicates"] = stats.get("duplicates", 0) + 1
+                if obs.enabled:
+                    obs.metrics.counter("robust.duplicates").inc()
+        cut = _cut(pid)
+        if cut is None:
+            continue  # nothing to take: wait for the final stop
         cid, units = cut
         payload: dict[str, Any] = {"chunk": cid, "units": units}
         if exec_num:
@@ -326,68 +278,11 @@ def _rdlb_master(
         )
         yield Send(pid, Tags.WORK, payload, nbytes)
 
-    while len(stopped) < n_workers:
-        if len(stopped | dead) == n_workers and (
-            (not queue and not outstanding)
-            or all(now - last_heard[pid] > rc.hard_stall for pid in dead)
-        ):
-            # Every unstopped worker is dead.  A dead verdict may be
-            # false (a chunk can outlast dead_after), so unfinished work
-            # is given up only after hard_stall of total silence.
-            break
-        msg = yield Poll(tag=Tags.REQUEST)
-        now = ctx.now
-        if msg is not None:
-            pid = msg.src
-            last_heard[pid] = now
-            dead.discard(pid)  # a false positive resurfaces harmlessly
-            p = msg.payload
-            if p is not None:
-                cid = int(p["chunk"])
-                ch = outstanding.pop(cid, None)
-                if ch is not None:
-                    done_units += len(ch.units)
-                    results[pid].append((p["units"], p.get("data")))
-                else:
-                    # The other assignee finished first: duplicate result.
-                    stats["duplicates"] = stats.get("duplicates", 0) + 1
-                    if obs.enabled:
-                        obs.metrics.counter("robust.duplicates").inc()
-            yield from _serve(pid, now)
-        else:
-            yield Sleep(rc.tick)
-        now = ctx.now
-        for pid in range(n_workers):
-            if (
-                pid not in dead
-                and pid not in stopped
-                and now - last_heard[pid] > rc.dead_after
-            ):
-                dead.add(pid)
-                stats["deaths"] = stats.get("deaths", 0) + 1
-                for ch in outstanding.values():
-                    ch.assignees.discard(pid)
-                if obs.enabled:
-                    obs.metrics.counter("robust.deaths").inc()
-                    obs.emit_counter(
-                        "robust", "death", now, 1.0, pid=ctx.pid,
-                        meta={"dead": pid},
-                    )
-
-    # Late stop broadcast: the silence detector cannot distinguish a
-    # crashed worker from a live one stuck in a long compute (a
-    # heavy-tailed unit under competing load can exceed dead_after).  A
-    # falsely-dead worker finishes eventually, sends one more REQUEST,
-    # and blocks in Recv — queue a stop reply now so that Recv
-    # terminates it.  Sends to genuinely crashed pids are dropped.
+    # Every unit's result is in.  Workers still computing a copy find
+    # the stop waiting when they next request; sends to crashed pids
+    # are dropped.
     for pid in range(n_workers):
-        if pid not in stopped:
-            yield Send(pid, Tags.WORK, {"chunk": -1, "units": ()}, 16)
-
-    lost = len(queue) + sum(len(ch.units) for ch in outstanding.values())
-    stats["lost_units"] = lost
-    if lost and obs.enabled:
-        obs.metrics.counter("robust.lost_units").inc(lost)
+        yield Send(pid, Tags.WORK, {"chunk": -1, "units": ()}, 16)
     stats["chunks"] = chunks_served
     stats["done_units"] = done_units
     sink["results"] = results
@@ -403,9 +298,20 @@ def run_rdlb(
     recorder: Recorder | None = None,
     faults: FaultPlan | None = None,
 ) -> RdlbResult:
-    """Run ``plan`` under rDLB-style robust self-scheduling."""
+    """Run ``plan`` under rDLB-style robust self-scheduling.
+
+    With ``dup_max=1`` no chunk is ever reissued, so a crashed holder's
+    chunk could never finish: a fault plan with crashes is then a
+    :class:`ConfigError`.
+    """
     run_cfg = run_cfg or RunConfig()
     rc = rdlb or RdlbConfig()
+    if rc.dup_max == 1 and faults is not None and faults.crashes:
+        raise ConfigError(
+            f"{rc.chunking} self-scheduling never reissues a chunk "
+            "(dup_max=1), so a crashed worker's chunk would be lost; "
+            "crash plans need dup_max >= 2 (the rdlb strategy)"
+        )
     mr = MapRun(
         "robust self-scheduling",
         plan,
@@ -417,7 +323,7 @@ def run_rdlb(
     )
     stats = mr.stats
     for pid in range(mr.n):
-        mr.cluster.spawn(pid, _rdlb_worker, plan, rc)
+        mr.cluster.spawn(pid, _rdlb_worker, plan)
     mr.cluster.spawn(
         run_cfg.cluster.master_pid,
         _rdlb_master,
@@ -441,6 +347,4 @@ def run_rdlb(
         reassigns=stats.get("reassigns", 0),
         duplicate_results=stats.get("duplicates", 0),
         completed_units=stats.get("done_units", 0),
-        lost_units=stats.get("lost_units", 0),
-        deaths=stats.get("deaths", 0),
     )

@@ -6,9 +6,9 @@ returning a :class:`StrategyOutcome`, which is what the CLI
 (``repro run --strategy``), the perturbation-robustness bench, and the
 chaos harness consume.  The classic self-scheduling chunking variants
 (FSC/GSS/factoring/trapezoid) are first-class strategies: they run
-through the robust self-scheduling master with reassignment disabled
-while the holder is alive (``dup_max=1``), which gives the classic chunk
-sequence plus crash recovery and recorder support.
+through the robust self-scheduling master with ``dup_max=1``, which
+gives the classic chunk sequence with recorder support and no reissue
+(so they refuse crash plans).
 """
 
 from __future__ import annotations
@@ -46,8 +46,9 @@ STRATEGIES: dict[str, str] = {
         "steal/deny/abort, coordinator-side termination detection"
     ),
     "rdlb": (
-        "robust self-scheduling: central chunk queue with resilient "
-        "chunk reassignment (factoring chunks, no rate filtering)"
+        "robust self-scheduling: central chunk queue that reissues "
+        "outstanding chunks once it runs dry (factoring chunks, no rate "
+        "filtering)"
     ),
     "fsc": "fixed-size chunk self-scheduling (CSS), promoted baseline",
     "gss": "guided self-scheduling, promoted baseline",
@@ -131,7 +132,8 @@ def run_strategy(
 
     ``diffusion`` has no fault hooks, so passing a non-empty ``faults``
     plan with it is a :class:`ConfigError` (its recorder is likewise
-    not wired and is ignored).
+    not wired and is ignored).  ``rate``/``hier`` and the classic
+    self-scheduling variants refuse crash plans they cannot survive.
     """
     if strategy not in STRATEGIES:
         raise ConfigError(
@@ -174,7 +176,7 @@ def run_strategy(
         )
         return _wrap(strategy, res)
     # rdlb and the promoted chunking variants share the robust master;
-    # the classics just disable alive-holder reassignment.
+    # the classics never reissue a chunk.
     rc = rdlb or RdlbConfig()
     if strategy != "rdlb":
         rc = replace(rc, chunking=strategy, dup_max=1)

@@ -20,6 +20,8 @@ from repro.scale.protocol_model import HierConfig
 from repro.scale.protocol_model import build_model as build_hier
 from repro.strategies.protocol_model import StealConfig
 from repro.strategies.protocol_model import build_model as build_steal
+from repro.strategies.rdlb_model import RbConfig
+from repro.strategies.rdlb_model import build_model as build_rb
 
 _SMALL_CLEAN = [
     build_central(CentralConfig()),
@@ -29,6 +31,8 @@ _SMALL_CLEAN = [
     build_hier(HierConfig()),
     build_steal(StealConfig()),
     build_steal(StealConfig(crashable=("w0",))),
+    build_rb(RbConfig()),
+    build_rb(RbConfig(crashable=("w1",))),
 ]
 
 _CACHE: dict = {}
@@ -103,7 +107,7 @@ class TestSeededMutations:
 class TestSweepRegistry:
     def test_standard_sweep_covers_all_planes(self):
         planes = {m.plane for m in standard_sweep()}
-        assert planes == {"centralized", "ft", "ckpt", "hier", "steal"}
+        assert planes == {"centralized", "ft", "ckpt", "hier", "steal", "rb"}
 
     def test_plane_filter(self):
         models = standard_sweep(("ft",))
@@ -117,8 +121,9 @@ class TestSweepRegistry:
         from repro.runtime import protocol_model as central
         from repro.scale import protocol_model as hier
         from repro.strategies import protocol_model as steal
+        from repro.strategies import rdlb_model as rb
 
-        mods = (central, ft, ckpt, hier, steal)
+        mods = (central, ft, ckpt, hier, steal, rb)
         declared = set()
         for mod in mods:
             declared |= {

@@ -163,8 +163,6 @@ _RDLB = (
     "reassigns",
     "duplicate_results",
     "completed_units",
-    "lost_units",
-    "deaths",
     "dead_pids",
 )
 
@@ -343,8 +341,9 @@ def test_plane_cases_exercise_their_protocols(goldens: dict) -> None:
     assert goldens["diffusion_mesh2d"]["metrics"]["moves"] > 0
     for name in ("stealing_crash", "rdlb_crash"):
         assert goldens[name]["metrics"]["dead_pids"] == [1], name
-        assert goldens[name]["metrics"]["deaths"] == 1, name
-    assert goldens["rdlb_crash"]["metrics"]["lost_units"] == 0
+    assert goldens["stealing_crash"]["metrics"]["deaths"] == 1
+    assert goldens["rdlb_crash"]["metrics"]["reassigns"] >= 1
+    assert goldens["rdlb_crash"]["metrics"]["completed_units"] == 48
 
 
 if __name__ == "__main__":

@@ -64,7 +64,8 @@ def test_run_strategy_clean(capsys):
     )
     assert rc == 0
     out = capsys.readouterr().out
-    assert "[factoring]" in out and "lost_units=0" in out
+    # No faults, deaths or lost units: no faults line.
+    assert "[factoring]" in out and "faults[" not in out
 
 
 def test_run_strategy_rejects_non_parallel_map(capsys):
@@ -73,20 +74,36 @@ def test_run_strategy_rejects_non_parallel_map(capsys):
     assert "PARALLEL_MAP" in capsys.readouterr().out
 
 
-def test_run_strategy_lost_units_exit_1(capsys, tmp_path):
+def _all_crash_plan(tmp_path):
     plan_path = tmp_path / "all-crash.json"
     FaultPlan(
         name="all-crash",
         crashes=tuple(SlaveCrash(pid=p, at_fraction=0.3) for p in range(2)),
     ).save(plan_path)
+    return str(plan_path)
+
+
+def test_run_strategy_lost_units_exit_1(capsys, tmp_path):
     rc = main(
         [
             "run", "matmul", "-n", "64", "--slaves", "2",
-            "--strategy", "rdlb", "--faults", str(plan_path),
+            "--strategy", "stealing", "--faults", _all_crash_plan(tmp_path),
         ]
     )
     assert rc == 1
     assert "lost_units=" in capsys.readouterr().out
+
+
+def test_run_strategy_rdlb_all_crash_exit_1(capsys, tmp_path):
+    rc = main(
+        [
+            "run", "matmul", "-n", "64", "--slaves", "2",
+            "--strategy", "rdlb", "--faults", _all_crash_plan(tmp_path),
+        ]
+    )
+    assert rc == 1
+    out = capsys.readouterr().out
+    assert out.startswith("run: ") and "rb.request" in out
 
 
 def test_source_listing(capsys):

@@ -106,6 +106,7 @@ MODULES = [
     "repro.strategies.registry",
     "repro.strategies.stealing",
     "repro.strategies.rdlb",
+    "repro.strategies.rdlb_model",
     "repro.strategies.robustness",
     "repro.scale",
     "repro.scale.protocol",
