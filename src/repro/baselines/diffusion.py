@@ -1,11 +1,14 @@
 """Near-neighbour diffusion load balancing (paper Section 6, refs [16][17]).
 
-No central balancer makes *placement* decisions: periodically each slave
-exchanges its remaining-work count with its topology neighbours and
-shifts iterations toward the lighter side when the imbalance exceeds a
-threshold.  Decisions use only local information, so load gradients take
-multiple exchange rounds to propagate across the network — the latency
-the paper's global-information design avoids.
+No central balancer makes *placement* decisions: every ``exchange_every``
+units each busy slave exchanges its remaining-work count with its
+topology neighbours and shifts iterations toward the lighter side when
+the imbalance exceeds a threshold.  A slave that runs out of work
+advertises its zero load (and reports its progress) once, then blocks in
+``Recv`` until shifted work, a neighbour's load or the stop notice
+arrives; it does not poll.  Decisions use only local information, so
+load gradients take multiple exchange rounds to propagate across the
+network — the latency the paper's global-information design avoids.
 
 By default slaves form a chain (the original baseline); passing a
 :class:`~repro.config.TopologySpec` (or setting one on the cluster spec)
@@ -29,7 +32,7 @@ from typing import Mapping
 from ..compiler.plan import ExecutionPlan
 from ..config import RunConfig, TopologySpec
 from ..runtime.mapplane import MapResult, MapRun, UnitBag
-from ..sim import Compute, LoadGenerator, Poll, Recv, Send, Sleep
+from ..sim import Compute, LoadGenerator, Poll, Recv, Send
 from ..sim.network import build_topology
 
 __all__ = ["DiffusionResult", "run_diffusion"]
@@ -61,31 +64,38 @@ def _diff_slave(
     pid = ctx.pid
     pending = bag.pending
     unreported = 0
+    advertised: int | None = None  # the load last sent to the neighbours
     neighbor_load: dict[int, int] = {}
     terminated = False
 
+    def handle(msg) -> None:
+        """Take in one message: load info, shifted work or termination."""
+        nonlocal terminated
+        if msg.tag == _LOADINFO:
+            neighbor_load[msg.src] = msg.payload
+        elif msg.tag == _WORK:
+            stats["received"] = stats.get("received", 0) + bag.accept(msg.payload)
+        elif msg.tag == _TERM:
+            terminated = True
+
     def intake():
         """Non-blocking intake of load info, shifted work, termination."""
-        nonlocal terminated
-        while True:
-            msg = yield Poll(tag=_LOADINFO)
-            if msg is None:
-                break
-            neighbor_load[msg.src] = msg.payload
-        while True:
-            msg = yield Poll(tag=_WORK)
-            if msg is None:
-                break
-            stats["received"] = stats.get("received", 0) + bag.accept(msg.payload)
+        for tag in (_LOADINFO, _WORK):
+            while True:
+                msg = yield Poll(tag=tag)
+                if msg is None:
+                    break
+                handle(msg)
         msg = yield Poll(tag=_TERM)
         if msg is not None:
-            terminated = True
+            handle(msg)
 
     def exchange():
         """Advertise load, report progress, shift work if imbalanced."""
-        nonlocal unreported
+        nonlocal unreported, advertised
+        advertised = len(pending)
         for nb in neighbors:
-            yield Send(nb, _LOADINFO, len(pending), 16)
+            yield Send(nb, _LOADINFO, advertised, 16)
         if unreported:
             yield Send(ctx.master_pid, _PROGRESS, unreported, 16)
             unreported = 0
@@ -111,11 +121,12 @@ def _diff_slave(
         if terminated:
             break
         if not pending:
-            # Idle: let neighbours see a zero load, then wait for work or
-            # the termination notice.
-            yield from exchange()
+            # Idle: advertise the zero load (and report progress) once,
+            # then block until work, load news or termination arrives.
+            if advertised != 0 or unreported:
+                yield from exchange()
             if not pending and not terminated:
-                yield Sleep(0.02)
+                handle((yield Recv()))
             continue
         ops, fn = bag.next_unit()
         yield Compute(ops, fn=fn)

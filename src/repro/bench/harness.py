@@ -105,7 +105,7 @@ SUITES: dict[str, list[dict[str, Any]]] = {
     # Scaling-crossover study: centralized vs hierarchical (fanout
     # 4/8/16) vs diffusion, weak-scaled over P under three competing
     # load regimes, plus interconnect probes at a fixed P.  The nightly
-    # scaling-bench lane runs this with --max-p 256; the crossover
+    # scaling-bench lane runs all of it (--max-p 1024); the crossover
     # analysis is attached to the document as doc["crossover"].
     "scaling_crossover": [
         _cell(f"P{P}_{regime}", "scaling", P=P, regime=regime)
@@ -591,7 +591,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         type=int,
         default=None,
         metavar="P",
-        help="skip cells whose processor count exceeds P (nightly lane uses 256)",
+        help="skip cells whose processor count exceeds P (nightly lane uses 1024)",
     )
     parser.add_argument(
         "--topologies",

@@ -397,7 +397,7 @@ def _cmd_chaos_hier(args: argparse.Namespace) -> int:
     For each PARALLEL_MAP application: a fault-free hierarchical
     baseline, then one cell per targeted sub-master crash (the first
     and the last level-1 sub-master, at 40% and 60% of the fault-free
-    horizon).  Every crash cell must complete with results identical to
+    work phase, the busiest leaf's CPU time).  Every crash cell must complete with results identical to
     the baseline — the custody rule (units travel leaf-to-leaf only)
     means a dead sub-master can never lose shipped cells — and must
     actually exercise the failure detector (``deaths``/``reparents``

@@ -145,6 +145,10 @@ def chaos_hier_cells(
     cfg = RunConfig(cluster=ClusterSpec(n_slaves=slaves))
     tree = build_tree(slaves, fanout)
     base = run_hierarchical(plan, cfg, fanout=fanout, seed=seed)
+    # Crash inside the work phase (the busiest leaf's CPU time), not at a
+    # share of the makespan: a shard that has drained has already sent
+    # its last summary, and a crash after that needs no recovery.
+    work = max(base.rusage.usage_for(leaf).app_cpu for leaf in range(slaves))
     targets = [
         ("first-submaster", tree.internal[0], 0.4),
         ("last-submaster", tree.internal[-1], 0.6),
@@ -153,7 +157,7 @@ def chaos_hier_cells(
     for label, pid, frac in targets:
         faults = FaultPlan(
             name=f"hier-{label}",
-            crashes=(SlaveCrash(pid=pid, at=frac * base.elapsed),),
+            crashes=(SlaveCrash(pid=pid, at=frac * work),),
         )
         cell: dict[str, Any] = {
             "app": app,

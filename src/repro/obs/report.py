@@ -62,6 +62,7 @@ class RusageLike(Protocol):
     def usages(self) -> Sequence[UsageLike]: ...
     @property
     def t_end(self) -> float: ...
+    def usage_for(self, pid: int) -> UsageLike: ...
 
 
 class MasterLogLike(Protocol):
@@ -414,14 +415,11 @@ def build_run_report(result: RunResultLike, recorder: Recorder) -> RunReport:
         per_slave: dict[str, object] = {
             channel: _timeline(log, channel, pid) for channel in RATE_CHANNELS
         }
-        usage: UsageLike | None = next(
-            (u for u in result.rusage.usages if u.pid == pid), None
-        )
-        if usage is not None:
-            per_slave["elapsed_s"] = usage.elapsed
-            per_slave["app_cpu_s"] = usage.app_cpu
-            per_slave["competing_cpu_s"] = usage.competing_cpu
-            per_slave["idle_s"] = usage.idle_cpu
+        usage = result.rusage.usage_for(pid)
+        per_slave["elapsed_s"] = usage.elapsed
+        per_slave["app_cpu_s"] = usage.app_cpu
+        per_slave["competing_cpu_s"] = usage.competing_cpu
+        per_slave["idle_s"] = usage.idle_cpu
         slaves[str(pid)] = per_slave
 
     master_log = result.log
@@ -494,7 +492,7 @@ def build_run_report(result: RunResultLike, recorder: Recorder) -> RunReport:
     latency = metrics.histogram("lb.balance_latency_s").summary()
 
     idle_per_slave = {
-        str(u.pid): u.idle_cpu for u in result.rusage.usages if u.pid < n
+        str(pid): result.rusage.usage_for(pid).idle_cpu for pid in range(n)
     }
     overhead: dict[str, object] = {
         "interaction": {

@@ -8,7 +8,11 @@ compute units and report ``{rate, remaining, done}`` to their parent;
 each sub-master runs the paper's rate-filtered proportional
 redistribution (:class:`~repro.runtime.filtering.TrendFilter` +
 :func:`~repro.runtime.partition.proportional_counts`) over its shard and
-sends only one aggregate summary per period upward.  Movement *orders*
+sends only one aggregate summary per period upward, plus one as soon as
+its whole shard has drained (as a leaf reports at once when it runs out
+of units), so the last units reach the root without waiting out a period
+at every level.  Every task waits event-driven, in a timed ``Recv``
+bounded by its next deadline; none polls on a tick.  Movement *orders*
 (``sc.take``) descend the tree; moved *units* travel leaf-to-leaf, so no
 internal node ever holds work and a sub-master crash cannot lose shipped
 cells.
@@ -40,7 +44,7 @@ from ..obs import Recorder
 from ..runtime.filtering import TrendFilter
 from ..runtime.mapplane import MapResult, MapRun, UnitBag
 from ..runtime.partition import proportional_counts
-from ..sim import Compute, LoadGenerator, Poll, Recv, Send, Sleep
+from ..sim import Compute, LoadGenerator, Poll, Recv, Send
 from .protocol import ScaleTags
 
 # Module-level alias named `Tags` so the protocol lint's AST resolver
@@ -70,19 +74,21 @@ class HierarchyConfig:
         imbalance_threshold: a child's surplus must exceed this fraction
             of the mean remaining work per child before an order is cut.
         min_move: smallest number of units worth an order.
-        idle_tick: leaf poll-loop sleep when out of work.
-        tick: sub-master poll-loop sleep between empty polls.
         dead_after: silence before an internal child is declared dead
             and its shard re-parented (must comfortably exceed
-            ``report_period``).
+            ``report_period``); sub-masters scan for it every
+            ``dead_after / 2``.
+
+    These periods are the only clocks in the plane; no task sleeps on a
+    poll tick.  An idle leaf blocks in a timed ``Recv`` until a message
+    arrives or its next report is due, and a sub-master (or the root)
+    until a message arrives or its next summary, balance or scan is due.
     """
 
     report_period: float = 0.5
     balance_period: float = 1.0
     imbalance_threshold: float = 0.25
     min_move: int = 2
-    idle_tick: float = 0.02
-    tick: float = 0.02
     dead_after: float = 4.0
 
     def __post_init__(self) -> None:
@@ -92,8 +98,6 @@ class HierarchyConfig:
             raise ConfigError("imbalance_threshold must be in [0, 1)")
         if self.min_move < 1:
             raise ConfigError("min_move must be >= 1")
-        if self.idle_tick <= 0 or self.tick <= 0:
-            raise ConfigError("poll ticks must be positive")
         if self.dead_after <= 2 * self.report_period:
             raise ConfigError(
                 "dead_after must exceed two report periods, got "
@@ -285,13 +289,20 @@ def _leaf_task(
     units_since = 0
     parent = parent_pid
     last_report = 0.0
-    terminated = False
 
-    while not terminated:
-        while True:
+    while True:
+        due = False
+        if pending:
+            # Busy: drain what has arrived before the next unit.
             msg = yield Poll()
-            if msg is None:
-                break
+        else:
+            # Idle: block until a message arrives or the next report is
+            # due; a timeout means it is due, whatever the rounding.
+            msg = yield Recv(
+                timeout=max(0.0, last_report + hc.report_period - ctx.now)
+            )
+            due = msg is None
+        if msg is not None:
             tag = msg.tag
             if tag == Tags.UNITS:
                 stats["received"] = stats.get("received", 0) + bag.accept(msg.payload)
@@ -306,17 +317,14 @@ def _leaf_task(
             elif tag == Tags.REPARENT:
                 parent = int(msg.payload["parent"])
             elif tag == Tags.TERM:
-                terminated = True
-        if terminated:
-            break
+                break
+            continue
         if pending:
             ops, fn = bag.next_unit()
             yield Compute(ops, fn=fn)
             units_since += 1
-        else:
-            yield Sleep(hc.idle_tick)
         now = ctx.now
-        if (now - last_report >= hc.report_period) or (units_since and not pending):
+        if due or now - last_report >= hc.report_period or (units_since and not pending):
             dt = now - last_report
             # An idle interval carries no speed information: report
             # rate=None so the parent keeps its filtered estimate
@@ -368,7 +376,7 @@ def _node_task(
         intake = pid if pid < n_leaves else tree.first_leaf(pid)
         children[pid] = _Child(init_remaining.get(pid, 0), intake, now)
     parent = parent_pid
-    terminated = False
+    sent_done: int | None = None  # the done count of the last SUM
     last_sum = now
     last_balance = now
     last_scan = now
@@ -495,10 +503,18 @@ def _node_task(
                 if obs.enabled:
                     obs.metrics.counter("scale.reparents").inc()
 
-    while not terminated:
-        msg = yield Poll()
+    while True:
+        wake = min(last_balance + hc.balance_period, last_scan + scan_every)
+        if parent is not None:
+            wake = min(wake, last_sum + hc.report_period)
+        msg = yield Recv(timeout=max(0.0, wake - ctx.now))
         now = ctx.now
-        if msg is not None:
+        drained = False
+        if msg is None:
+            # A timeout means the earliest deadline is due, whatever the
+            # rounding of ``wake - now``.
+            now = max(now, wake)
+        else:
             tag = msg.tag
             if tag == Tags.REPORT or tag == Tags.SUM:
                 st = children.get(msg.src)
@@ -513,6 +529,7 @@ def _node_task(
                         st.intake = int(p["intake"])
                     st.last_heard = now
                     stats["reports"] = stats.get("reports", 0) + 1
+                    drained = st.remaining == 0
             elif tag == Tags.TAKE:
                 yield from _route_take(
                     int(msg.payload["count"]), int(msg.payload["dst"])
@@ -520,17 +537,24 @@ def _node_task(
             elif tag == Tags.REPARENT:
                 parent = int(msg.payload["parent"])
             elif tag == Tags.TERM:
-                terminated = True
                 break
-        else:
-            yield Sleep(hc.tick)
-        if parent is not None and now - last_sum >= hc.report_period:
-            yield Send(parent, Tags.SUM, _summary(), 48)
-            last_sum = now
-        if now - last_balance >= hc.balance_period:
+        if parent is not None:
+            periodic = now >= last_sum + hc.report_period
+            if periodic or drained:
+                summary = _summary()
+                # A drained shard reports at once, as a drained leaf
+                # does, so its last units do not wait out a report
+                # period at every level of the tree.
+                if periodic or (
+                    summary["remaining"] == 0 and summary["done"] != sent_done
+                ):
+                    yield Send(parent, Tags.SUM, summary, 48)
+                    last_sum = now
+                    sent_done = summary["done"]
+        if now >= last_balance + hc.balance_period:
             yield from _balance(now)
             last_balance = now
-        if now - last_scan >= scan_every:
+        if now >= last_scan + scan_every:
             yield from _scan(now)
             last_scan = now
         if parent is None:

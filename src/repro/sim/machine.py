@@ -83,13 +83,16 @@ class TaskContext:
 
 
 class _Task:
-    __slots__ = ("pid", "gen", "done", "blocked_on", "finish_time", "name")
+    __slots__ = ("pid", "gen", "done", "blocked_on", "wait", "finish_time", "name")
 
     def __init__(self, pid: int, gen: Generator[Any, Any, Any], name: str):
         self.pid = pid
         self.gen = gen
         self.done = False
         self.blocked_on: tuple[int | None, str | None] | None = None
+        # Bumped by every blocking Recv, so a timeout armed by an earlier
+        # wait finds a different token and does nothing.
+        self.wait = 0
         self.finish_time: float | None = None
         self.name = name
 
@@ -149,6 +152,7 @@ class Cluster:
         # so the bound-method allocation and attribute hops add up.
         self._call_at = self.engine.call_at
         self._step_cb = self._step
+        self._expire_cb = self._expire
         self._observe = self.obs.enabled
         self._deliver_cb = self._deliver
         # Per-instance copy of the syscall dispatch table; subclassed
@@ -211,13 +215,22 @@ class Cluster:
     # Scheduler core
     # ------------------------------------------------------------------
 
-    def _resume_later(self, t: float, task: _Task, value: Any) -> None:
+    def _resume_later(
+        self, t: float, task: _Task, value: Any, fn: Callable[..., None] | None = None
+    ) -> None:
         injector = self.injector
         if injector is not None:
             # A stalled host makes no progress: resumes that land inside
             # a stall window slide to the window's end.
             t = injector.stall_clamp(task.pid, t)
-        self._call_at(t, self._step_cb, task, value)
+        self._call_at(t, fn or self._step_cb, task, value)
+
+    def _expire(self, task: _Task, token: int) -> None:
+        """A ``Recv`` timeout: resume the task with ``None`` if it is
+        still in the wait that armed this timeout."""
+        if task.wait == token and task.blocked_on is not None:
+            task.blocked_on = None
+            self._step(task, None)
 
     def _step(self, task: _Task, value: Any) -> None:
         if task.pid in self._dead:
@@ -267,12 +280,22 @@ class Cluster:
         eng._seq += 1
 
     def _do_recv(self, task: _Task, req: Recv) -> None:
+        timeout = req.timeout
+        if timeout is not None and timeout < 0:
+            raise SimulationError(f"negative recv timeout: {timeout}")
         box = self.mailboxes[task.pid]
         # Skip the take() call for an empty queue — the common case when
         # receivers block ahead of arrivals.
         msg = box.take(req.src, req.tag) if box._queue else None
         if msg is None:
             task.blocked_on = (req.src, req.tag)
+            task.wait += 1
+            if timeout is not None:
+                # The expiry is a resume like any other, so a stall
+                # window slides it too.
+                self._resume_later(
+                    self.engine._now + timeout, task, task.wait, self._expire_cb
+                )
             return
         eng = self.engine
         finish = self.processors[task.pid].run_cpu(eng._now, self._recv_cpu)

@@ -10,7 +10,8 @@ layer satisfies the request and resumes the generator with the result.
                   correctness.
 ``Send``          asynchronous message send (returns immediately after
                   the sender's per-message CPU overhead).
-``Recv``          blocking selective receive -> :class:`Message`.
+``Recv``          blocking selective receive -> :class:`Message`; with
+                  ``timeout``, -> ``None`` once it expires first.
 ``Poll``          non-blocking receive -> :class:`Message` or ``None``.
 ``Sleep``         advance virtual time without consuming CPU.
 ``Now``           -> current virtual time (float).
@@ -57,11 +58,15 @@ class Recv:
     """Block until a message matching ``(src, tag)`` is available.
 
     ``None`` matches anything.  Costs the receiver ``NetworkSpec.recv_cpu``
-    seconds of CPU once a match is found.
+    seconds of CPU once a match is found.  With ``timeout`` set, a task
+    still waiting ``timeout`` seconds later resumes with ``None`` instead,
+    at no CPU cost; ``timeout=0`` acts as :class:`Poll` on an empty
+    mailbox.
     """
 
     src: int | None = None
     tag: str | None = None
+    timeout: float | None = None
 
 
 @dataclass(slots=True)

@@ -7,13 +7,14 @@ from repro.apps import build_matmul, build_sor
 from repro.config import ClusterSpec, ProcessorSpec, RunConfig, TopologySpec
 from repro.errors import ConfigError
 from repro.faults import FaultPlan, SlaveCrash
+from repro.obs import Recorder
 from repro.scale import (
     build_tree,
     hier_can_recover,
     run_hierarchical,
     synthetic_bag,
 )
-from repro.sim import ConstantLoad
+from repro.sim import ConstantLoad, StepLoad
 
 
 def cfg(n_slaves, numerics=False, speed=2e5):
@@ -146,6 +147,35 @@ class TestRunHierarchical:
         )
         assert res.elapsed > 0
         assert res.deaths == 0
+
+
+class TestEventDrivenWaits:
+    def test_idle_leaves_answer_term_at_once(self):
+        # Every leaf is idle, blocked in its timed wait, when the root
+        # sends TERM.  Each must answer it at once rather than at its
+        # next report deadline, so the run ends a few messages after it.
+        # Leaf 0's load ends at 2 s, so that early work moves but no CPU
+        # is shared at TERM and answering costs only message CPU.
+        run_cfg = cfg(16)
+        recorder = Recorder()
+        res = run_hierarchical(
+            synthetic_bag(256, 5e4),
+            run_cfg,
+            {0: StepLoad([(0.0, 3), (2.0, 0)])},
+            fanout=4,
+            recorder=recorder,
+        )
+        assert res.moves >= 1
+        terms = [
+            ev
+            for ev in recorder.log.filter(category="net", name="msg")
+            if ev.meta["tag"] == "sc.term"
+        ]
+        assert len(terms) == 16 + 4
+        net = run_cfg.cluster.network
+        # The TERM fan-out, one result per leaf and a few wire hops.
+        bound = (len(terms) + 16) * (net.send_cpu + net.recv_cpu) + 4 * net.latency
+        assert res.elapsed - min(ev.t_start for ev in terms) <= bound
 
 
 class TestSubMasterCrash:

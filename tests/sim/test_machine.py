@@ -6,7 +6,7 @@ import pytest
 from repro.analysis.equivalence import SILENT_PLAN
 from repro.config import ClusterSpec, NetworkSpec, ProcessorSpec
 from repro.errors import DeadlockError, SimulationError
-from repro.faults import FaultInjector
+from repro.faults import FaultInjector, FaultPlan, SlaveStall
 from repro.sim import Cluster, Compute, Now, Poll, Recv, Send, Sleep
 from repro.sim.load import ConstantLoad
 
@@ -256,6 +256,84 @@ class TestMessaging:
             (0, "t", 2),
         ]
         assert len({id(m) for m in kept}) == 3
+
+
+class TestTimedRecv:
+    def test_expiry_resumes_with_none_at_deadline_without_cpu(self):
+        cl = make_cluster()
+        log = []
+
+        def task(ctx):
+            yield Sleep(0.25)
+            msg = yield Recv(tag="never", timeout=1.5)
+            log.append((msg, ctx.now))
+
+        cl.spawn(0, task)
+        cl.run()
+        assert log == [(None, 1.75)]
+        assert cl.processors[0].app_cpu_total == 0.0
+
+    @pytest.mark.parametrize("second_timeout", [None, 5.0])
+    def test_message_wins_and_its_stale_timeout_never_fires(self, second_timeout):
+        cl = make_cluster()
+        got = []
+
+        def sender(ctx):
+            yield Sleep(0.5)
+            yield Send(dst=1, tag="x", payload=1, nbytes=8)
+            yield Sleep(2.0)
+            yield Send(dst=1, tag="x", payload=2, nbytes=8)
+
+        def receiver(ctx):
+            msg = yield Recv(tag="x", timeout=1.0)
+            got.append((msg.payload, ctx.now))
+            # Blocked again when the first wait's timeout (t=1.0) fires:
+            # only the second message may wake the task.
+            msg = yield Recv(tag="x", timeout=second_timeout)
+            got.append((msg.payload, ctx.now))
+
+        cl.spawn(0, sender)
+        cl.spawn(1, receiver)
+        cl.run()
+        assert [payload for payload, _ in got] == [1, 2]
+        assert got[0][1] < 1.0
+        assert 2.5 < got[1][1] < 3.0
+
+    def test_zero_timeout_on_empty_mailbox_returns_none(self):
+        cl = make_cluster()
+        log = []
+
+        def task(ctx):
+            msg = yield Recv(tag="x", timeout=0)
+            log.append((msg, ctx.now))
+
+        cl.spawn(0, task)
+        cl.run()
+        assert log == [(None, 0.0)]
+
+    def test_negative_timeout_rejected(self):
+        cl = make_cluster()
+
+        def task(ctx):
+            yield Recv(tag="x", timeout=-0.1)
+
+        cl.spawn(0, task)
+        with pytest.raises(SimulationError, match="negative recv timeout"):
+            cl.run()
+
+    def test_stall_window_slides_the_expiry(self):
+        spec = make_cluster().spec
+        plan = FaultPlan(stalls=(SlaveStall(pid=0, duration=2.0, at=1.0),))
+        cl = Cluster(spec, None, None, FaultInjector(plan, master_pid=spec.master_pid))
+        log = []
+
+        def task(ctx):
+            msg = yield Recv(tag="never", timeout=1.5)
+            log.append((msg, ctx.now))
+
+        cl.spawn(0, task)
+        cl.run()
+        assert log == [(None, 3.0)]
 
 
 class TestErrors:

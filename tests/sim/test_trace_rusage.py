@@ -82,6 +82,18 @@ class TestRusageReport:
         with pytest.raises(KeyError):
             rep.usage_for(9)
 
+    def test_rows_round_trip_in_any_pid_order(self):
+        rows = [
+            TaskUsage(pid=5, elapsed=10.0, app_cpu=8.0, competing_cpu=2.0),
+            TaskUsage(pid=1, elapsed=10.0, app_cpu=9.0, competing_cpu=0.0),
+        ]
+        rep = RusageReport(usages=rows, t_end=10.0)
+        assert rep.usages == tuple(rows)
+        assert rep.usage_for(1) == rows[1]
+        assert rep.usage_for(5) == rows[0]
+        with pytest.raises(KeyError):
+            rep.usage_for(0)
+
     def test_efficiency_formula(self):
         rep = self._report()
         # available = (10-2) + (10-0) = 18; seq = 9 -> eff = 0.5
