@@ -86,9 +86,8 @@ def standard_sweep(planes: tuple[str, ...] | None = None) -> list[Model]:
         )
     if "steal" in wanted:
         models.append(build_steal(StealConfig()))
-        models.append(
-            build_steal(StealConfig(crashable=("w0", "w1")))
-        )
+        models.append(build_steal(StealConfig(crashable=("w1",))))
+        models.append(build_steal(StealConfig(units=4, crashable=("w0",))))
     if "rb" in wanted:
         models.append(build_rb(RbConfig()))
         models.append(build_rb(RbConfig(crashable=("w1",))))
@@ -156,6 +155,10 @@ def mutation_sweep() -> list[tuple[Model, tuple[str, ...]]]:
         (build_steal(StealConfig(), "lose_stolen_units"), ("RA701",)),
         (build_steal(StealConfig(), "double_serve"), ("RA702",)),
         (build_steal(StealConfig(), "ignore_late_work"), ("RA701",)),
+        (
+            build_steal(StealConfig(crashable=("w0",)), "no_reissue"),
+            ("RA601", "RA602"),
+        ),
         (
             build_rb(RbConfig(crashable=("w1",)), "no_reissue"),
             ("RA601", "RA602"),

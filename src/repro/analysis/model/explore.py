@@ -283,7 +283,15 @@ def _liveness_violations(search: _Search) -> list[Violation]:
     if not doomed:
         return []
     # Report the closest doomed state; all deeper ones share the cause.
-    target = min(doomed, key=lambda sid: len(_shortest_trace(search, sid)))
+    depth = {0: 0}
+    frontier = deque([0])
+    while frontier:
+        sid = frontier.popleft()
+        for _, tid in search.edges.get(sid, []):
+            if tid not in depth:
+                depth[tid] = depth[sid] + 1
+                frontier.append(tid)
+    target = min(doomed, key=depth.__getitem__)
     trace = _shortest_trace(search, target)
     return [
         Violation(

@@ -162,6 +162,11 @@ class AdaptiveKernels(AppKernels):
             "steps": local["steps"][units].copy(),
         }
 
+    # Packing copies cells and leaves ``local`` intact, so reading units
+    # needs no deep copy of the whole state (work stealing reads every
+    # finished unit).
+    extract_units = pack_units
+
     def unpack_units(
         self, local: dict, units: np.ndarray, payload: dict, ctx: dict
     ) -> None:

@@ -152,6 +152,11 @@ class MatmulKernels(AppKernels):
     def pack_units(self, local: dict, units: np.ndarray, ctx: dict) -> dict:
         return {"A": local["A"][units].copy(), "C": local["C"][units].copy()}
 
+    # Packing copies rows and leaves ``local`` intact, so reading units
+    # needs no deep copy of the whole state (work stealing reads every
+    # finished unit).
+    extract_units = pack_units
+
     def unpack_units(
         self, local: dict, units: np.ndarray, payload: dict, ctx: dict
     ) -> None:

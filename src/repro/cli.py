@@ -42,6 +42,7 @@ from .config import (
     ProcessorSpec,
     RunConfig,
 )
+from .errors import ConfigError, SimulationError
 from .faults import NAMED_PLANS, FaultPlan, load_plan
 from .obs import Recorder, RunReport
 from .runtime import run_application
@@ -128,9 +129,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     plan = _build_plan(args.app, args.n, args.slaves)
     run_cfg = _run_cfg_from_args(args)
     loads = _loads_from_args(args)
-    faults = _faults_from_args(args, plan, run_cfg, loads)
+    try:
+        faults = _faults_from_args(args, plan, run_cfg, loads)
+    except ConfigError as exc:
+        print(f"run: {exc}")
+        return 2
     if run_cfg.strategy != "centralized":
-        from .errors import ConfigError, SimulationError
         from .strategies import run_strategy
 
         try:
@@ -149,13 +153,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
             f"messages: {out.message_count}  "
             f"bytes: {out.bytes_sent / 1e6:.2f} MB"
         )
-        if faults is not None or out.deaths or out.lost_units:
-            print(
-                f"faults[{faults.name or 'custom' if faults else 'none'}]: "
-                f"deaths={out.deaths}  lost_units={out.lost_units}  "
-                f"dead={list(out.dead_pids)}"
-            )
-        return 1 if out.lost_units else 0
+        if faults is not None:
+            print(f"faults[{faults.name or 'custom'}]: dead={list(out.dead_pids)}")
+        return 0
     res = run_application(
         plan, run_cfg, loads=loads, seed=args.seed, faults=faults
     )
@@ -191,7 +191,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     plan = _build_plan(args.app, args.n, args.slaves)
     run_cfg = _run_cfg_from_args(args)
     loads = _loads_from_args(args)
-    faults = _faults_from_args(args, plan, run_cfg, loads)
+    try:
+        faults = _faults_from_args(args, plan, run_cfg, loads)
+    except ConfigError as exc:
+        print(f"trace: {exc}")
+        return 2
     recorder = Recorder()
     res = run_application(
         plan,
@@ -501,14 +505,11 @@ def _cmd_chaos_strategy(args: argparse.Namespace) -> int:
     For each PARALLEL_MAP application: a fault-free baseline under the
     strategy, then one cell per targeted worker crash (an early worker
     at 25% and the last worker at 60% of the fault-free horizon).  Every
-    cell must terminate and land on the plane's documented contract:
-    ``recovered`` (all units complete, result numerically matching the
-    baseline — rDLB reissues the dead worker's chunk) or
-    ``lost-expected`` (work stealing's explicit loss report for the dead
-    worker's un-gathered units).  A hang, silent divergence, or
-    implausible loss accounting fails the cell.  PIPELINE /
-    REDUCTION_FRONT apps are skipped — the strategy planes are
-    PARALLEL_MAP-only.
+    cell must terminate ``recovered``: all units complete and the result
+    numerically matches the baseline, because both planes reissue work
+    nobody has reported done.  A hang or silent divergence fails the
+    cell.  PIPELINE / REDUCTION_FRONT apps are skipped — the strategy
+    planes are PARALLEL_MAP-only.
     """
     import json
 
@@ -566,9 +567,7 @@ def _cmd_chaos_strategy(args: argparse.Namespace) -> int:
             detail = f"  ({cell['detail']})" if "detail" in cell else ""
             print(
                 f"chaos {cell['app']:>8} x {cell['plan']:<20} {cell['outcome']}"
-                f"  [pid={cell['crash_pid']}"
-                f" deaths={cell.get('deaths', '?')}"
-                f" lost={cell.get('lost_units', '?')}]"
+                f"  [pid={cell['crash_pid']} dead={cell.get('dead_pids', '?')}]"
                 f"{detail}"
             )
     ok = failed == 0
@@ -809,8 +808,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             help=(
                 "DLB control plane: 'centralized' is the paper's runtime; "
                 "the rest are the repro.strategies registry "
-                "(PARALLEL_MAP apps only; exit code 1 if units were lost "
-                "or the run could not finish)"
+                "(PARALLEL_MAP apps only; exit code 1 if the run could "
+                "not finish)"
             ),
         )
         p.add_argument(

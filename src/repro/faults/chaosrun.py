@@ -210,13 +210,12 @@ def chaos_strategy_cells(
 
     Crashes one worker mid-run under ``strategy`` (``stealing`` or
     ``rdlb``) and checks the contract those planes promise: the run
-    terminates (never hangs) and the outcome is either full recovery
-    (all units complete, result numerically equal to the fault-free
-    baseline — rDLB reissues the dead worker's chunk to an idle worker
-    once its queue is dry) or an explicit loss report (work stealing
-    declares the worker dead and gives up its un-gathered units as
-    ``lost_units``, with the survivors' partial result intact).  Silent
-    divergence or a hang is a failure.
+    terminates (never hangs) and recovers fully, with a result
+    numerically equal to the fault-free baseline — neither plane judges
+    a worker dead; both reissue work nobody has reported done (rDLB's
+    master once its queue is dry, the stealing coordinator to a worker
+    whose steal round found nothing).  A crash that lands after the run,
+    silent divergence or a hang is a failure.
 
     Returns ``{"app", "strategy", "skipped", "cells"}`` with the same
     shape as :func:`chaos_hier_cells`.
@@ -231,8 +230,6 @@ def chaos_strategy_cells(
         return {"app": app, "strategy": strategy, "skipped": plan.shape.name, "cells": []}
     cfg = RunConfig(cluster=ClusterSpec(n_slaves=slaves))
     base = run_strategy(strategy, plan, cfg, seed=seed)
-    lo, hi = plan.unit_space()
-    total = hi - lo
     # Worker pids are 0..slaves-1 in the strategy planes (the master /
     # coordinator sits at pid == slaves and cannot be faulted).
     targets = [
@@ -259,27 +256,16 @@ def chaos_strategy_cells(
             cells.append(cell)
             continue
         close = _results_close(res.result, base.result)
-        cell["deaths"] = res.deaths
         cell["dead_pids"] = list(res.dead_pids)
-        cell["lost_units"] = res.lost_units
         cell["elapsed"] = res.elapsed
         cell["result_matches_baseline"] = close
         if not res.dead_pids:
             cell["outcome"] = "FAILED"
             cell["detail"] = "crash did not land before the run finished"
-        elif res.lost_units == 0 and close:
+        elif close:
             cell["outcome"] = "recovered"
-        elif 0 < res.lost_units < total:
-            cell["outcome"] = "lost-expected"
-            cell["detail"] = (
-                f"{res.lost_units}/{total} units lost with the dead worker"
-            )
         else:
             cell["outcome"] = "FAILED"
-            cell["detail"] = (
-                "results diverged from fault-free baseline"
-                if res.lost_units == 0
-                else f"implausible loss: {res.lost_units}/{total} units"
-            )
+            cell["detail"] = "results diverged from fault-free baseline"
         cells.append(cell)
     return {"app": app, "strategy": strategy, "skipped": None, "cells": cells}

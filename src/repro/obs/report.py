@@ -304,18 +304,18 @@ class RunReport:
             lines.append(
                 "  strategies: steals={steal_attempts:.0f}  "
                 "hits={steal_hits:.0f}  units_stolen={steal_units:.0f}  "
+                "reissues={steal_reissues:.0f}  "
                 "reassigns={robust_reassigns:.0f}  "
-                "duplicates={robust_duplicates:.0f}  "
-                "lost={lost_units:.0f}".format(
+                "duplicates={robust_duplicates:.0f}".format(
                     **{
                         k: self.strategies.get(k, 0.0)
                         for k in (
                             "steal_attempts",
                             "steal_hits",
                             "steal_units",
+                            "steal_reissues",
                             "robust_reassigns",
                             "robust_duplicates",
-                            "lost_units",
                         )
                     }
                 )
@@ -464,10 +464,9 @@ def build_run_report(result: RunResultLike, recorder: Recorder) -> RunReport:
         "steal_denies": metrics.counter_value("steal.denies"),
         "steal_aborts": metrics.counter_value("steal.aborts"),
         "steal_units": metrics.counter_value("steal.units"),
-        "steal_deaths": metrics.counter_value("steal.deaths"),
+        "steal_reissues": metrics.counter_value("steal.reissues"),
         "robust_reassigns": metrics.counter_value("robust.reassigns"),
         "robust_duplicates": metrics.counter_value("robust.duplicates"),
-        "lost_units": metrics.counter_value("steal.lost_units"),
     }
 
     ckpt: dict[str, float] = {

@@ -53,11 +53,7 @@ def all_reps(
 
 @dataclass(kw_only=True)
 class MapResult:
-    """Outcome and metrics every PARALLEL_MAP plane reports.
-
-    ``deaths`` and ``lost_units`` stay 0 on planes that never declare a
-    worker dead or give up its units.
-    """
+    """Outcome and metrics every PARALLEL_MAP plane reports."""
 
     name: str
     n_slaves: int
@@ -66,8 +62,6 @@ class MapResult:
     rusage: RusageReport
     message_count: int
     bytes_sent: int
-    deaths: int = 0
-    lost_units: int = 0
     result: Any = None
     dead_pids: tuple[int, ...] = ()
     recorder: Recorder | None = None

@@ -241,6 +241,7 @@ class HierarchyResult(MapResult):
     """Outcome and metrics of one hierarchical run (``deaths`` counts
     sub-masters declared dead)."""
 
+    deaths: int
     n_internal: int
     levels: int
     fanout: int | None

@@ -11,7 +11,8 @@ alternatives:
 - ``hier`` — the same protocol over a sub-master tree;
 - ``diffusion`` — decentralised neighbour exchange;
 - ``stealing`` — decentralised work stealing (steal-half, randomized
-  victim selection, steal/deny/abort with termination detection);
+  victim selection, steal/deny/abort; a coordinator ledger reissues
+  unreported units to idle workers);
 - ``rdlb`` — robust self-scheduling (central chunk queue that reissues
   outstanding chunks once it runs dry, no rate filtering);
 - ``fsc`` / ``gss`` / ``factoring`` / ``trapezoid`` — the classic

@@ -16,9 +16,11 @@ __all__ = ["RobustTags", "StealTags"]
 class StealTags:
     """Tag constants for the decentralized work-stealing protocol.
 
-    Custody rule: units travel **worker to worker** (``WORK``); the
-    coordinator only counts progress and detects termination, so its
-    messages never carry work and a late coordinator cannot lose units.
+    Custody rule: units travel worker to worker (``WORK``), and the
+    coordinator's ledger holds every unit nobody has reported done.  The
+    coordinator hands out copies of ledger units, never the only copy,
+    so a late or lost coordinator message cannot lose a unit, and a unit
+    survives one holder crash.
 
     Response completeness: every ``STEAL`` a live victim receives is
     answered by exactly one ``WORK`` or ``DENY``.  A thief that stops
@@ -32,7 +34,8 @@ class StealTags:
     # victim's pending units.
     STEAL = "st.steal"
     # Victim -> thief: {"req", "units", "data"?} — the stolen units (and
-    # their packed state when numerics execute).
+    # their packed state when numerics execute).  Coordinator -> worker:
+    # {"units", "data"?} — copies of ledger units for an asking worker.
     WORK = "st.work"
     # Victim -> thief: {"req"} — nothing to spare (or the request was
     # aborted before it arrived).
@@ -40,14 +43,12 @@ class StealTags:
     # Thief -> victim: {"req"} — the thief timed out on this request;
     # if it has not been served yet, deny it instead of serving it.
     ABORT = "st.abort"
-    # Worker -> coordinator: periodic {"done" (cumulative), "remaining"}.
-    # Doubles as the heartbeat the coordinator's failure detector watches.
+    # Worker -> coordinator: {"units", "data"?, "ask"} — the units
+    # finished since the last report (and their state when numerics
+    # execute); ``ask`` is set when a steal round found nothing.
     REPORT = "st.report"
-    # Coordinator -> worker: computation complete (or declared lost);
-    # workers answer with RESULT.
+    # Coordinator -> worker: every unit is reported; stop.
     TERM = "st.term"
-    # Worker -> coordinator: final {"units", "data"?}.
-    RESULT = "st.result"
 
 
 class RobustTags:

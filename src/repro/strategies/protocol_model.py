@@ -1,46 +1,57 @@
 """Finite-state abstraction of the work-stealing control plane.
 
-Models the steal/deny/abort protocol of ``strategies/stealing.py`` for
-exhaustive verification (``repro check --model --model-plane steal``):
+Models the steal/deny/abort protocol and the coordinator ledger of
+``strategies/stealing.py`` for exhaustive verification (``repro check
+--model --model-plane steal``):
 
-- **Workers** compute their own units one at a time, reporting
-  ``(done, remaining)`` counts to the passive coordinator after every
-  unit.  An idle worker sends ``st.steal`` to a victim and waits; the
-  victim answers ``st.work`` (steal-half) or ``st.deny``.  A waiting
-  thief may nondeterministically time out — it sends ``st.abort`` and
-  resumes; the victim remembers aborted request ids so a late
-  (tag-selectively reordered) ``st.steal`` is denied rather than served
-  twice, while the thief accepts late ``st.work`` unconditionally
-  (stolen units must never be dropped).
-- **The coordinator** never touches units: it terminates the run
-  (``st.term`` broadcast, then gathers ``st.result``) once the reported
-  done counts cover every unit — or, after a crash, once every live
-  worker has reported itself idle (the time-free abstraction of the
-  runtime's post-death stall grace).
-- **Crashes.**  Workers named in ``crashable`` may crash at any
-  pre-termination point; an accurate-failure-detector oracle message
-  (pseudo-source ``fd``) informs the coordinator, exactly as in the FT
-  model.  Units owned by (or in flight to) a crashed worker are
-  lost-with-the-dead but never lose *custody* in the model, so the
-  conservation invariant stays exact: every unit is always held by
-  exactly one worker local or one in-flight ``st.work`` payload.
+- **Workers** compute their units one at a time and report each
+  finished unit to the coordinator (``st.report``).  ``w0`` starts with
+  every unit; the others start empty and steal.  An idle thief runs a
+  steal round: it asks each peer it does not suspect at most once, one
+  ``st.steal`` at a time, and the victim answers ``st.work``
+  (steal-half, from the tail of its queue) or ``st.deny``.  A waiting
+  thief may nondeterministically time out: it sends ``st.abort``,
+  suspects the victim until any message from it arrives, and moves on.
+  The victim remembers aborted request ids so a late (tag-selectively
+  reordered) ``st.steal`` is denied rather than served twice, while the
+  thief accepts late ``st.work`` unconditionally.  A round that finds
+  nothing asks the coordinator (a report with the ask flag) and waits
+  for ``st.work`` or ``st.term``.  ``w0`` never steals: one thief and
+  one victim exercise every race of a steal transaction, and letting
+  ``w0`` steal back only mirrors them at many times the state count.
+- **The coordinator** keeps a ledger of the units nobody has reported
+  done.  It answers an ask with copies of the least-copied, oldest
+  ledger units (half of them, at least one), and sends ``st.term`` to
+  every worker once every unit is reported.
+- **Crashes.**  Workers named in ``crashable`` may crash while they have
+  a step to take — a unit to compute, a steal to send or an ask to make.
+  Nobody is told: there is no failure detector.  A crash while waiting
+  is left out, as in the rDLB model: it looks the same to everyone else
+  as taking the awaited reply and crashing next, and a crash step that
+  is a waiting worker's only step would be forced by the explorer's
+  pure-local reduction.  Units held by a crashed worker keep it as their
+  custodian; the coordinator's copies are what recover them.
+- **Finished actors** take no more steps: messages still addressed to
+  them stay unread, as in the runtime, and do not block quiescence.
 
-The steal request counter is bounded by ``max_steals`` (a thief that
-exhausts its attempts parks until ``st.work`` or ``st.term`` arrives),
-keeping the state space finite; this under-approximates the runtime's
-unbounded retry loop but preserves every reordering race around a
-single steal transaction, which is where the protocol bugs live —
-selective receive lets the victim see the ``st.abort`` *before* the
-``st.steal`` it cancels, so the aborted-request dedup arm is reachable
-even at ``max_steals=1``.  (``max_steals=2`` multiplies the space
-roughly 60x — 225k states at the default size — and was verified clean
-during development; the sweep stays at 1 to keep ``repro check
---model`` fast.)
+The steal budget ``max_steals`` bounds each thief's ``st.steal`` sends
+(a thief out of budget goes straight to the ask), which keeps the state
+space finite while preserving every reordering race around a steal
+transaction — selective receive lets the victim see the ``st.abort``
+*before* the ``st.steal`` it cancels, so the aborted-request arm is
+reachable even at ``max_steals=1``.
+
+Invariants, while the coordinator runs: every unit nobody has reported
+has a custodian — a worker's queue (crashed workers included) or an
+in-flight ``st.work`` (``RA701``) — and no unit has more custodians
+than one plus the copies granted (``RA702``).  Once it stops, every
+unit has a reported result (``RA701``).
 
 ``MUTATIONS`` seeds protocol corruptions the checker must catch:
 dropping the termination broadcast (deadlock), forgetting stolen units
-on serve (loss), serving units twice (duplication), and a thief
-ignoring post-abort work (loss).
+on serve (loss), serving units twice (duplication), a thief ignoring
+post-abort work (loss), and a coordinator that never grants a copy
+(deadlock under a crash).
 """
 
 from __future__ import annotations
@@ -60,6 +71,7 @@ MUTATIONS: dict[str, str] = {
     "lose_stolen_units": "the victim forgets stolen units when serving",
     "double_serve": "the victim serves units it already gave away",
     "ignore_late_work": "a thief drops st.work arriving after its abort",
+    "no_reissue": "the coordinator never grants a copy",
 }
 
 
@@ -80,38 +92,34 @@ class WLocal(NamedTuple):
     """One worker's local state."""
 
     remaining: frozenset[int]
-    done: frozenset[int]
-    drained: frozenset[int]  # late st.work absorbed after termination
-    phase: str  # "run" | "wait" | "term" | "crashed"
+    phase: str  # "run" | "wait" | "ask" | "stopped" | "crashed"
+    asked: frozenset[str]  # peers asked in the current round
+    suspects: frozenset[str]  # peers that let a steal time out
     next_req: int
     outstanding: tuple[str, int] | None  # (victim, req) awaiting reply
-    steals_left: int
     aborted: frozenset[tuple[str, int]]  # victim side: aborted (thief, req)
+
+
+def _worker(remaining: frozenset[int], phase: str) -> WLocal:
+    """A worker's state with no steal round, suspicion or abort history
+    (a stopped worker's history is irrelevant and is dropped)."""
+    return WLocal(
+        remaining=remaining,
+        phase=phase,
+        asked=frozenset(),
+        suspects=frozenset(),
+        next_req=0,
+        outstanding=None,
+        aborted=frozenset(),
+    )
 
 
 class CLocal(NamedTuple):
     """The coordinator's local state."""
 
-    done_of: tuple[tuple[str, int], ...]  # sorted worker -> done count
-    rem_of: tuple[tuple[str, int], ...]  # sorted worker -> remaining count
-    dead: frozenset[str]
-    termed: bool
-    results: frozenset[str]
-
-
-def _get(table: tuple[tuple[str, int], ...], name: str) -> int:
-    for key, value in table:
-        if key == name:
-            return value
-    return 0
-
-
-def _put(
-    table: tuple[tuple[str, int], ...], name: str, value: int
-) -> tuple[tuple[str, int], ...]:
-    out = dict(table)
-    out[name] = value
-    return tuple(sorted(out.items()))
+    reported: frozenset[int]  # units whose first result is in
+    copies: tuple[int, ...]  # copies granted, per unit
+    stopped: bool
 
 
 class StealWorker:
@@ -122,131 +130,106 @@ class StealWorker:
         self.cfg = cfg
         self.mutation = mutation
         self.crashable = name in cfg.crashable
+        # w0 never steals: it asks the coordinator once its queue drains.
+        self.peers: tuple[str, ...] = (
+            ()
+            if name == "w0"
+            else tuple(w for w in cfg.worker_names() if w != name)
+        )
 
     def init(self) -> Hashable:
-        units = (
-            frozenset(range(self.cfg.units))
-            if self.name == "w0"
-            else frozenset()
-        )
-        return WLocal(
-            remaining=units,
-            done=frozenset(),
-            drained=frozenset(),
-            phase="run",
-            next_req=0,
-            outstanding=None,
-            steals_left=self.cfg.max_steals,
-            aborted=frozenset(),
-        )
+        units = range(self.cfg.units if self.name == "w0" else 0)
+        return _worker(frozenset(units), "run")
 
-    def _report(self, s: WLocal) -> Msg:
-        return Msg(
-            self.name,
-            COORD,
-            "st.report",
-            (len(s.done), len(s.remaining)),
-        )
+    def _report(self, units: frozenset[int], ask: bool) -> Msg:
+        return Msg(self.name, COORD, "st.report", (tuple(sorted(units)), ask))
 
-    def steps(
-        self, local: Hashable, pending: tuple[Msg, ...]
-    ) -> Iterable[Step]:
-        s = local
-        assert isinstance(s, WLocal)
-        if s.phase == "crashed":
-            return
-
-        # -- intake: st.work ------------------------------------------------
+    def _intake(self, s: WLocal, pending: tuple[Msg, ...]) -> Iterable[Step]:
+        """Message steps of a live worker: thief, victim and stop arms.
+        Any message from a peer lifts its suspicion."""
         for msg in selective(pending, lambda m: m.tag == "st.work"):
             payload = msg.payload
             assert isinstance(payload, tuple)
-            units = frozenset(int(u) for u in payload)
-            if self.mutation == "ignore_late_work" and s.outstanding is None:
+            units, req = frozenset(payload[0]), payload[1]
+            heard = s.suspects - {msg.src}
+            late = s.outstanding != (msg.src, req)
+            if self.mutation == "ignore_late_work" and late and msg.src != COORD:
                 # BUG: the thief already aborted, so it throws the
                 # stolen units away instead of accepting them.
                 yield Step(
                     actor=self.name,
                     label=f"work({sorted(units)}: ignored after abort)",
-                    next_state=s,
+                    next_state=s._replace(suspects=heard),
                     consumed=msg,
                 )
                 continue
-            if s.phase == "term":
-                # Post-termination arrival (only reachable after a
-                # crash-triggered give-up): the units' results are lost
-                # with the run, but custody is still accounted.
-                yield Step(
-                    actor=self.name,
-                    label=f"work({sorted(units)}: drained after term)",
-                    next_state=s._replace(drained=s.drained | units),
-                    consumed=msg,
-                )
-                continue
+            # Units arrived: any round in progress ends.
             yield Step(
                 actor=self.name,
-                label=f"work({sorted(units)})",
+                label=f"work({msg.src}: {sorted(units)})",
                 next_state=s._replace(
                     remaining=s.remaining | units,
-                    phase="run" if s.phase == "wait" else s.phase,
+                    phase="run",
+                    asked=frozenset(),
+                    suspects=heard,
                     outstanding=None,
                 ),
                 consumed=msg,
             )
 
-        # -- intake: st.deny ------------------------------------------------
         for msg in selective(pending, lambda m: m.tag == "st.deny"):
-            if s.phase == "wait" and s.outstanding is not None:
+            payload = msg.payload
+            assert isinstance(payload, tuple)
+            heard = s.suspects - {msg.src}
+            if s.phase == "wait" and s.outstanding == (msg.src, payload[0]):
                 yield Step(
                     actor=self.name,
-                    label="deny",
-                    next_state=s._replace(phase="run", outstanding=None),
+                    label=f"deny({msg.src})",
+                    next_state=s._replace(
+                        phase="run", suspects=heard, outstanding=None
+                    ),
                     consumed=msg,
                 )
             else:
                 yield Step(
                     actor=self.name,
-                    label="deny(stale: dropped)",
-                    next_state=s,
+                    label=f"deny({msg.src}: stale)",
+                    next_state=s._replace(suspects=heard),
                     consumed=msg,
                 )
 
-        # -- intake: st.steal (victim side) --------------------------------
         for msg in selective(pending, lambda m: m.tag == "st.steal"):
             payload = msg.payload
             assert isinstance(payload, tuple)
             thief, req = str(payload[0]), int(payload[1])
+            heard = s.suspects - {thief}
             k = len(s.remaining) // 2
-            if (
-                (thief, req) in s.aborted
-                or k < 1
-                or s.phase == "term"
-            ):
+            if (thief, req) in s.aborted or k < 1:
                 yield Step(
                     actor=self.name,
                     label=f"steal({thief}#{req}: deny)",
-                    next_state=s,
+                    next_state=s._replace(
+                        suspects=heard, aborted=s.aborted - {(thief, req)}
+                    ),
                     consumed=msg,
                     sends=(Msg(self.name, thief, "st.deny", (req,)),),
                 )
                 continue
-            booty = tuple(sorted(s.remaining)[:k])
+            booty = tuple(sorted(s.remaining)[-k:])
             kept = (
                 s.remaining
                 if self.mutation == "double_serve"
                 else s.remaining - frozenset(booty)
             )
-            sent = (
-                () if self.mutation == "lose_stolen_units" else booty
-            )
+            sent = () if self.mutation == "lose_stolen_units" else booty
             yield Step(
                 actor=self.name,
                 label=f"steal({thief}#{req}: serve {list(booty)})",
-                next_state=s._replace(remaining=kept),
+                next_state=s._replace(remaining=kept, suspects=heard),
                 consumed=msg,
-                sends=(Msg(self.name, thief, "st.work", sent),),
+                sends=(Msg(self.name, thief, "st.work", (sent, req)),),
             )
 
-        # -- intake: st.abort (victim side) --------------------------------
         for msg in selective(pending, lambda m: m.tag == "st.abort"):
             payload = msg.payload
             assert isinstance(payload, tuple)
@@ -255,97 +238,92 @@ class StealWorker:
                 actor=self.name,
                 label=f"abort({thief}#{req})",
                 next_state=s._replace(
-                    aborted=s.aborted | {(thief, req)}
+                    suspects=s.suspects - {thief},
+                    aborted=s.aborted | {(thief, req)},
                 ),
                 consumed=msg,
             )
 
-        # -- intake: st.term ------------------------------------------------
         for msg in selective(pending, lambda m: m.tag == "st.term"):
-            if s.phase != "term":
-                yield Step(
-                    actor=self.name,
-                    label="term",
-                    next_state=s._replace(phase="term", outstanding=None),
-                    consumed=msg,
-                    sends=(
-                        Msg(self.name, COORD, "st.result", (len(s.done),)),
-                    ),
-                )
-            else:
-                yield Step(
-                    actor=self.name,
-                    label="term(dup: dropped)",
-                    next_state=s,
-                    consumed=msg,
-                )
-
-        # -- internal: compute one unit ------------------------------------
-        if s.phase == "run" and s.remaining:
-            u = min(s.remaining)
-            nxt = s._replace(
-                remaining=s.remaining - {u}, done=s.done | {u}
+            yield Step(
+                actor=self.name,
+                label="term",
+                next_state=_worker(frozenset(), "stopped"),
+                consumed=msg,
             )
+
+    def steps(
+        self, local: Hashable, pending: tuple[Msg, ...]
+    ) -> Iterable[Step]:
+        s = local
+        assert isinstance(s, WLocal)
+        if s.phase in ("stopped", "crashed"):
+            return  # late messages stay unread, as in the runtime
+
+        yield from self._intake(s, pending)
+
+        acting = s.phase == "run"
+        if acting and s.remaining:
+            u = min(s.remaining)
             yield Step(
                 actor=self.name,
                 label=f"compute(u{u})",
-                next_state=nxt,
-                sends=(self._report(nxt),),
+                next_state=s._replace(remaining=s.remaining - {u}),
+                sends=(self._report(frozenset({u}), False),),
             )
-
-        # -- internal: start a steal ---------------------------------------
-        if (
-            s.phase == "run"
-            and not s.remaining
-            and s.steals_left > 0
-            and self.cfg.n_workers > 1
-        ):
-            for victim in self.cfg.worker_names():
-                if victim == self.name:
-                    continue
+        elif acting:
+            victims = [
+                v
+                for v in self.peers
+                if v not in s.asked and v not in s.suspects
+            ]
+            if s.next_req < self.cfg.max_steals and victims:
+                for victim in victims:
+                    req = s.next_req
+                    yield Step(
+                        actor=self.name,
+                        label=f"steal->{victim}#{req}",
+                        next_state=s._replace(
+                            phase="wait",
+                            asked=s.asked | {victim},
+                            next_req=req + 1,
+                            outstanding=(victim, req),
+                        ),
+                        sends=(
+                            Msg(self.name, victim, "st.steal", (self.name, req)),
+                        ),
+                    )
+            else:
                 yield Step(
                     actor=self.name,
-                    label=f"steal->{victim}#{s.next_req}",
-                    next_state=s._replace(
-                        phase="wait",
-                        outstanding=(victim, s.next_req),
-                        next_req=s.next_req + 1,
-                        steals_left=s.steals_left - 1,
-                    ),
-                    sends=(
-                        Msg(
-                            self.name,
-                            victim,
-                            "st.steal",
-                            (self.name, s.next_req),
-                        ),
-                    ),
+                    label="ask",
+                    next_state=s._replace(phase="ask", asked=frozenset()),
+                    sends=(self._report(frozenset(), True),),
                 )
 
-        # -- internal: steal timeout ---------------------------------------
         if s.phase == "wait" and s.outstanding is not None:
             victim, req = s.outstanding
             yield Step(
                 actor=self.name,
                 label=f"timeout({victim}#{req})",
-                next_state=s._replace(phase="run", outstanding=None),
-                sends=(
-                    Msg(self.name, victim, "st.abort", (self.name, req)),
+                next_state=s._replace(
+                    phase="run",
+                    suspects=s.suspects | {victim},
+                    outstanding=None,
                 ),
+                sends=(Msg(self.name, victim, "st.abort", (self.name, req)),),
             )
 
-        # -- internal: crash -----------------------------------------------
-        if self.crashable and s.phase != "term":
+        if self.crashable and acting:
             yield Step(
                 actor=self.name,
                 label="crash",
                 next_state=s._replace(phase="crashed", outstanding=None),
-                sends=(Msg("fd", COORD, "st.crash", (self.name,)),),
             )
 
 
 class StealCoordinator:
-    """The passive termination coordinator."""
+    """The ledger coordinator."""
 
     name = COORD
 
@@ -354,18 +332,8 @@ class StealCoordinator:
         self.mutation = mutation
 
     def init(self) -> Hashable:
-        zero = tuple(sorted((w, 0) for w in self.cfg.worker_names()))
         return CLocal(
-            done_of=zero,
-            rem_of=tuple(
-                sorted(
-                    (w, self.cfg.units if w == "w0" else 0)
-                    for w in self.cfg.worker_names()
-                )
-            ),
-            dead=frozenset(),
-            termed=False,
-            results=frozenset(),
+            reported=frozenset(), copies=(0,) * self.cfg.units, stopped=False
         )
 
     def steps(
@@ -373,103 +341,107 @@ class StealCoordinator:
     ) -> Iterable[Step]:
         s = local
         assert isinstance(s, CLocal)
-
+        if s.stopped:
+            return  # late reports stay unread, as in the runtime
+        every = frozenset(range(self.cfg.units))
         for msg in selective(pending, lambda m: m.tag == "st.report"):
             payload = msg.payload
             assert isinstance(payload, tuple)
-            done, rem = int(payload[0]), int(payload[1])
-            yield Step(
-                actor=self.name,
-                label=f"report({msg.src}: {done}/{rem})",
-                next_state=s._replace(
-                    done_of=_put(
-                        s.done_of,
-                        msg.src,
-                        max(_get(s.done_of, msg.src), done),
-                    ),
-                    rem_of=_put(s.rem_of, msg.src, rem),
-                ),
-                consumed=msg,
-            )
-
-        for msg in selective(pending, lambda m: m.tag == "st.crash"):
-            payload = msg.payload
-            assert isinstance(payload, tuple)
-            victim = str(payload[0])
-            yield Step(
-                actor=self.name,
-                label=f"crash({victim})",
-                next_state=s._replace(dead=s.dead | {victim}),
-                consumed=msg,
-            )
-
-        for msg in selective(pending, lambda m: m.tag == "st.result"):
-            yield Step(
-                actor=self.name,
-                label=f"result({msg.src})",
-                next_state=s._replace(results=s.results | {msg.src}),
-                consumed=msg,
-            )
-
-        if not s.termed and self.mutation != "drop_term":
-            done_total = sum(v for _, v in s.done_of)
-            live_idle = all(
-                v == 0
-                for w, v in s.rem_of
-                if w not in s.dead
-            )
-            if done_total >= self.cfg.units or (s.dead and live_idle):
+            units, ask = payload
+            nxt = s._replace(reported=s.reported | frozenset(units))
+            label = f"report({msg.src}, {list(units)}" + (", ask)" if ask else ")")
+            if nxt.reported == every:
+                terms = tuple(
+                    Msg(self.name, w, "st.term", ())
+                    for w in self.cfg.worker_names()
+                )
                 yield Step(
                     actor=self.name,
-                    label="term-broadcast",
-                    next_state=s._replace(termed=True),
-                    sends=tuple(
-                        Msg(self.name, w, "st.term", ())
-                        for w in self.cfg.worker_names()
-                    ),
+                    label=f"{label}: stop all",
+                    next_state=CLocal(every, (0,) * self.cfg.units, True),
+                    consumed=msg,
+                    sends=() if self.mutation == "drop_term" else terms,
                 )
+                continue
+            if not ask or self.mutation == "no_reissue":
+                yield Step(
+                    actor=self.name,
+                    label=label,
+                    next_state=nxt,
+                    consumed=msg,
+                )
+                continue
+            ledger = sorted(every - nxt.reported)
+            least = min(nxt.copies[u] for u in ledger)
+            spare = [u for u in ledger if nxt.copies[u] == least]
+            units = tuple(spare[: max(1, len(spare) // 2)])
+            copies = tuple(
+                c + (u in units) for u, c in enumerate(nxt.copies)
+            )
+            yield Step(
+                actor=self.name,
+                label=f"{label}: copy {list(units)}",
+                next_state=nxt._replace(copies=copies),
+                consumed=msg,
+                sends=(Msg(self.name, msg.src, "st.work", (units, None)),),
+            )
 
 
-def unit_conservation(cfg: StealConfig) -> Invariant:
-    """Every unit has exactly one custodian at all times.
+def custody(cfg: StealConfig) -> Invariant:
+    """Every unreported unit has a custodian; none has more than one
+    plus its copies; the coordinator stops only with every result in.
 
-    Custodians: any worker's ``remaining``/``done``/``drained`` set
-    (crashed workers included — units die *with* them, they do not
-    vanish), or an in-flight ``st.work`` payload on any channel
-    (including channels to a crashed thief: the message is ghost data
-    but it is where the units are).
+    Custodians: any worker's queue (crashed workers included — units die
+    *with* them, they do not vanish) or an in-flight ``st.work`` payload
+    (including one to a crashed thief).  A unit in flight in a report,
+    or already reported, needs no custodian.
     """
 
     def check(
         locals_: Mapping[str, Hashable],
         channels: Mapping[tuple[str, str], tuple[Msg, ...]],
     ) -> tuple[str, str] | None:
+        coord = locals_[COORD]
+        assert isinstance(coord, CLocal)
+        if coord.stopped:
+            # Once it stops only completeness matters: what workers
+            # still hold no longer does.
+            missing = sorted(set(range(cfg.units)) - coord.reported)
+            if missing:
+                return (
+                    "RA701",
+                    f"unit(s) {missing} have no result when the "
+                    f"coordinator stops (lost by stealing)",
+                )
+            return None
+        done = set(coord.reported)
         counts = {u: 0 for u in range(cfg.units)}
-        for _name, local in locals_.items():
-            if not isinstance(local, WLocal):
-                continue
-            for u in local.remaining | local.done | local.drained:
-                counts[u] = counts.get(u, 0) + 1
-        for _key, msgs in channels.items():
+        for local in locals_.values():
+            if isinstance(local, WLocal):
+                for u in local.remaining:
+                    counts[u] += 1
+        for msgs in channels.values():
             for msg in msgs:
-                if msg.tag != "st.work":
-                    continue
                 payload = msg.payload
                 assert isinstance(payload, tuple)
-                for u in payload:
-                    counts[int(u)] = counts.get(int(u), 0) + 1
-        dup = sorted(u for u, c in counts.items() if c > 1)
+                if msg.tag == "st.work":
+                    for u in payload[0]:
+                        counts[int(u)] += 1
+                elif msg.tag == "st.report":
+                    done.update(payload[0])
+        dup = sorted(u for u, c in counts.items() if c > 1 + coord.copies[u])
         if dup:
             return (
                 "RA702",
-                f"unit(s) {dup} have more than one custodian "
-                f"(duplicated by stealing)",
+                f"unit(s) {dup} have more custodians than one plus their "
+                f"copies (duplicated by stealing)",
             )
-        lost = sorted(u for u, c in counts.items() if c == 0)
+        lost = sorted(u for u, c in counts.items() if c == 0 and u not in done)
         if lost:
             return (
                 "RA701",
-                f"unit(s) {lost} have no custodian (lost by stealing)",
+                f"unit(s) {lost} have no custodian and no reported result "
+                f"(lost by stealing)",
             )
         return None
 
@@ -487,22 +459,20 @@ def build_model(
     def terminal(locals_: Mapping[str, Hashable]) -> bool:
         coord = locals_[COORD]
         assert isinstance(coord, CLocal)
-        if not coord.termed:
-            return False
-        for name, local in locals_.items():
-            if not isinstance(local, WLocal):
-                continue
-            if local.phase == "crashed":
-                continue
-            if local.phase != "term" or name not in coord.results:
-                return False
-        return True
+        return coord.stopped and all(
+            local.phase in ("stopped", "crashed")
+            for local in locals_.values()
+            if isinstance(local, WLocal)
+        )
 
     def dead_of(locals_: Mapping[str, Hashable]) -> frozenset[str]:
+        # Crashed and finished tasks: what is still addressed to them is
+        # never read, and does not block quiescence.
         return frozenset(
             name
             for name, local in locals_.items()
-            if isinstance(local, WLocal) and local.phase == "crashed"
+            if (isinstance(local, WLocal) and local.phase in ("stopped", "crashed"))
+            or (isinstance(local, CLocal) and local.stopped)
         )
 
     workers = [
@@ -517,13 +487,13 @@ def build_model(
         name=tag,
         plane="steal",
         actors=[*workers, StealCoordinator(cfg, mutation)],
-        invariants=[unit_conservation(cfg)],
+        invariants=[custody(cfg)],
         terminal=terminal,
         dead_of=dead_of,
         notes=(
-            "steal/deny/abort with tag-selective reordering; bounded "
-            f"steal attempts ({cfg.max_steals}); accurate-FD crash "
-            "oracle; coordinator termination by report counts with "
-            "post-death idle give-up"
+            "steal/deny/abort rounds with tag-selective reordering; "
+            f"bounded steal attempts ({cfg.max_steals}); a coordinator "
+            "ledger that copies unreported units to askers; fail-stop "
+            "crashes with no failure detector"
         ),
     )

@@ -43,7 +43,8 @@ STRATEGIES: dict[str, str] = {
     "diffusion": "decentralized near-neighbour exchange",
     "stealing": (
         "decentralized work stealing: steal-half, randomized victims, "
-        "steal/deny/abort, coordinator-side termination detection"
+        "steal/deny/abort, a coordinator ledger that reissues unreported "
+        "units to idle workers"
     ),
     "rdlb": (
         "robust self-scheduling: central chunk queue that reissues "
@@ -79,8 +80,6 @@ class StrategyOutcome:
     sequential_time: float
     message_count: int
     bytes_sent: int
-    lost_units: int
-    deaths: int
     dead_pids: tuple[int, ...]
     result: Any
     raw: Any
@@ -90,12 +89,10 @@ class StrategyOutcome:
         return self.sequential_time / self.elapsed if self.elapsed > 0 else 0.0
 
     def summary(self) -> str:
-        lost = f" lost={self.lost_units}" if self.lost_units else ""
-        deaths = f" deaths={self.deaths}" if self.deaths else ""
         return (
             f"{self.name} [{self.strategy}]: P={self.n_slaves} "
             f"elapsed={self.elapsed:.2f}s speedup={self.speedup:.2f} "
-            f"msgs={self.message_count}{deaths}{lost}"
+            f"msgs={self.message_count}"
         )
 
 
@@ -108,8 +105,6 @@ def _wrap(strategy: str, res: MapResult) -> StrategyOutcome:
         sequential_time=res.sequential_time,
         message_count=res.message_count,
         bytes_sent=res.bytes_sent,
-        lost_units=res.lost_units,
-        deaths=res.deaths,
         dead_pids=res.dead_pids,
         result=res.result,
         raw=res,

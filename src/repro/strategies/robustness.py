@@ -228,14 +228,12 @@ def cell_perturbation(
     makespans: dict[str, float] = {}
     messages: dict[str, int] = {}
     degradation: dict[str, float] = {}
-    lost: dict[str, int] = {}
     t0 = time.perf_counter()
     for strategy in strategies:
         out = run_strategy(strategy, bag, cfg, dict(loads), seed=seed)
         makespans[strategy] = out.elapsed
         messages[strategy] = out.message_count
         degradation[strategy] = out.elapsed / oracle - 1.0
-        lost[strategy] = out.lost_units
     wall = time.perf_counter() - t0
     winner = min(makespans, key=lambda s: makespans[s])
     return {
@@ -250,7 +248,6 @@ def cell_perturbation(
             "makespans": makespans,
             "degradation": degradation,
             "messages": messages,
-            "lost_units": lost,
             "winner": winner,
         },
     }

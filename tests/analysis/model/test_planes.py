@@ -31,6 +31,7 @@ _SMALL_CLEAN = [
     build_hier(HierConfig()),
     build_steal(StealConfig()),
     build_steal(StealConfig(crashable=("w0",))),
+    build_steal(StealConfig(crashable=("w1",))),
     build_rb(RbConfig()),
     build_rb(RbConfig(crashable=("w1",))),
 ]

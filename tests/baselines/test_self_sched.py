@@ -37,7 +37,7 @@ class TestRuns:
         # its chunk reissued.
         plan = build_matmul(n=50)
         out = run(plan, self._cfg(numerics=True, speed=1e3))
-        assert out.deaths == 0 and out.raw.reassigns == 0
+        assert out.raw.completed_units == 50 and out.raw.reassigns == 0
         g = plan.kernels.make_global(np.random.default_rng(2))
         np.testing.assert_allclose(out.result, g["A"] @ g["B"], atol=1e-9)
 

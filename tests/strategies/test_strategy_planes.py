@@ -1,28 +1,32 @@
 """Strategy-layer contract tests.
 
 Every PARALLEL_MAP strategy must produce the exact sequential result,
-terminate under a crashed victim (work stealing's steal/deny/abort
-protocol must never hang), account custody honestly (``lost_units``),
-and reject plan shapes it cannot schedule.
+recover from a crashed worker where it promises to (work stealing and
+rDLB reissue unreported work; nothing is given up), and reject plan
+shapes it cannot schedule.
 """
 
 import dataclasses
+import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 
 from repro.apps import REGISTRY
-from repro.config import ClusterSpec, RunConfig
+from repro.compiler.plan import MovementSpec
+from repro.config import ClusterSpec, ProcessorSpec, RunConfig
 from repro.errors import ConfigError, SimulationError
 from repro.faults import FaultPlan, SlaveCrash
+from repro.obs import Recorder
 from repro.sim import ConstantLoad
-from repro.strategies import STRATEGIES, RdlbConfig, run_strategy
+from repro.strategies import STRATEGIES, RdlbConfig, StealingConfig, run_strategy
 from repro.strategies.robustness import (
     cell_perturbation,
     oracle_makespan,
     perturbation_loads,
 )
-from repro.scale.workload import synthetic_bag
+from repro.scale.workload import IrregularBag, synthetic_bag
 
 SEED = 7
 SLAVES = 4
@@ -52,7 +56,6 @@ class TestNumericsMatchSequential:
         plan = _plan("adaptive")
         cfg = RunConfig(cluster=ClusterSpec(n_slaves=SLAVES))
         out = run_strategy(strategy, plan, cfg, seed=SEED)
-        assert out.lost_units == 0 and out.deaths == 0
         assert _close(out.result, _truth(plan))
 
     @pytest.mark.parametrize(
@@ -67,9 +70,9 @@ class TestNumericsMatchSequential:
 
 class TestCrashTermination:
     def test_stealing_terminates_with_crashed_victim(self):
-        """Crash the initial owner of a shard mid-run: the run must end
-        (no hung Recv), report the death, and give up at most that
-        worker's un-gathered units."""
+        """Crash the initial owner of a shard mid-run: nobody judges it
+        dead, but the coordinator reissues every unit nobody reported,
+        so the run recovers all 32 units and the sequential result."""
         plan = _plan("adaptive")
         cfg = RunConfig(cluster=ClusterSpec(n_slaves=SLAVES))
         base = run_strategy("stealing", plan, cfg, seed=SEED)
@@ -78,10 +81,10 @@ class TestCrashTermination:
             crashes=(SlaveCrash(pid=0, at=0.3 * base.elapsed),),
         )
         out = run_strategy("stealing", plan, cfg, seed=SEED, faults=faults)
-        lo, hi = plan.unit_space()
         assert out.dead_pids == (0,)
-        assert out.deaths == 1
-        assert 0 <= out.lost_units < (hi - lo)
+        assert out.raw.completed_units == 32
+        assert out.raw.reissues >= 1
+        assert _close(out.result, _truth(plan))
 
     def test_rdlb_reassigns_dead_workers_chunks(self):
         plan = _plan("adaptive")
@@ -93,7 +96,7 @@ class TestCrashTermination:
         )
         out = run_strategy("rdlb", plan, cfg, seed=SEED, faults=faults)
         assert out.dead_pids == (1,)
-        assert out.lost_units == 0
+        assert out.raw.completed_units == 32
         assert _close(out.result, _truth(plan))
 
     @pytest.mark.parametrize("strategy", ["fsc", "gss", "factoring", "trapezoid"])
@@ -142,7 +145,6 @@ class TestLongChunks:
         loads = {0: ConstantLoad(k=1)} if loaded else None
         out = run_strategy(strategy, plan, cfg, loads, seed=SEED)
         assert out.raw.completed_units == 500
-        assert out.lost_units == 0 and out.deaths == 0
         if strategy != "rdlb":
             assert out.raw.reassigns == 0
         assert out.speedup <= SLAVES
@@ -164,6 +166,75 @@ class TestLongChunks:
         )
         with pytest.raises(SimulationError, match="rb.request"):
             run_strategy("rdlb", plan, cfg, seed=SEED, faults=faults)
+
+    def test_stealing_all_workers_crashed_raises_deadlock(self):
+        """Work stealing reissues as long as one worker lives; with
+        every worker dead the coordinator waits on reports forever."""
+        plan = REGISTRY["matmul"](n=64, n_slaves_hint=SLAVES)
+        cfg = RunConfig(
+            cluster=ClusterSpec(n_slaves=SLAVES), execute_numerics=False
+        )
+        base = run_strategy("stealing", plan, cfg, seed=SEED)
+        faults = FaultPlan(
+            name="all-crash",
+            crashes=tuple(
+                SlaveCrash(pid=p, at=0.3 * base.elapsed) for p in range(SLAVES)
+            ),
+        )
+        with pytest.raises(SimulationError, match="st.report"):
+            run_strategy("stealing", plan, cfg, seed=SEED, faults=faults)
+
+
+def _e2e_lognormal_bag(n_units: int, mean_ops: float) -> IrregularBag:
+    """The end-to-end benchmark's lognormal bag: unit costs at the
+    stratified quantiles of a lognormal (sigma 1.4), scaled to mean
+    ``mean_ops`` and shuffled; its largest unit runs 5.8 s at 1e6 ops/s."""
+    normal = NormalDist()
+    draws = [
+        math.exp(1.4 * normal.inv_cdf((i + 0.5) / n_units)) for i in range(n_units)
+    ]
+    costs = np.maximum(np.asarray(draws) * (mean_ops * n_units / sum(draws)), 1.0)
+    np.random.default_rng(n_units).shuffle(costs)
+    return IrregularBag(
+        name="lognormal",
+        costs=tuple(float(c) for c in costs),
+        movement=MovementSpec(restricted=False, unit_bytes=1024),
+    )
+
+
+class TestStealingLongUnits:
+    """A long unit is work in progress: its worker keeps serving thieves
+    while it computes, and nobody is declared dead for computing."""
+
+    def test_heavy_tailed_bag_completes_every_unit(self):
+        bag = _e2e_lognormal_bag(512, 2.0e5)
+        cfg = RunConfig(
+            cluster=ClusterSpec(n_slaves=32, processor=ProcessorSpec(speed=1.0e6)),
+            execute_numerics=False,
+        )
+        out = run_strategy("stealing", bag, cfg)
+        assert out.raw.completed_units == 512
+        assert out.dead_pids == ()
+
+    def test_victim_serves_steal_mid_unit(self):
+        # Worker 0's first unit runs 10 s, twenty report periods; worker
+        # 1 drains its four tiny units at once and steals from worker 0.
+        costs = (1.0e7,) + (1.0e6,) * 3 + (1.0e4,) * 4
+        bag = IrregularBag(
+            name="long-head",
+            costs=costs,
+            movement=MovementSpec(restricted=False, unit_bytes=1024),
+        )
+        cfg = RunConfig(
+            cluster=ClusterSpec(n_slaves=2, processor=ProcessorSpec(speed=1.0e6)),
+            execute_numerics=False,
+        )
+        recorder = Recorder()
+        out = run_strategy("stealing", bag, cfg, seed=SEED, recorder=recorder)
+        hits = recorder.log.filter(category="steal", name="hit")
+        assert hits and hits[0].pid == 1 and hits[0].meta["victim"] == 0
+        assert hits[0].t < 2 * StealingConfig().report_period
+        assert out.raw.completed_units == 8
 
 
 class TestRegistry:

@@ -83,7 +83,7 @@ def _all_crash_plan(tmp_path):
     return str(plan_path)
 
 
-def test_run_strategy_lost_units_exit_1(capsys, tmp_path):
+def test_run_strategy_stealing_all_crash_exit_1(capsys, tmp_path):
     rc = main(
         [
             "run", "matmul", "-n", "64", "--slaves", "2",
@@ -91,7 +91,22 @@ def test_run_strategy_lost_units_exit_1(capsys, tmp_path):
         ]
     )
     assert rc == 1
-    assert "lost_units=" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert out.startswith("run: ") and "st.report" in out
+
+
+def test_run_strategy_stealing_recovers_a_crash(capsys):
+    rc = main(["run", "particle", "--strategy", "stealing", "--faults", "one-crash"])
+    assert rc == 0
+    assert "faults[one-crash]: dead=[1]" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["run", "trace"])
+def test_bad_faults_value_exit_2(capsys, command):
+    rc = main([command, "matmul", "-n", "32", "--faults", "crash:3@40"])
+    assert rc == 2
+    out = capsys.readouterr().out
+    assert out.startswith(f"{command}: ") and "crash:3@40" in out
 
 
 def test_run_strategy_rdlb_all_crash_exit_1(capsys, tmp_path):
