@@ -136,6 +136,7 @@ def mutation_sweep() -> list[tuple[Model, tuple[str, ...]]]:
         (build_ft(FTConfig(), "drop_cancel"), ("RA601", "RA602")),
         (build_ft(FTConfig(), "sweep_contested"), ("RA702",)),
         (build_ft(FTConfig(), "forget_regrant"), ("RA701",)),
+        (build_ft(FTConfig(), "no_wake"), ("RA601", "RA602")),
         (build_ckpt(CkptConfig(), "skip_era_check"), ("RA703",)),
         (
             build_ckpt(CkptConfig(epochs=2), "commit_stale_deposit"),

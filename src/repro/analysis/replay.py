@@ -17,6 +17,12 @@ happens-before relation of the run:
 
 This is the dynamic dual of the communication checker: RA2xx says a
 message *should* exist, RA501 says no message *did* order two touches.
+
+A host that crashed (a ``fault``/``injected`` crash event) takes its
+unpublished writes with it: an access of its that ends after its last
+send was never seen by anyone, and whoever recovers those elements
+rebuilds them from elsewhere, so such accesses are left out of the
+replay.  Its published writes still count.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from ..obs import Event, EventLog, SpanEvent
+from ..obs import CounterEvent, Event, EventLog, SpanEvent
 from .diagnostics import Diagnostic
 
 __all__ = ["check_replay", "check_log_file"]
@@ -49,17 +55,46 @@ def _units_of(meta: Mapping[str, object]) -> list[int] | None:
     return out
 
 
+def _sender(ev: SpanEvent) -> int:
+    """The source of a ``net`` span (``ev.pid`` is its destination)."""
+    src = ev.meta.get("src")
+    return src if isinstance(src, int) and not isinstance(src, bool) else ev.pid
+
+
+def _crash_horizons(events: list[Event]) -> dict[int, float]:
+    """Each crashed pid's last send time (``-inf`` if it sent nothing):
+    its writes that end later were never published."""
+    horizon: dict[int, float] = {}
+    for ev in events:
+        if (
+            isinstance(ev, CounterEvent)
+            and ev.category == "fault"
+            and ev.name == "injected"
+        ):
+            kinds = ev.meta.get("kinds")
+            if isinstance(kinds, (list, tuple)) and "crash" in kinds:
+                horizon[ev.pid] = float("-inf")
+    for ev in events:
+        if isinstance(ev, SpanEvent) and ev.category == "net":
+            src = _sender(ev)
+            if src in horizon:
+                horizon[src] = max(horizon[src], ev.t_start)
+    return horizon
+
+
 def check_replay(events: Iterable[Event], subject: str = "log") -> list[Diagnostic]:
     """Replay an event stream; report unordered write pairs.
 
     ``events`` is any iterable of obs events (an :class:`EventLog`
-    works).  Only ``access`` spans (writes) and ``net`` spans (messages)
-    participate; everything else is ignored.
+    works).  Only ``access`` spans (writes), ``net`` spans (messages)
+    and crash events participate; everything else is ignored.
     """
     found: list[Diagnostic] = []
     timeline: list[tuple[float, int, int, SpanEvent]] = []
     n_access = 0
-    for seq, ev in enumerate(events):
+    log = list(events)
+    horizon = _crash_horizons(log)
+    for seq, ev in enumerate(log):
         if not isinstance(ev, SpanEvent):
             continue
         if ev.category == "access":
@@ -77,6 +112,8 @@ def check_replay(events: Iterable[Event], subject: str = "log") -> list[Diagnost
                     )
                 )
                 continue
+            if ev.t_end > horizon.get(ev.pid, float("inf")):
+                continue  # lost with its crashed host, never published
             timeline.append((ev.t_start, _ACCESS, seq, ev))
         elif ev.category == "net":
             # One entry at send time (snapshot) and one at arrival
@@ -116,8 +153,7 @@ def check_replay(events: Iterable[Event], subject: str = "log") -> list[Diagnost
         c[p] = max(c.get(p, float("-inf")), t)
 
     def snapshot_send(seq: int, ev: SpanEvent) -> dict[int, float]:
-        src = ev.meta.get("src")
-        sender = src if isinstance(src, int) and not isinstance(src, bool) else ev.pid
+        sender = _sender(ev)
         advance(sender, ev.t_start)
         snap = dict(clock(sender))
         snapshots[seq] = snap

@@ -55,12 +55,16 @@ class CheckpointCoordinator:
 
     # -- epoch lifecycle -------------------------------------------------
 
+    def due_at(self) -> float | None:
+        """When the next epoch falls due (``None`` while one is open)."""
+        if self.open is not None:
+            return None
+        return self.last_activity + self.cfg.interval
+
     def due(self, now: float) -> bool:
         """Is it time to initiate a new epoch?"""
-        return (
-            self.open is None
-            and now - self.last_activity >= self.cfg.interval
-        )
+        due = self.due_at()
+        return due is not None and now >= due
 
     def open_epoch(
         self,

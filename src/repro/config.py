@@ -281,13 +281,14 @@ class GrainConfig:
 class FaultToleranceConfig:
     """Failure-tolerant runtime parameters (see docs/fault-tolerance.md).
 
-    Disabled by default.  The flag only decides how the runtime waits:
-    without it every master and slave wait is a blocking receive (the
-    paper's runtime, so fault-free runs make no extra syscalls); with it
-    each wait polls and serves recovery between empty polls.
+    Disabled by default.  Every master and slave wait is a receive
+    either way; the flag only gives each wait a deadline.  A slave's wait
+    expires at its next heartbeat and serves recovery controls; the
+    master's at its earliest recovery deadline (a control retry, a
+    silent slave's suspicion or death, the next checkpoint epoch).
 
     Attributes:
-        enabled: turn on polling waits, heartbeats, suspicion/death
+        enabled: turn on timed waits, heartbeats, suspicion/death
             detection, control retries, and work reassignment.
         heartbeat_interval: a slave that has not sent the master anything
             (status report, ack) for this long sends an explicit
@@ -302,11 +303,6 @@ class FaultToleranceConfig:
         ctrl_backoff: exponential backoff factor between control retries.
         ctrl_max_retries: control retries before the target is given up
             on (:class:`~repro.errors.SlaveLostError` if it is not dead).
-        master_tick: master poll-loop sleep between empty polls.
-        wait_tick: *maximum* slave poll-loop sleep inside failure-
-            tolerant waits; the loops start at ``wait_tick / 16`` and
-            back off exponentially, so this bounds the wake-up latency
-            (and the per-pipeline-hop overshoot) once a wait is long.
     """
 
     enabled: bool = False
@@ -316,8 +312,6 @@ class FaultToleranceConfig:
     ctrl_rto: float = 0.5
     ctrl_backoff: float = 2.0
     ctrl_max_retries: int = 6
-    master_tick: float = 0.05
-    wait_tick: float = 0.005
 
     def __post_init__(self) -> None:
         if self.heartbeat_interval <= 0:
@@ -331,8 +325,6 @@ class FaultToleranceConfig:
             raise ConfigError("ctrl_rto must be > 0 and ctrl_backoff >= 1")
         if self.ctrl_max_retries < 0:
             raise ConfigError("ctrl_max_retries must be >= 0")
-        if self.master_tick <= 0 or self.wait_tick <= 0:
-            raise ConfigError("poll ticks must be positive")
 
 
 @dataclass(frozen=True)

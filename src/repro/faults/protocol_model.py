@@ -25,10 +25,15 @@ with the FT recovery protocol of ``runtime/master.py`` /
 - **Regrant.**  Pooled units are granted to a live slave (``lb.ctrl``
   grant + explicit ack); the release barrier additionally waits for an
   empty pool, no contested moves, and no unacknowledged grants.
+- **Wake.**  A parked slave that is sent a control (grant or cancel) is
+  answered at once with a ``noop``, as the runtime's master sends a
+  plain reply, so it serves the control; a parked grantee whose grant
+  ack shows the ledger ahead of its banked result is woken too.
 
 ``MUTATIONS`` seeds recovery-protocol corruptions the checker must
 catch: dropping the cancel leg (deadlock), sweeping contested units
-(duplication), and forgetting to regrant (unit loss).
+(duplication), forgetting to regrant (unit loss), and never waking a
+parked grantee (deadlock).
 """
 
 from __future__ import annotations
@@ -63,6 +68,7 @@ MUTATIONS: dict[str, str] = {
         "declare_dead sweeps contested in-flight units into the pool"
     ),
     "forget_regrant": "recovered units are dropped instead of pooled",
+    "no_wake": "a parked grantee is never answered",
 }
 
 
@@ -208,6 +214,16 @@ class FTMaster(CentralMaster):
             or getattr(m, "granted", None)
         )
 
+    def _wake(
+        self, m: FTMasterLocal, slave: str, sends: list[Msg]
+    ) -> FTMasterLocal:
+        """Answer a parked ``slave`` with a ``noop`` so it serves what it
+        was just sent (the ``no_wake`` mutation never does)."""
+        if slave not in m.parked or self.cfg.mutation == "no_wake":
+            return m
+        sends.append(Msg(self.name, slave, "lb.instr", ("noop",)))
+        return m._replace(parked=m.parked - {slave})
+
     # -- recovery --------------------------------------------------------
 
     def _declare_step(self, m: FTMasterLocal, msg: Msg) -> Step:
@@ -312,6 +328,8 @@ class FTMaster(CentralMaster):
             contested=tuple(still_contested),
             granted=granted,
         )
+        for cancel in list(sends):
+            nxt = self._wake(nxt, cancel.dst, sends)
         nxt = self._finish(nxt, sends)
         return Step(
             actor=self.name,
@@ -334,11 +352,12 @@ class FTMaster(CentralMaster):
             label = f"ack_grant({msg.src})"
             banked = dict(nxt.banked)
             owned_t, _ = _view_get(nxt.view, msg.src)
-            if msg.src in nxt.parked and banked.get(msg.src) != owned_t:
+            if banked.get(msg.src) != owned_t:
                 # The grantee parked on a stale done-report; wake it.
-                nxt = nxt._replace(parked=nxt.parked - {msg.src})
-                sends.append(Msg(self.name, msg.src, "lb.instr", ("noop",)))
-                label += " + wake"
+                woken = self._wake(nxt, msg.src, sends)
+                if woken is not nxt:
+                    label += " + wake"
+                nxt = woken
             nxt = self._finish(nxt, sends)
             yield Step(
                 actor=self.name,
@@ -407,11 +426,13 @@ class FTMaster(CentralMaster):
             view=_view_adjust(m.view, target, add=frozenset(units)),
             granted=m.granted + ((target, units),),
         )
+        sends = [Msg(self.name, target, "lb.ctrl", ("grant", units))]
+        nxt = self._wake(nxt, target, sends)
         return Step(
             actor=self.name,
             label=f"grant {units} -> {target}",
             next_state=nxt,
-            sends=(Msg(self.name, target, "lb.ctrl", ("grant", units)),),
+            sends=tuple(sends),
         )
 
     # -- dispatch --------------------------------------------------------

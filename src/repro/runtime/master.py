@@ -4,8 +4,10 @@ The master mirrors the slaves' load-balancing phase structure
 (Section 4.1): every slave status report gets exactly one instruction
 reply, computed from the most recent information (synchronous slaves
 block on the reply; pipelined slaves pick it up one hook later,
-Section 3.3).  Movement rounds are issued at most one at a time; the
-partition bookkeeping advances only when every involved slave has
+Section 3.3).  A done report that cannot be answered yet is parked and
+answered once something changes for its slave, so every wait on either
+side is a receive.  Movement rounds are issued at most one at a time;
+the partition bookkeeping advances only when every involved slave has
 acknowledged (or cancelled) its side, so master and slaves can never
 disagree about ownership.
 """
@@ -28,7 +30,7 @@ from ..compiler.plan import ExecutionPlan, LoopShape
 from ..config import RunConfig
 from ..errors import ProtocolError, SlaveLostError
 from ..obs import NULL_RECORDER, Recorder
-from ..sim import Now, Poll, Recv, Send, Sleep, TaskContext
+from ..sim import Recv, Send, TaskContext
 from .balancer import BalancerDecision, BalancerState, decide
 from .partition import (
     BlockPartition,
@@ -148,6 +150,10 @@ class _Master:
         self.total_work_units = self._total_work_units()
         self.last_move_issue_time = -1.0e9
         self.released: set[int] = set()
+        # Done slaves awaiting an answer (pid -> era of their report),
+        # and the slaves to wake with a plain reply at the next pass.
+        self.parked: dict[int, int] = {}
+        self.woken: set[int] = set()
         self.results: dict[int, Any] = {}
         # Failure tolerance (RunConfig.ft; all empty in fault-free runs).
         self.ft = run_cfg.ft
@@ -448,87 +454,101 @@ class _Master:
             for p in range(self.n):
                 self.obs.emit_counter("lb", "work", now, float(counts[p]), pid=p)
 
-        sends = tuple(
-            o
-            for o in self.pending_orders[report.pid]
-            if o.transfer.src == report.pid
-        )
-        recvs = tuple(
-            o
-            for o in self.pending_orders[report.pid]
-            if o.transfer.dst == report.pid
-        )
-        self.pending_orders[report.pid] = []
+        if report.done:
+            return self.answer_done(report.pid, report.era, now)
+        return self._orders(report.pid)
 
-        if report.done and not sends and not recvs:
-            involved = any(
-                report.pid in fl.involved() and report.pid not in fl.acked
-                for fl in self.in_flight.values()
-            )
-            if not involved and not self._release_held(report.pid):
-                self.released.add(report.pid)
-                if (
-                    self.coord is not None
-                    and self.coord.open is not None
-                    and report.pid in self.coord.open.members
-                ):
-                    # A released member will never deposit; the epoch
-                    # would hang open and block movement forever.
-                    self._abort_epoch(now)
-                return Instructions(
-                    phase=decision.phase,
-                    release=True,
-                    note="release",
-                    era=self.era,
-                )
+    def _orders(self, pid: int) -> Instructions:
+        """A reply carrying ``pid``'s queued movement orders (often none)
+        and hook frequency, per the latest balancing decision."""
+        orders = self.pending_orders[pid]
+        self.pending_orders[pid] = []
+        decision = self.log.decisions[-1]
         return Instructions(
             phase=decision.phase,
-            skip_hooks=decision.skip_hooks.get(report.pid, 1),
-            sends=sends,
-            recvs=recvs,
+            skip_hooks=decision.skip_hooks.get(pid, 1),
+            sends=tuple(o for o in orders if o.transfer.src == pid),
+            recvs=tuple(o for o in orders if o.transfer.dst == pid),
             era=self.era,
         )
+
+    def answer_done(
+        self, pid: int, era: int, now: float, wake: bool = False
+    ) -> Instructions | None:
+        """Answer ``pid``'s done report, sent in rollback era ``era``.
+
+        The answer is the slave's movement orders if it has any, else a
+        release once it may go.  Until then the slave is *parked*: it
+        gets no reply (it blocks until something changes for it), or,
+        with ``wake``, a plain reply so it serves the control that woke
+        it.  The plain reply carries ``era``, so a slave woken for a
+        rollback accepts it and meets the rollback control next.
+        """
+        self.parked.pop(pid, None)
+        if self.pending_orders[pid]:
+            return self._orders(pid)
+        involved = any(
+            pid in fl.involved() and pid not in fl.acked
+            for fl in self.in_flight.values()
+        )
+        if involved or self._release_held(pid):
+            if wake:
+                return Instructions(phase=self.state.phase, era=era)
+            self.parked[pid] = era
+            return None
+        self.released.add(pid)
+        if (
+            self.coord is not None
+            and self.coord.open is not None
+            and pid in self.coord.open.members
+        ):
+            # A released member will never deposit; the epoch would
+            # hang open and block movement forever.
+            self._abort_epoch(now)
+        return Instructions(
+            phase=self.state.phase, release=True, note="release", era=self.era
+        )
+
+    def answer_parked(self, now: float):
+        """Answer each parked slave once, after every served message and
+        recovery deadline: its orders, a release, or a wake if a control
+        was just sent to it or it just acked a grant."""
+        woken, self.woken = self.woken, set()
+        for pid, era in sorted(self.parked.items()):
+            instr = self.answer_done(pid, era, now, wake=pid in woken)
+            if instr is not None:
+                yield Send(pid, Tags.INSTR, instr, INSTR_BYTES)
 
     # ------------------------------------------------------------------
     # Message plumbing (see _control_loop)
     # ------------------------------------------------------------------
 
-    def receive(
-        self, tag: str | None = None, *, idle: Callable[[float], None]
-    ):
+    def receive(self, tag: str | None = None, deadline: float | None = None):
         """The master's next message, as ``(msg, now)``.
 
         Fault-free this is a blocking ``Recv`` on ``tag``, and ``now`` is
-        the arrival time.  With failure tolerance the master polls for
-        any message instead, so recovery runs between messages: queued
-        controls are flushed first, and an empty poll runs ``idle(now)``,
-        flushes again, sleeps one ``master_tick`` and returns
-        ``(None, now)`` so the caller re-checks its own condition.
+        the arrival time.  With failure tolerance any message is taken,
+        so recovery acks reach the master whatever it waits for, and the
+        wait also ends at ``deadline``: it then returns ``(None, now)``
+        with ``now`` at least ``deadline``, since a timeout means the
+        deadline is due, whatever the rounding of ``deadline - now``.
         """
         if not self.ft.enabled:
             msg = yield Recv(tag=tag)
             return msg, msg.t_arrived
-        yield from self.flush_ctrls()
-        msg = yield Poll()
-        now = yield Now()
-        if msg is None:
-            idle(now)
-            yield from self.flush_ctrls()
-            yield Sleep(self.ft.master_tick)
+        timeout = None
+        if deadline is not None:
+            timeout = max(0.0, deadline - self.ctx.now)
+        msg = yield Recv(timeout=timeout)
+        now = self.ctx.now
+        if msg is None and deadline is not None:
+            now = max(now, deadline)
         return msg, now
-
-    def clock(self):
-        """With failure tolerance, flush queued controls and read the
-        time that silence and stall timeouts count from.  Fault-free
-        nothing counts time, so no syscall is made (returns 0.0)."""
-        if not self.ft.enabled:
-            return 0.0
-        yield from self.flush_ctrls()
-        return (yield Now())
 
     def flush_ctrls(self):
         while self.ctrl_outbox:
             dst, ctrl = self.ctrl_outbox.pop(0)
+            self.woken.add(dst)
             yield Send(dst, Tags.CTRL, ctrl, CTRL_BYTES)
 
     def bank_result(self, msg: Any) -> bool:
@@ -548,9 +568,10 @@ class _Master:
 
         A released slave terminates and can no longer adopt reassigned
         work, so releases are held back while recovery is unsettled
-        (suspected slaves, unacknowledged controls) and — as a global
-        barrier — until every live slave is done, so a late death always
-        has a live grant target.
+        (suspected slaves, unacknowledged controls, a rollback awaiting
+        buddy snapshot pulls) and — as a global barrier — until every
+        live slave is done, so a late death always has a live grant
+        target.
 
         Nor is anyone released until every non-dead slave's result is
         banked.  Failure-tolerant slaves return their result as soon as
@@ -564,7 +585,12 @@ class _Master:
         """
         if not self.ft.enabled:
             return False
-        if self.suspected or self.unacked or self.ctrl_outbox:
+        if (
+            self.suspected
+            or self.unacked
+            or self.ctrl_outbox
+            or self._pending_rollback is not None
+        ):
             return True
         for q in range(self.n):
             if q == pid or q in self.dead or q in self.released:
@@ -595,18 +621,52 @@ class _Master:
                 self.obs.metrics.counter("ft.recovered").inc()
                 self.obs.emit_counter("slave", "recovered", now, 1.0, pid=pid)
 
+    def _retry_at(self, pc: _PendingCtrl) -> float:
+        return pc.sent_at + self.ft.ctrl_rto * (
+            self.ft.ctrl_backoff ** (pc.attempts - 1)
+        )
+
+    def next_deadline(self, now: float) -> float | None:
+        """When recovery work next falls due (failure tolerance only): the
+        earliest control retry, silent slave's suspicion or death, or the
+        next checkpoint epoch when that lies ahead.  An epoch that is due
+        but blocked by movement is re-checked on the next message.
+
+        Every check in :meth:`ft_tick` compares in the form its deadline
+        is computed here, so a wait that times out at a deadline always
+        finds it due (a rounding miss would re-arm a zero timeout at the
+        same instant forever)."""
+        if not self.ft.enabled:
+            return None
+        times = [
+            self._retry_at(pc)
+            for pc in self.unacked.values()
+            if pc.dst not in self.dead
+        ]
+        for pid in range(self.n):
+            if pid in self.dead or pid in self.released:
+                continue
+            limit = (
+                self.ft.dead_after
+                if pid in self.suspected
+                else self.ft.suspect_after
+            )
+            times.append(self.last_heard.get(pid, now) + limit)
+        if self.coord is not None:
+            due = self.coord.due_at()
+            if due is not None and due > now:
+                times.append(due)
+        return min(times, default=None)
+
     def ft_tick(self, now: float) -> None:
-        """Periodic recovery work: control retries, the silence scan and
-        checkpoint epochs (failure tolerance only)."""
+        """Recovery work that has fallen due: control retries, the silence
+        scan and checkpoint epochs (failure tolerance only)."""
         if not self.ft.enabled:
             return
         for seq, pc in sorted(self.unacked.items()):
             if pc.dst in self.dead:
                 continue  # cleaned up by declare_dead
-            due = pc.sent_at + self.ft.ctrl_rto * (
-                self.ft.ctrl_backoff ** (pc.attempts - 1)
-            )
-            if now < due:
+            if now < self._retry_at(pc):
                 continue
             if pc.attempts > self.ft.ctrl_max_retries:
                 raise SlaveLostError(
@@ -633,10 +693,13 @@ class _Master:
         for pid in range(self.n):
             if pid in self.dead or pid in self.released:
                 continue
-            silent = now - self.last_heard.get(pid, now)
-            if silent >= self.ft.dead_after:
+            heard = self.last_heard.get(pid, now)
+            if now >= heard + self.ft.dead_after:
                 self.declare_dead(pid, now)
-            elif silent >= self.ft.suspect_after and pid not in self.suspected:
+            elif (
+                now >= heard + self.ft.suspect_after
+                and pid not in self.suspected
+            ):
                 self.suspected.add(pid)
                 if self.obs.enabled:
                     self.obs.metrics.counter("ft.suspected").inc()
@@ -646,7 +709,7 @@ class _Master:
                         now,
                         1.0,
                         pid=pid,
-                        meta={"silent_for": silent},
+                        meta={"silent_for": now - heard},
                     )
         if self.coord is not None:
             self._ckpt_tick(now)
@@ -693,8 +756,13 @@ class _Master:
             if ack.status == "miss":
                 self._pull_failed(int(ctrl.meta["pid"]), now)
             return
+        if ctrl.kind == "grant":
+            # A parked grantee served the grant on its own (it reported
+            # done before the grant arrived): wake it to do the work.
+            self.woken.add(pc.dst)
+            return
         if ctrl.kind not in ("cancel_send", "cancel_recv"):
-            return  # grants and rollbacks need nothing further
+            return  # rollbacks need nothing further
         mid = ctrl.move_id
         assert mid is not None
         fl = self.dead_moves.pop(mid, None)
@@ -718,6 +786,23 @@ class _Master:
     def can_recover(self) -> bool:
         return can_recover(self.plan, self.cfg)
 
+    def _result_usable(self, pid: int) -> bool:
+        """Does ``pid``'s banked result cover exactly what it owns?
+
+        Failure-tolerant slaves return results at done-time, so a dead
+        slave may have nothing left to recover.  A result that no longer
+        matches the ledger (movement or a grant came after it) is stale:
+        it is dropped, and recovery re-covers those units.
+        """
+        res = self.results.get(pid)
+        if res is None:
+            return False
+        owned = {int(u) for u in self.partition.owned(pid)}
+        if {int(u) for u in res["units"]} != owned:
+            del self.results[pid]
+            return False
+        return True
+
     def declare_dead(self, pid: int, now: float) -> None:
         """Declare ``pid`` dead and recover its work.
 
@@ -736,6 +821,7 @@ class _Master:
             )
         self.dead.add(pid)
         self.suspected.discard(pid)
+        self.parked.pop(pid, None)
         self.state.exclude(pid)
         lost_progress = self.done_units_by_pid.get(pid, 0.0)
         self.done_units_accum = max(0.0, self.done_units_accum - lost_progress)
@@ -757,16 +843,6 @@ class _Master:
             and pid in self.coord.open.members
         ):
             self._abort_epoch(now)
-        # Failure-tolerant slaves return results at done-time, so a dead
-        # slave may have nothing left to recover.  A banked result only
-        # counts while it matches the final ownership; a stale one is
-        # dropped here so the ``pid in self.results`` checks below read
-        # "a usable result arrived" and recovery re-covers those units.
-        res = self.results.get(pid)
-        if res is not None:
-            owned = {int(u) for u in self.partition.owned(pid)}
-            if {int(u) for u in res["units"]} != owned:
-                del self.results[pid]
         if self.plan.shape is not LoopShape.PARALLEL_MAP:
             # Coordinated rollback: drop controls addressed to the dead
             # slave, then roll the survivors back to the last committed
@@ -779,7 +855,7 @@ class _Master:
             self.ctrl_outbox = [
                 (d, c) for (d, c) in self.ctrl_outbox if d != pid
             ]
-            if pid in self.results:
+            if self._result_usable(pid):
                 return  # its result already arrived; nothing to recompute
             self._begin_rollback(pid, now)
             return
@@ -837,7 +913,9 @@ class _Master:
         self.ctrl_outbox = [
             (d, c) for (d, c) in self.ctrl_outbox if d != pid
         ]
-        if pid in self.results:
+        # Checked only now: settling an acked move into the dead slave
+        # above changes what it owns.
+        if self._result_usable(pid):
             return  # its result already arrived; nothing to recompute
         # Sweep: everything the ledger says the dead slave owns, minus
         # units whose ownership hangs on an outstanding cancel ack.
@@ -1300,7 +1378,8 @@ def _serve(m: _Master, msg: Any, now: float):
         # already reset its outstanding-reply accounting.
         if report.era == m.era:
             instr = m.handle_report(report, msg.t_arrived)
-            yield Send(report.pid, Tags.INSTR, instr, INSTR_BYTES)
+            if instr is not None:  # None: a done slave was parked
+                yield Send(report.pid, Tags.INSTR, instr, INSTR_BYTES)
     elif tag == Tags.HB:
         pass  # silence probe: being heard is the whole point
     elif tag == Tags.CTRL_ACK:
@@ -1344,41 +1423,44 @@ def _control_loop(m: _Master):
     """Serve reports, residuals and results until every slave is released
     (or dead), then gather the results still missing.
 
-    Only how the next message arrives (:meth:`_Master.receive`) and
-    whether recovery runs between messages (:meth:`_Master.ft_tick`)
-    depend on failure tolerance.
+    Every wait is one receive (:meth:`_Master.receive`).  With failure
+    tolerance it also ends at the earliest recovery deadline
+    (:meth:`_Master.next_deadline`), and recovery runs after every
+    message and every deadline (:meth:`_Master.ft_tick`).  Queued
+    controls go out before the parked slaves are answered, so a wake
+    follows its control on the link.
     """
-    start = yield from m.clock()
     for pid in range(m.n):
-        m.last_heard[pid] = start
+        m.last_heard[pid] = m.ctx.now
     all_pids = set(range(m.n))
     while not (m.released | m.dead) >= all_pids:
-        msg, now = yield from m.receive(idle=m.ft_tick)
-        if msg is None or msg.src in m.dead:
-            continue  # an idle tick, or zombie traffic from the dead
-        m.note_heard(msg.src, now)
-        yield from _serve(m, msg, now)
+        msg, now = yield from m.receive(
+            deadline=m.next_deadline(m.ctx.now)
+        )
+        # msg is None at a deadline; traffic from the dead is dropped.
+        if msg is not None and msg.src not in m.dead:
+            m.note_heard(msg.src, now)
+            yield from _serve(m, msg, now)
         m.ft_tick(now)
+        yield from m.flush_ctrls()
+        yield from m.answer_parked(now)
     # Gather: released slaves no longer heartbeat, so a failure-tolerant
     # wait here is bounded by an overall progress timeout instead of the
     # silence scan.
-    last_progress = yield from m.clock()
-
-    def stalled(now: float) -> None:
-        if now - last_progress > m.ft.dead_after:
-            raise SlaveLostError(
-                f"released slaves {missing} never returned results"
-            )
-
+    last_progress = m.ctx.now
     while True:
         missing = [
             p for p in range(m.n) if p not in m.results and p not in m.dead
         ]
         if not missing:
             break
-        msg, now = yield from m.receive(Tags.RESULT, idle=stalled)
+        msg, now = yield from m.receive(
+            Tags.RESULT, deadline=last_progress + m.ft.dead_after
+        )
         if msg is None:
-            continue
+            raise SlaveLostError(
+                f"released slaves {missing} never returned results"
+            )
         if msg.tag == Tags.RESULT:
             if m.bank_result(msg):
                 last_progress = now

@@ -114,9 +114,9 @@ class PipelineSlave(SlaveCore):
                 if self.ckpt.enabled:
                     # Top of sweep: the checkpoint barrier point
                     # (checkpointing implies the failure-tolerant
-                    # runtime).  The neighbour waits below only poll
-                    # controls while blocked, so guarantee one poll (and
-                    # a deposit of a pending snapshot) even on a fast path.
+                    # runtime).  The neighbour waits below serve controls
+                    # only when they expire, so serve them here once (and
+                    # deposit a pending snapshot) even on a fast path.
                     yield from self._poll_ctrl()
                 if plan.dynamic_reps:
                     # Deferred movement executes at the sweep boundary,

@@ -21,8 +21,7 @@ skeleton:
   still-outstanding outbound moves so a stale report cannot double-book
   a unit into a second move.
 - A done slave is *parked* (no reply) until work arrives for it or the
-  run completes; this abstracts the runtime's poll loop, which re-asks
-  instead of blocking, into an eventually-equivalent wait.
+  run completes, as the runtime's master parks it.
 
 The ``front`` shape variant abstracts the reduction-front (LU-style)
 plane instead: per repetition the front owner broadcasts ``front.<rep>``

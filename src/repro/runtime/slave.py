@@ -27,7 +27,7 @@ from ..config import RunConfig
 from ..errors import MovementError, ProtocolError
 from ..fastcopy import fast_state_copy
 from ..obs import NULL_RECORDER
-from ..sim import Compute, Now, Poll, Recv, Send, Sleep, TaskContext
+from ..sim import Compute, Now, Poll, Recv, Send, TaskContext
 from .movement import MovementLedger, MovePayload
 from .partition import Transfer
 from .protocol import (
@@ -115,13 +115,13 @@ class SlaveCore:
         self.rep = 0
         self.block = 0
         self.released = False
-        # Failure-tolerant runtime (RunConfig.ft): decides how _wait
-        # waits (a blocking Recv without it, a serving poll with it).
+        # Failure-tolerant runtime (RunConfig.ft): _wait's Recv then
+        # also expires at the next heartbeat.
         self.ft = run_cfg.ft
         self._last_master_send = 0.0
         self._ctrl_acks: dict[int, str] = {}  # ctrl seq -> recorded status
         # (era, owned) of the result last sent, so a failure-tolerant
-        # slave's idle standby rounds and its release don't resend it.
+        # slave's repeated done reports and its release don't resend it.
         self._result_key: tuple[int, tuple[int, ...]] | None = None
         # Checkpoint/rollback runtime (RunConfig.ckpt; inert while
         # cfg.ckpt.enabled is False — no snapshots, no extra messages).
@@ -197,10 +197,12 @@ class SlaveCore:
     def _maybe_heartbeat(self) -> Generator[Any, Any, None]:
         """Send an explicit heartbeat if the master has heard nothing
         from us for a heartbeat interval (reports and acks also count)."""
-        now = self.ctx.now
-        if now - self._last_master_send >= self.ft.heartbeat_interval:
-            self._last_master_send = now
-            yield Send(self.master, Tags.HB, self.pid, HB_BYTES)
+        if self.ctx.now - self._last_master_send >= self.ft.heartbeat_interval:
+            yield from self._heartbeat()
+
+    def _heartbeat(self) -> Generator[Any, Any, None]:
+        self._last_master_send = self.ctx.now
+        yield Send(self.master, Tags.HB, self.pid, HB_BYTES)
 
     def _poll_ctrl(self) -> Generator[Any, Any, None]:
         """Apply and acknowledge any recovery controls from the master.
@@ -473,34 +475,38 @@ class SlaveCore:
         give_up: Callable[[], bool] | None = None,
     ) -> Generator[Any, Any, Any]:
         """Wait for the next message from ``src`` with ``tag`` (``None``
-        matches anything): the slave's one wait primitive.
+        matches anything): the slave's one wait primitive, a ``Recv``.
 
-        Without failure tolerance this is a blocking ``Recv``.  With it
-        the slave polls instead, so a slow or dead peer cannot wedge
-        recovery: between empty polls it serves recovery controls and
-        checkpoint chores and keeps its heartbeat going, backing off
-        exponentially (a message that is almost here costs a fine-grained
-        wait, an absent one degrades to ``wait_tick`` polling).  A wait
-        that accepts any message receives the controls itself — its
-        ``check`` dispatches them — so only the heartbeat and the
-        checkpoint chores run between its polls.
+        With failure tolerance the ``Recv`` also expires at the slave's
+        next heartbeat, so a slow or dead peer cannot wedge recovery: on
+        expiry the slave serves recovery controls, then sends the
+        heartbeat unless serving them already sent the master something.
+        A wait that accepts any message receives the controls itself —
+        its ``check`` dispatches them — so it runs only the checkpoint
+        chores on expiry.  Controls thus wait for the next heartbeat
+        while the slave is blocked on a peer; the master wakes a parked
+        slave with an instruction reply instead.
 
         ``give_up`` is asked once controls are served; when it holds, the
         wait returns ``None``.  ``check`` makes the wait a dispatch loop
         for callers with a condition of their own: it runs with ``None``
-        before every receive attempt (so the caller re-checks after every
-        empty poll) and with every message received, and the wait returns
-        its first non-``None`` result.
+        before every receive (so the caller re-checks after every expiry
+        and every message) and with every message received, and the wait
+        returns its first non-``None`` result.
         """
-        receive = Poll if self.ft.enabled else Recv
         serve_ctrl = src is not None or tag is not None
-        tick = self.ft.wait_tick / 16
         while True:
             if check is not None:
                 done = yield from check(None)
                 if done is not None:
                     return done
-            msg = yield receive(src=src, tag=tag)
+            timeout = None
+            last = self._last_master_send
+            if self.ft.enabled:
+                timeout = max(
+                    0.0, last + self.ft.heartbeat_interval - self.ctx.now
+                )
+            msg = yield Recv(src=src, tag=tag, timeout=timeout)
             if msg is not None:
                 if check is None:
                     return msg
@@ -512,13 +518,10 @@ class SlaveCore:
                 yield from self._poll_ctrl()
                 if give_up is not None and give_up():
                     return None
-                yield from self._maybe_heartbeat()
-            else:
-                yield from self._maybe_heartbeat()
-                if self.ckpt.enabled:
-                    yield from self._ckpt_housekeeping()
-            yield Sleep(tick)
-            tick = min(tick * 2, self.ft.wait_tick)
+            elif self.ckpt.enabled:
+                yield from self._ckpt_housekeeping()
+            if self._last_master_send == last:
+                yield from self._heartbeat()
 
     def _await_move(self, order: MoveOrder) -> Generator[Any, Any, Any]:
         """Wait for ``order``'s movement payload; ``None`` once the master
@@ -715,11 +718,11 @@ class SlaveCore:
         """Ship the result gather message to the master, once per
         (era, ownership).
 
-        A failure-tolerant slave also sends it at done-time, before the
-        release (see :meth:`_stand_by`); movement or a grant after that
-        changes ``owned`` (or the era), which re-arms the send.  The era
-        tag keeps a result computed before a rollback from shadowing the
-        recomputed one.
+        A failure-tolerant slave also sends it before each done report
+        (see :meth:`_lifecycle`); movement or a grant after that changes
+        ``owned`` (or the era), which re-arms the send.  The era tag keeps
+        a result computed before a rollback from shadowing the recomputed
+        one.
         """
         key = (self.era, tuple(int(u) for u in self.owned))
         if self._result_key == key:
@@ -741,24 +744,6 @@ class SlaveCore:
         run; shapes with deferred receives override)."""
         while self.ledger.has_pending():
             yield from self.execute_moves()
-
-    def _stand_by(self) -> Generator[Any, Any, None]:
-        """Pause before reporting done again: the master asked us to stand
-        by (a peer may still be moving work toward us, or reassigned work
-        may yet arrive).
-
-        The failure-tolerant release hinges on every result being banked,
-        so such a slave returns its result already (a crash in the
-        pre-suspicion silent window then cannot strand the survivors
-        without a rollback peer), serves recovery, and re-reports quickly.
-        """
-        if not self.ft.enabled:
-            yield Sleep(0.1)
-            return
-        yield from self._send_result()
-        yield from self._poll_ctrl()
-        yield from self._maybe_heartbeat()
-        yield Sleep(4 * self.ft.wait_tick)
 
     def main(self) -> Generator[Any, Any, None]:
         if self.ckpt.enabled:
@@ -782,13 +767,19 @@ class SlaveCore:
             yield from self.drain_moves()
             if self.work_remaining():
                 continue  # movement handed us fresh work
-            # Final handshake: report done; master replies with more
-            # movement (kept working) or a release.
+            if self.ft.enabled:
+                # The failure-tolerant release waits until every result
+                # is banked, so a crash in the silent window before
+                # suspicion cannot strand the survivors: return ours now.
+                yield from self._send_result()
+            # Final handshake: report done.  The master answers with
+            # movement (we work again) or a release, and parks us until
+            # it can; a plain answer wakes us for a recovery control.
             yield from self._exchange(done=True)
             if self.released:
                 break
-            if not self.work_remaining() and not self.ledger.has_pending():
-                yield from self._stand_by()
+            if self.ft.enabled:
+                yield from self._poll_ctrl()
         yield from self._send_result()
 
 

@@ -97,6 +97,47 @@ class TestSyntheticLogs:
         assert check_replay(events) == []
 
 
+def crash(pid, t):
+    return CounterEvent(
+        "fault", "injected", t, 1.0, pid=pid, meta={"kinds": ["crash"]}
+    )
+
+
+class TestCrashedHosts:
+    def test_unpublished_write_of_crashed_host_is_lost_not_raced(self):
+        # Slave 1 writes unit 5 and dies before sending anything more;
+        # slave 2 rebuilds the unit from the inputs.
+        events = [
+            net(1, 3, 0.2, 0.4),
+            acc(1, 0.5, 1.0, [5]),
+            crash(1, 1.5),
+            acc(2, 3.0, 4.0, [5]),
+        ]
+        assert check_replay(events) == []
+
+    def test_crashed_host_that_never_sent_loses_every_write(self):
+        events = [acc(1, 0.0, 1.0, [5]), crash(1, 1.5), acc(2, 3.0, 4.0, [5])]
+        assert check_replay(events) == []
+
+    def test_published_write_of_crashed_host_still_races(self):
+        # The send after the write publishes it, so a writer that never
+        # heard of it races with it, crash or not.
+        events = [
+            acc(1, 0.0, 1.0, [5]),
+            net(1, 3, 1.2, 1.4),
+            crash(1, 1.5),
+            acc(2, 3.0, 4.0, [5]),
+        ]
+        assert _codes(check_replay(events)) == ["RA501"]
+
+    def test_other_fault_kinds_lose_nothing(self):
+        dropped = CounterEvent(
+            "fault", "injected", 1.5, 1.0, pid=1, meta={"kinds": ["drop"]}
+        )
+        events = [acc(1, 0.0, 1.0, [5]), dropped, acc(2, 3.0, 4.0, [5])]
+        assert _codes(check_replay(events)) == ["RA501"]
+
+
 class TestRecordedRuns:
     def _cfg(self, dlb):
         return RunConfig(

@@ -7,9 +7,9 @@ results must not move at all.  This suite pins sha256 hashes of the
 JSONL trace plus the key metrics for MM/SOR/LU (and a checkpointed SOR
 run, which exercises the slave snapshot copy path) against goldens
 captured before the optimizations landed.  The failure-tolerant cases
-(a crash under each schedule shape, a stall) pin the runtime's polling
-paths: reassignment, rollback, buddy snapshot pulls and the WHILE-loop
-convergence barrier across a rollback.  The plane cases pin the other
+(a crash under each schedule shape, a stall) pin the runtime's timed
+waits and parked done reports: reassignment, rollback, buddy snapshot
+pulls and the WHILE-loop convergence barrier across a rollback.  The plane cases pin the other
 PARALLEL_MAP control planes (sub-master tree, work stealing, rDLB,
 guided self-scheduling, diffusion), crashes included.
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.apps import build_lu, build_matmul, build_sor
-from repro.config import ClusterSpec, RunConfig
+from repro.config import ClusterSpec, FaultToleranceConfig, RunConfig
 from repro.errors import ProtocolError
 from repro.runtime.master import MasterLog, _InFlightMove, _Master
 from repro.runtime.partition import IndexPartition, Transfer
@@ -16,9 +16,13 @@ class FakeCtx:
         self.master_pid = n
 
 
-def make_master(plan=None, n=3):
+def make_master(plan=None, n=3, ft=False):
     plan = plan or build_matmul(n=30, n_slaves_hint=n)
-    cfg = RunConfig(cluster=ClusterSpec(n_slaves=n), execute_numerics=False)
+    cfg = RunConfig(
+        cluster=ClusterSpec(n_slaves=n),
+        execute_numerics=False,
+        ft=FaultToleranceConfig(enabled=ft),
+    )
     part = IndexPartition.even(plan.unit_count, n, lo=plan.unit_lo)
     return _Master(FakeCtx(n), plan, cfg, MasterLog(), None, None, part, None)
 
@@ -133,3 +137,88 @@ class TestInFlightMove:
         assert not fl.complete()
         fl.acked.add(2)
         assert fl.complete()
+
+
+def bank(m, pid):
+    """Bank a result for ``pid`` matching what it owns now."""
+    units = tuple(int(u) for u in m.partition.owned(pid))
+    m.results[pid] = {"units": units, "data": None, "era": m.era}
+
+
+def answers(m, now=5.0):
+    """The instruction replies of one pass over the parked slaves."""
+    return {s.dst: s.payload for s in m.answer_parked(now)}
+
+
+class TestDoneHandshake:
+    def test_fault_free_done_report_is_released(self):
+        m = make_master()
+        instr = m.handle_report(report(0, done=True), now=1.0)
+        assert instr.release and m.released == {0}
+
+    def test_held_done_report_parks_until_release(self):
+        m = make_master(ft=True)
+        # Slave 0 is done, but slave 1 still works: no reply yet.
+        bank(m, 0)
+        assert m.handle_report(report(0, done=True), now=1.0) is None
+        assert m.parked == {0: 0}
+        assert answers(m) == {}  # nothing changed for it
+        m.last_report[1] = report(1, done=True)
+        m.last_report[2] = report(2, done=True)
+        bank(m, 1)
+        bank(m, 2)
+        assert answers(m)[0].release
+        assert m.parked == {} and m.released == {0}
+
+    def test_parked_slave_is_woken_by_its_control(self):
+        m = make_master(ft=True)
+        assert m.handle_report(report(0, done=True), now=1.0) is None
+        # A rollback moved the master on to era 1 and sent slave 0 a
+        # control: the wake carries the era slave 0 reported in, so it
+        # takes the wake and then meets the control.
+        m.era = 1
+        m.woken.add(0)
+        instr = answers(m)[0]
+        assert not instr.release and not instr.has_moves()
+        assert instr.era == 0
+        assert m.parked == {}
+
+    def test_parked_slave_gets_its_orders(self):
+        m = make_master(ft=True)
+        assert m.handle_report(report(0, done=True), now=1.0) is None
+        moved = int(m.partition.owned(1)[0])
+        m._issue_transfers([Transfer(src=1, dst=0, units=(moved,))], now=2.0)
+        instr = answers(m)[0]
+        assert [o.transfer.units for o in instr.recvs] == [(moved,)]
+        assert m.parked == {} and m.pending_orders[0] == []
+
+
+class TestFailureTolerantMaster:
+    def test_acked_move_into_dead_slave_is_regranted(self):
+        # Slave 1 banked its result early; a move 0 -> 1 is acked by the
+        # sender only when slave 1 dies.  Settling that move hands slave
+        # 1 the unit, so its banked result is stale and everything it
+        # now owns goes to the survivors.
+        m = make_master(ft=True)
+        bank(m, 1)
+        owned1 = set(m.results[1]["units"])
+        moved = int(m.partition.owned(0)[0])
+        m._issue_transfers([Transfer(src=0, dst=1, units=(moved,))], now=1.0)
+        m.pending_orders = {p: [] for p in range(m.n)}  # orders delivered
+        m._process_acks(report(0, applied=(0,)))
+        m.declare_dead(1, now=2.0)
+        assert list(m.partition.owned(1)) == []
+        assert 1 not in m.results
+        granted = {
+            u for _, c in m.ctrl_outbox if c.kind == "grant" for u in c.units
+        }
+        assert granted == owned1 | {moved}
+
+    def test_release_held_while_rollback_awaits_pulls(self):
+        m = make_master(ft=True)
+        for p in range(m.n):
+            m.last_report[p] = report(p, done=True)
+            bank(m, p)
+        assert not m._release_held(0)
+        m._pending_rollback = {"target": None, "awaiting": {1}}
+        assert m._release_held(0)
