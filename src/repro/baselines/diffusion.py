@@ -1,9 +1,9 @@
 """Near-neighbour diffusion load balancing (paper Section 6, refs [16][17]).
 
-No central balancer makes *placement* decisions: every ``exchange_every``
+No central balancer makes *placement* decisions: every ``EXCHANGE_EVERY``
 units each busy slave exchanges its remaining-work count with its
-topology neighbours and shifts iterations toward the lighter side when
-the imbalance exceeds a threshold.  A slave that runs out of work
+topology neighbours and shifts half the difference toward the lighter
+side once that half reaches ``THRESHOLD`` units.  A slave that runs out of work
 advertises its zero load (and reports its progress) once, then blocks in
 ``Recv`` until shifted work, a neighbour's load or the stop notice
 arrives; it does not poll.  Decisions use only local information, so
@@ -43,6 +43,13 @@ _PROGRESS = "diff.progress"
 _TERM = "diff.term"
 _RESULT = "diff.result"
 
+#: A busy slave exchanges loads with its neighbours after every
+#: ``EXCHANGE_EVERY`` completed units.
+EXCHANGE_EVERY = 2
+#: It ships half the load difference to a neighbour once that half is
+#: at least this many units.
+THRESHOLD = 2
+
 
 @dataclass(kw_only=True)
 class DiffusionResult(MapResult):
@@ -57,8 +64,6 @@ def _diff_slave(
     ctx,
     bag: UnitBag,
     neighbors: tuple[int, ...],
-    exchange_every: int,
-    threshold: int,
     stats: dict,
 ):
     pid = ctx.pid
@@ -105,7 +110,7 @@ def _diff_slave(
             if their is None:
                 continue
             excess = (len(pending) - their) // 2
-            if excess >= threshold and excess <= len(pending):
+            if excess >= THRESHOLD and excess <= len(pending):
                 # Shift contiguous index ranges toward the neighbour:
                 # higher-numbered neighbours take the tail, lower ones
                 # the head (preserves locality on chains and rings).
@@ -131,7 +136,7 @@ def _diff_slave(
         ops, fn = bag.next_unit()
         yield Compute(ops, fn=fn)
         unreported += 1
-        if len(bag.done) % exchange_every == 0:
+        if len(bag.done) % EXCHANGE_EVERY == 0:
             yield from exchange()
 
     if unreported:
@@ -159,8 +164,6 @@ def run_diffusion(
     plan: ExecutionPlan,
     run_cfg: RunConfig,
     loads: Mapping[int, LoadGenerator] | None = None,
-    exchange_every: int = 2,
-    threshold: int = 2,
     seed: int = 0,
     topology: TopologySpec | None = None,
 ) -> DiffusionResult:
@@ -191,10 +194,7 @@ def run_diffusion(
         spec=replace(run_cfg.cluster, topology=topo),
     )
     for pid, bag in enumerate(mr.split()):
-        mr.cluster.spawn(
-            pid, _diff_slave, bag, neighbor_map[pid], exchange_every, threshold,
-            mr.stats,
-        )
+        mr.cluster.spawn(pid, _diff_slave, bag, neighbor_map[pid], mr.stats)
     mr.cluster.spawn(
         run_cfg.cluster.master_pid, _diff_master, n, mr.total_units, mr.sink
     )

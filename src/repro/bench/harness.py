@@ -80,28 +80,6 @@ SUITES: dict[str, list[dict[str, Any]]] = {
         _cell("sor_paper_point", "run", app="sor", n=2000, P=7, maxiter=15),
         _cell("lu_point", "run", app="lu", n=300, P=4),
     ],
-    # Figure 5: MM on a dedicated homogeneous cluster (static + DLB
-    # pair per processor count).
-    "fig5_mm_dedicated": [
-        _cell("P2", "figure_pair", app="matmul", n=500, P=2),
-        _cell("P4", "figure_pair", app="matmul", n=500, P=4),
-        _cell("P7", "figure_pair", app="matmul", n=500, P=7),
-    ],
-    # Figure 8: SOR with a constant competing load on processor 0.
-    "fig8_sor_loaded": [
-        _cell("P2", "figure_pair", app="sor", n=2000, P=2, maxiter=15, load_k=1),
-        _cell("P4", "figure_pair", app="sor", n=2000, P=4, maxiter=15, load_k=1),
-        _cell("P7", "figure_pair", app="sor", n=2000, P=7, maxiter=15, load_k=1),
-    ],
-    # Fault-free checkpointing premium per loop shape and placement.
-    "checkpoint_overhead": [
-        _cell("mm_master", "checkpoint", app="matmul", n=256, placement="master"),
-        _cell("mm_buddy", "checkpoint", app="matmul", n=256, placement="buddy"),
-        _cell("sor_master", "checkpoint", app="sor", n=256, placement="master"),
-        _cell("sor_buddy", "checkpoint", app="sor", n=256, placement="buddy"),
-        _cell("lu_master", "checkpoint", app="lu", n=300, placement="master"),
-        _cell("lu_buddy", "checkpoint", app="lu", n=300, placement="buddy"),
-    ],
     # Scaling-crossover study: centralized vs hierarchical (fanout
     # 4/8/16) vs diffusion, weak-scaled over P under three competing
     # load regimes, plus interconnect probes at a fixed P.  The nightly

@@ -30,6 +30,10 @@ __all__ = [
     "reduction_repartition",
 ]
 
+#: How many reps past the latest reported progress the master first
+#: places the checkpoint barrier; each barrier miss widens it by one.
+BARRIER_MARGIN = 2
+
 
 class CheckpointCoordinator:
     """Epoch ledger: open -> (deposit per member) -> commit, or abort.
@@ -41,7 +45,7 @@ class CheckpointCoordinator:
 
     def __init__(self, cfg: CheckpointConfig):
         self.cfg = cfg
-        self.margin = cfg.barrier_margin
+        self.margin = BARRIER_MARGIN
         self.next_epoch = 1
         self.open: CheckpointEpoch | None = None
         self.committed: CheckpointEpoch | None = None

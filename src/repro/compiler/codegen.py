@@ -43,6 +43,12 @@ from .plan import (
 
 __all__ = ["compile_program", "derive_channels", "select_shape"]
 
+#: Operations one non-firing load-balancing hook costs (a counter check).
+HOOK_OVERHEAD_OPS = 50.0
+#: Hooks go at the deepest loop level whose hook overhead stays within
+#: this fraction of the work between hooks (Section 4.2).
+HOOK_COST_FRACTION = 0.01
+
 
 def select_shape(
     deps: DependenceInfo, program: Program, directive: Directive
@@ -361,8 +367,8 @@ def compile_program(
             owned_hint,
             strip.total if strip is not None else 1,
         ),
-        hook_cost_ops=grain.hook_overhead_ops,
-        max_cost_fraction=grain.hook_cost_fraction,
+        hook_cost_ops=HOOK_OVERHEAD_OPS,
+        max_cost_fraction=HOOK_COST_FRACTION,
     )
 
     front_cost = None

@@ -20,7 +20,6 @@ __all__ = [
     "ClusterSpec",
     "BalancerConfig",
     "GrainConfig",
-    "FaultToleranceConfig",
     "CheckpointConfig",
     "RunConfig",
 ]
@@ -215,7 +214,10 @@ class ClusterSpec:
 
 @dataclass(frozen=True)
 class BalancerConfig:
-    """Central load balancer parameters (paper Sections 3.2, 3.3, 4.3).
+    """Central load balancer parameters (paper Sections 3.2, 3.3).
+
+    The balancing-period bounds of Section 4.3 are constants of
+    :mod:`repro.runtime.frequency`.
 
     Attributes:
         improvement_threshold: minimum projected reduction in completion
@@ -225,35 +227,19 @@ class BalancerConfig:
         filter_enabled: apply the trend-weighted rate filter.
         profitability_enabled: run the detailed profitability check that can
             cancel unprofitable movements.
-        min_period: absolute floor on the load-balancing period (500 ms).
-        quantum_multiple: period must exceed this many scheduling quanta (5).
-        interaction_multiple: period must exceed this many times the
-            measured master-slave interaction cost (20, i.e. <=5% overhead).
-        movement_multiple: period must exceed this fraction of the measured
-            work-movement cost (0.1).
         restricted: force restricted (adjacent-only) movement even for
             applications without loop-carried dependences.
-        profitability_horizon_periods: how many load-balancing periods of
-            projected savings the profitability check may credit (rates
-            can change again, so far-future benefit is not trusted).
     """
 
     improvement_threshold: float = 0.10
     pipelined: bool = True
     filter_enabled: bool = True
     profitability_enabled: bool = True
-    min_period: float = 0.5
-    quantum_multiple: float = 5.0
-    interaction_multiple: float = 20.0
-    movement_multiple: float = 0.1
     restricted: bool | None = None
-    profitability_horizon_periods: float = 4.0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.improvement_threshold < 1.0:
             raise ConfigError("improvement_threshold must be in [0, 1)")
-        if self.min_period <= 0:
-            raise ConfigError("min_period must be positive")
 
 
 @dataclass(frozen=True)
@@ -261,70 +247,13 @@ class GrainConfig:
     """Granularity control (paper Section 4.4).
 
     The compiler strip-mines pipelined loops; the runtime sizes the strip at
-    startup so one strip of work takes ``target_block_time`` seconds
-    (paper: 150 ms = 1.5x the scheduling quantum).
+    startup so one strip of work takes
+    :data:`repro.runtime.launcher.TARGET_BLOCK_TIME` (paper: 150 ms = 1.5x
+    the scheduling quantum), unless ``block_size_override`` fixes the
+    strip's row count.
     """
 
-    target_block_time: float = 0.15
-    hook_overhead_ops: float = 50.0
-    hook_cost_fraction: float = 0.01
     block_size_override: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.target_block_time <= 0:
-            raise ConfigError("target_block_time must be positive")
-        if not 0 < self.hook_cost_fraction < 1:
-            raise ConfigError("hook_cost_fraction must be in (0, 1)")
-
-
-@dataclass(frozen=True)
-class FaultToleranceConfig:
-    """Failure-tolerant runtime parameters (see docs/fault-tolerance.md).
-
-    Disabled by default.  Every master and slave wait is a receive
-    either way; the flag only gives each wait a deadline.  A slave's wait
-    expires at its next heartbeat and serves recovery controls; the
-    master's at its earliest recovery deadline (a control retry, a
-    silent slave's suspicion or death, the next checkpoint epoch).
-
-    Attributes:
-        enabled: turn on timed waits, heartbeats, suspicion/death
-            detection, control retries, and work reassignment.
-        heartbeat_interval: a slave that has not sent the master anything
-            (status report, ack) for this long sends an explicit
-            heartbeat so silence means trouble, not idleness.
-        suspect_after: silence before the master *suspects* a slave —
-            it stops directing new work at it but keeps its slices.
-        dead_after: silence before the master declares a slave dead and
-            reassigns its work.  Must comfortably exceed the worst-case
-            transport retransmission span plus one heartbeat interval.
-        ctrl_rto: base timeout before an unacknowledged recovery control
-            message (grant / cancel) is retransmitted.
-        ctrl_backoff: exponential backoff factor between control retries.
-        ctrl_max_retries: control retries before the target is given up
-            on (:class:`~repro.errors.SlaveLostError` if it is not dead).
-    """
-
-    enabled: bool = False
-    heartbeat_interval: float = 0.5
-    suspect_after: float = 2.0
-    dead_after: float = 8.0
-    ctrl_rto: float = 0.5
-    ctrl_backoff: float = 2.0
-    ctrl_max_retries: int = 6
-
-    def __post_init__(self) -> None:
-        if self.heartbeat_interval <= 0:
-            raise ConfigError("heartbeat_interval must be positive")
-        if not 0 < self.suspect_after < self.dead_after:
-            raise ConfigError(
-                "need 0 < suspect_after < dead_after, got "
-                f"{self.suspect_after} / {self.dead_after}"
-            )
-        if self.ctrl_rto <= 0 or self.ctrl_backoff < 1.0:
-            raise ConfigError("ctrl_rto must be > 0 and ctrl_backoff >= 1")
-        if self.ctrl_max_retries < 0:
-            raise ConfigError("ctrl_max_retries must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -345,14 +274,11 @@ class CheckpointConfig:
             ships each snapshot to the master's epoch ledger;
             ``"buddy"`` ships the data to the next live slave
             (pid + 1 mod n) and only a light manifest to the master.
-        barrier_margin: how many reps past the latest reported progress
-            the master places the checkpoint barrier; grows on a miss.
     """
 
     enabled: bool = False
     interval: float = 2.0
     placement: str = "master"
-    barrier_margin: int = 2
 
     def __post_init__(self) -> None:
         if self.interval <= 0:
@@ -361,13 +287,18 @@ class CheckpointConfig:
             raise ConfigError(
                 f"ckpt placement must be 'master' or 'buddy', got {self.placement!r}"
             )
-        if self.barrier_margin < 1:
-            raise ConfigError("ckpt barrier_margin must be >= 1")
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """Top-level knobs for one simulated application run.
+
+    ``ft`` turns on the failure-tolerant runtime (see
+    docs/fault-tolerance.md): heartbeats, suspicion/death detection,
+    control retries and work reassignment.  Every master and slave wait
+    is a receive either way; the flag only gives each wait a deadline.
+    Fault plans that need recovery, and checkpointing, turn it on
+    (:func:`repro.runtime.launcher.resolve_run_cfg`).
 
     ``strategy`` selects the DLB control plane for PARALLEL_MAP
     workloads: ``"centralized"`` is the paper's runtime
@@ -382,7 +313,7 @@ class RunConfig:
     cluster: ClusterSpec = field(default_factory=ClusterSpec)
     balancer: BalancerConfig = field(default_factory=BalancerConfig)
     grain: GrainConfig = field(default_factory=GrainConfig)
-    ft: FaultToleranceConfig = field(default_factory=FaultToleranceConfig)
+    ft: bool = False
     ckpt: CheckpointConfig = field(default_factory=CheckpointConfig)
     execute_numerics: bool = True
     dlb_enabled: bool = True

@@ -8,7 +8,6 @@ over a range of measured costs and reports which constraint binds.
 
 from __future__ import annotations
 
-from ..config import BalancerConfig
 from ..runtime.frequency import select_period
 from .common import ExperimentSeries, PAPER_QUANTUM
 
@@ -16,7 +15,6 @@ __all__ = ["run"]
 
 
 def run() -> ExperimentSeries:
-    cfg = BalancerConfig()
     series = ExperimentSeries(
         name="Figure 4: load-balancing period selection",
         headers=(
@@ -42,7 +40,7 @@ def run() -> ExperimentSeries:
         (0.1, 20.0),
     ]
     for inter, move in scenarios:
-        bounds = select_period(inter, move, PAPER_QUANTUM, cfg)
+        bounds = select_period(inter, move, PAPER_QUANTUM)
         series.add(
             inter,
             move,

@@ -27,6 +27,11 @@ from .protocol import SlaveReport
 
 __all__ = ["BalancerState", "BalancerDecision", "decide"]
 
+#: How many load-balancing periods of projected savings the
+#: profitability check may credit: rates can change again, so
+#: far-future benefit is not trusted.
+PROFITABILITY_HORIZON_PERIODS = 4.0
+
 
 @dataclass
 class BalancerDecision:
@@ -206,7 +211,6 @@ def decide(
         state.interaction_cost,
         movement_cost_per_balance(state, counts, rates),
         state.quantum,
-        cfg,
     )
     period = bounds.period
     skips = {
@@ -268,9 +272,7 @@ def decide(
         )
         total_rate = sum(rates.values())
         remaining_time = remaining_units / max(total_rate, 1e-9)
-        horizon = min(
-            remaining_time, cfg.profitability_horizon_periods * period
-        )
+        horizon = min(remaining_time, PROFITABILITY_HORIZON_PERIODS * period)
         if not movement_profitable(estimate, t_cur, t_new, horizon):
             return no_move("profitability")
 

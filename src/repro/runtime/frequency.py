@@ -3,14 +3,14 @@
 Three lower bounds constrain the period between load balancings:
 
 - *interaction cost*: master-slave message exchange is pure overhead, so
-  the period must be at least ``interaction_multiple`` (20) times the
+  the period must be at least ``INTERACTION_MULTIPLE`` (20) times the
   measured interaction cost (<= 5% overhead);
 - *cost of moving work*: tracking load more often than work can usefully
-  move does not pay; the period must be at least ``movement_multiple``
+  move does not pay; the period must be at least ``MOVEMENT_MULTIPLE``
   (0.1) times the measured cost of moving work;
 - *OS scheduling*: measuring near the quantum makes rates oscillate with
-  context switching, so the period must be at least ``quantum_multiple``
-  (5) quanta and never below ``min_period`` (500 ms).
+  context switching, so the period must be at least ``QUANTUM_MULTIPLE``
+  (5) quanta and never below ``MIN_PERIOD`` (500 ms).
 
 The target period is the maximum of the three bounds.  From the target
 period and the predicted computation rate, the balancer tells each slave
@@ -21,10 +21,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..config import BalancerConfig
 from ..errors import ConfigError
 
 __all__ = ["PeriodBounds", "select_period", "hooks_to_skip"]
+
+#: Absolute floor on the load-balancing period (paper: 500 ms).
+MIN_PERIOD = 0.5
+#: The period spans at least this many scheduling quanta (paper: 5).
+QUANTUM_MULTIPLE = 5.0
+#: The period is at least this many master-slave interaction costs
+#: (paper: 20, i.e. <= 5% overhead).
+INTERACTION_MULTIPLE = 20.0
+#: The period is at least this fraction of the cost of moving work
+#: (paper: 0.1).
+MOVEMENT_MULTIPLE = 0.1
 
 
 @dataclass(frozen=True)
@@ -57,7 +67,6 @@ def select_period(
     interaction_cost: float,
     movement_cost: float,
     quantum: float,
-    config: BalancerConfig,
 ) -> PeriodBounds:
     """Compute the target load-balancing period.
 
@@ -70,10 +79,10 @@ def select_period(
             "need interaction_cost >= 0, movement_cost >= 0, quantum > 0"
         )
     return PeriodBounds(
-        from_interaction=config.interaction_multiple * interaction_cost,
-        from_movement=config.movement_multiple * movement_cost,
-        from_quantum=config.quantum_multiple * quantum,
-        floor=config.min_period,
+        from_interaction=INTERACTION_MULTIPLE * interaction_cost,
+        from_movement=MOVEMENT_MULTIPLE * movement_cost,
+        from_quantum=QUANTUM_MULTIPLE * quantum,
+        floor=MIN_PERIOD,
     )
 
 

@@ -34,6 +34,10 @@ __all__ = [
     "sequential_time",
 ]
 
+#: Startup strip sizing makes one strip of pipelined work take this long
+#: on a dedicated machine (Section 4.4: 150 ms, 1.5x the quantum).
+TARGET_BLOCK_TIME = 0.15
+
 
 @dataclass
 class RunResult:
@@ -124,8 +128,8 @@ def resolve_run_cfg(
         run_cfg = replace(
             run_cfg, ckpt=replace(run_cfg.ckpt, enabled=True)
         )
-    if (needs_recovery or run_cfg.ckpt.enabled) and not run_cfg.ft.enabled:
-        run_cfg = replace(run_cfg, ft=replace(run_cfg.ft, enabled=True))
+    if (needs_recovery or run_cfg.ckpt.enabled) and not run_cfg.ft:
+        run_cfg = replace(run_cfg, ft=True)
     return run_cfg
 
 
@@ -154,7 +158,7 @@ def _startup_block_size(plan: ExecutionPlan, run_cfg: RunConfig) -> int | None:
     return choose_block_size(
         unit_cost_ops=max(per_row_ops, 1e-9),
         speed_ops_per_sec=run_cfg.cluster.processor.speed,
-        target_block_time=run_cfg.grain.target_block_time,
+        target_block_time=TARGET_BLOCK_TIME,
         total_iterations=plan.strip.total,
     )
 

@@ -32,6 +32,7 @@ from ..errors import ProtocolError, SlaveLostError
 from ..obs import NULL_RECORDER, Recorder
 from ..sim import Recv, Send, TaskContext
 from .balancer import BalancerDecision, BalancerState, decide
+from .frequency import MIN_PERIOD, QUANTUM_MULTIPLE, hooks_to_skip
 from .partition import (
     BlockPartition,
     IndexPartition,
@@ -50,6 +51,24 @@ from .protocol import (
 )
 
 __all__ = ["master_task", "MasterLog", "can_recover"]
+
+# Failure-tolerant runtime timings (RunConfig.ft; docs/fault-tolerance.md).
+
+#: Silence before the master *suspects* a slave: it stops directing new
+#: work at it but keeps its slices.  SUSPECT_AFTER < DEAD_AFTER.
+SUSPECT_AFTER = 2.0
+#: Silence before the master declares a slave dead and reassigns its
+#: work.  Must comfortably exceed the worst-case transport
+#: retransmission span plus one slave ``HEARTBEAT_INTERVAL``.
+DEAD_AFTER = 8.0
+#: Base timeout before an unacknowledged recovery control (grant /
+#: cancel) is retransmitted.
+CTRL_RTO = 0.5
+#: Exponential backoff factor between control retries.
+CTRL_BACKOFF = 2.0
+#: Control retries before the target is given up on
+#: (:class:`~repro.errors.SlaveLostError` if it is not dead).
+CTRL_MAX_RETRIES = 6
 
 
 def can_recover(plan: ExecutionPlan, run_cfg: RunConfig) -> bool:
@@ -367,8 +386,7 @@ class _Master:
             return False
         if any(self.pending_orders[p] for p in range(self.n)):
             return False
-        period = self.state.config.min_period
-        return (now - self.last_move_issue_time) >= period
+        return (now - self.last_move_issue_time) >= MIN_PERIOD
 
     # ------------------------------------------------------------------
     # Per-report handling
@@ -533,7 +551,7 @@ class _Master:
         with ``now`` at least ``deadline``, since a timeout means the
         deadline is due, whatever the rounding of ``deadline - now``.
         """
-        if not self.ft.enabled:
+        if not self.ft:
             msg = yield Recv(tag=tag)
             return msg, msg.t_arrived
         timeout = None
@@ -583,7 +601,7 @@ class _Master:
         counts while it matches the slave's current ownership (movement
         or a grant after the early return makes it stale).
         """
-        if not self.ft.enabled:
+        if not self.ft:
             return False
         if (
             self.suspected
@@ -622,9 +640,7 @@ class _Master:
                 self.obs.emit_counter("slave", "recovered", now, 1.0, pid=pid)
 
     def _retry_at(self, pc: _PendingCtrl) -> float:
-        return pc.sent_at + self.ft.ctrl_rto * (
-            self.ft.ctrl_backoff ** (pc.attempts - 1)
-        )
+        return pc.sent_at + CTRL_RTO * CTRL_BACKOFF ** (pc.attempts - 1)
 
     def next_deadline(self, now: float) -> float | None:
         """When recovery work next falls due (failure tolerance only): the
@@ -636,7 +652,7 @@ class _Master:
         is computed here, so a wait that times out at a deadline always
         finds it due (a rounding miss would re-arm a zero timeout at the
         same instant forever)."""
-        if not self.ft.enabled:
+        if not self.ft:
             return None
         times = [
             self._retry_at(pc)
@@ -646,11 +662,7 @@ class _Master:
         for pid in range(self.n):
             if pid in self.dead or pid in self.released:
                 continue
-            limit = (
-                self.ft.dead_after
-                if pid in self.suspected
-                else self.ft.suspect_after
-            )
+            limit = DEAD_AFTER if pid in self.suspected else SUSPECT_AFTER
             times.append(self.last_heard.get(pid, now) + limit)
         if self.coord is not None:
             due = self.coord.due_at()
@@ -661,14 +673,14 @@ class _Master:
     def ft_tick(self, now: float) -> None:
         """Recovery work that has fallen due: control retries, the silence
         scan and checkpoint epochs (failure tolerance only)."""
-        if not self.ft.enabled:
+        if not self.ft:
             return
         for seq, pc in sorted(self.unacked.items()):
             if pc.dst in self.dead:
                 continue  # cleaned up by declare_dead
             if now < self._retry_at(pc):
                 continue
-            if pc.attempts > self.ft.ctrl_max_retries:
+            if pc.attempts > CTRL_MAX_RETRIES:
                 raise SlaveLostError(
                     f"control {pc.ctrl.kind!r} (seq {seq}) to slave "
                     f"{pc.dst} unacknowledged after {pc.attempts} attempts"
@@ -694,10 +706,10 @@ class _Master:
             if pid in self.dead or pid in self.released:
                 continue
             heard = self.last_heard.get(pid, now)
-            if now >= heard + self.ft.dead_after:
+            if now >= heard + DEAD_AFTER:
                 self.declare_dead(pid, now)
             elif (
-                now >= heard + self.ft.suspect_after
+                now >= heard + SUSPECT_AFTER
                 and pid not in self.suspected
             ):
                 self.suspected.add(pid)
@@ -815,7 +827,7 @@ class _Master:
             return
         if not self.can_recover():
             raise SlaveLostError(
-                f"slave {pid} lost (silent for {self.ft.dead_after}s); "
+                f"slave {pid} lost (silent for {DEAD_AFTER}s); "
                 f"{self.plan.shape.name} schedules need checkpointing "
                 "(RunConfig.ckpt) to recover, and it is disabled"
             )
@@ -1455,7 +1467,7 @@ def _control_loop(m: _Master):
         if not missing:
             break
         msg, now = yield from m.receive(
-            Tags.RESULT, deadline=last_progress + m.ft.dead_after
+            Tags.RESULT, deadline=last_progress + DEAD_AFTER
         )
         if msg is None:
             raise SlaveLostError(
@@ -1496,15 +1508,12 @@ def master_task(
     # oscillate with context switching (Section 4.3), so slaves skip
     # enough hooks that their first measurement already spans the floor
     # period, assuming dedicated-speed execution.
-    from .frequency import hooks_to_skip
-
     mid_unit = (plan.unit_lo + plan.n_units) // 2
     est_rate = run_cfg.cluster.processor.speed / max(
         plan.unit_cost(0, mid_unit), 1.0
     )
     floor_period = max(
-        run_cfg.balancer.min_period,
-        run_cfg.balancer.quantum_multiple * run_cfg.cluster.processor.quantum,
+        MIN_PERIOD, QUANTUM_MULTIPLE * run_cfg.cluster.processor.quantum
     )
     uph = m._units_per_hook()
 

@@ -47,7 +47,7 @@ class Tags:
     RESULT = "app.result"
     STATUS = "lb.status"
     INSTR = "lb.instr"
-    # Failure-tolerant runtime only (RunConfig.ft.enabled):
+    # Failure-tolerant runtime only (RunConfig.ft):
     HB = "lb.hb"  # slave -> master explicit heartbeat, no reply
     CTRL = "lb.ctrl"  # master -> slave recovery control (Ctrl)
     CTRL_ACK = "lb.ctrlack"  # slave -> master control ack (CtrlAck)

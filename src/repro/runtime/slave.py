@@ -51,6 +51,12 @@ __all__ = [
     "RollbackSignal",
 ]
 
+#: Failure-tolerant runtime: a slave that has sent the master nothing
+#: (status report, ack) for this long sends an explicit heartbeat, so
+#: silence means trouble, not idleness.  The master's ``DEAD_AFTER``
+#: must comfortably exceed it.
+HEARTBEAT_INTERVAL = 0.5
+
 
 class RollbackSignal(Exception):
     """Internal control flow: unwind the slave's lifecycle to restore a
@@ -184,7 +190,7 @@ class SlaveCore:
         if not self.cfg.dlb_enabled:
             return  # static distribution: hooks compiled in but disabled
         self.hook_count += 1
-        if self.ft.enabled:
+        if self.ft:
             yield from self._poll_ctrl()
             yield from self._maybe_heartbeat()
         if self.hook_count < self.skip:
@@ -197,7 +203,7 @@ class SlaveCore:
     def _maybe_heartbeat(self) -> Generator[Any, Any, None]:
         """Send an explicit heartbeat if the master has heard nothing
         from us for a heartbeat interval (reports and acks also count)."""
-        if self.ctx.now - self._last_master_send >= self.ft.heartbeat_interval:
+        if self.ctx.now - self._last_master_send >= HEARTBEAT_INTERVAL:
             yield from self._heartbeat()
 
     def _heartbeat(self) -> Generator[Any, Any, None]:
@@ -502,10 +508,8 @@ class SlaveCore:
                     return done
             timeout = None
             last = self._last_master_send
-            if self.ft.enabled:
-                timeout = max(
-                    0.0, last + self.ft.heartbeat_interval - self.ctx.now
-                )
+            if self.ft:
+                timeout = max(0.0, last + HEARTBEAT_INTERVAL - self.ctx.now)
             msg = yield Recv(src=src, tag=tag, timeout=timeout)
             if msg is not None:
                 if check is None:
@@ -767,7 +771,7 @@ class SlaveCore:
             yield from self.drain_moves()
             if self.work_remaining():
                 continue  # movement handed us fresh work
-            if self.ft.enabled:
+            if self.ft:
                 # The failure-tolerant release waits until every result
                 # is banked, so a crash in the silent window before
                 # suspicion cannot strand the survivors: return ours now.
@@ -778,7 +782,7 @@ class SlaveCore:
             yield from self._exchange(done=True)
             if self.released:
                 break
-            if self.ft.enabled:
+            if self.ft:
                 yield from self._poll_ctrl()
         yield from self._send_result()
 

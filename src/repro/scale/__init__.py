@@ -18,7 +18,6 @@ evaluated in the scaling-crossover study (see ``docs/scaling.md``):
 
 from .crossover import crossover_analysis, crossover_sweep
 from .hierarchy import (
-    HierarchyConfig,
     HierarchyResult,
     build_tree,
     hier_can_recover,
@@ -29,7 +28,6 @@ from .workload import SyntheticBag, synthetic_bag
 
 __all__ = [
     "ScaleTags",
-    "HierarchyConfig",
     "HierarchyResult",
     "build_tree",
     "crossover_analysis",

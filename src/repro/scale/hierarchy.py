@@ -19,7 +19,7 @@ cells.
 
 Fault tolerance: periodic reports/summaries double as heartbeats.  Every
 internal node (and the root) watches its children; an internal child
-silent for ``dead_after`` seconds is declared dead and its orphans are
+silent for ``DEAD_AFTER`` seconds is declared dead and its orphans are
 adopted by the detecting node (``sc.reparent``), whose cumulative
 counters reconstruct the shard's progress from the orphans' next
 reports.  Leaf silence is *not* acted upon — leaf-crash recovery is the
@@ -53,7 +53,6 @@ from .protocol import ScaleTags
 Tags = ScaleTags
 
 __all__ = [
-    "HierarchyConfig",
     "HierarchyResult",
     "Tree",
     "build_tree",
@@ -62,47 +61,27 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class HierarchyConfig:
-    """Control-plane parameters of the sub-master tree.
+# The periods below are the plane's only clocks; no task sleeps on a
+# poll tick.  An idle leaf blocks in a timed ``Recv`` until a message
+# arrives or its next report is due, and a sub-master (or the root)
+# until a message arrives or its next summary, balance or scan is due.
 
-    Attributes:
-        report_period: leaf reporting cadence in simulated seconds; also
-            the cadence of aggregate summaries at each tree level.
-        balance_period: how often each sub-master (and the root) runs a
-            redistribution pass over its children.
-        imbalance_threshold: a child's surplus must exceed this fraction
-            of the mean remaining work per child before an order is cut.
-        min_move: smallest number of units worth an order.
-        dead_after: silence before an internal child is declared dead
-            and its shard re-parented (must comfortably exceed
-            ``report_period``); sub-masters scan for it every
-            ``dead_after / 2``.
-
-    These periods are the only clocks in the plane; no task sleeps on a
-    poll tick.  An idle leaf blocks in a timed ``Recv`` until a message
-    arrives or its next report is due, and a sub-master (or the root)
-    until a message arrives or its next summary, balance or scan is due.
-    """
-
-    report_period: float = 0.5
-    balance_period: float = 1.0
-    imbalance_threshold: float = 0.25
-    min_move: int = 2
-    dead_after: float = 4.0
-
-    def __post_init__(self) -> None:
-        if self.report_period <= 0 or self.balance_period <= 0:
-            raise ConfigError("hierarchy periods must be positive")
-        if not 0 <= self.imbalance_threshold < 1:
-            raise ConfigError("imbalance_threshold must be in [0, 1)")
-        if self.min_move < 1:
-            raise ConfigError("min_move must be >= 1")
-        if self.dead_after <= 2 * self.report_period:
-            raise ConfigError(
-                "dead_after must exceed two report periods, got "
-                f"{self.dead_after} vs period {self.report_period}"
-            )
+#: Leaf reporting cadence in simulated seconds; also the cadence of
+#: aggregate summaries at each tree level.
+REPORT_PERIOD = 0.5
+#: How often each sub-master (and the root) runs a redistribution pass
+#: over its children.
+BALANCE_PERIOD = 1.0
+#: A child's surplus must exceed this fraction of the mean remaining
+#: work per child before an order is cut.
+IMBALANCE_THRESHOLD = 0.25
+#: Smallest number of units worth an order.
+MIN_MOVE = 2
+#: Silence before an internal child is declared dead and its shard
+#: re-parented; sub-masters scan for it every ``DEAD_AFTER / 2``.  A
+#: live child reports every ``REPORT_PERIOD``, so
+#: DEAD_AFTER > 2 * REPORT_PERIOD.
+DEAD_AFTER = 4.0
 
 
 @dataclass(frozen=True)
@@ -283,7 +262,6 @@ def _leaf_task(
     bag: UnitBag,
     parent_pid: int,
     root_pid: int,
-    hc: HierarchyConfig,
     stats: dict,
 ):
     pending = bag.pending
@@ -300,7 +278,7 @@ def _leaf_task(
             # Idle: block until a message arrives or the next report is
             # due; a timeout means it is due, whatever the rounding.
             msg = yield Recv(
-                timeout=max(0.0, last_report + hc.report_period - ctx.now)
+                timeout=max(0.0, last_report + REPORT_PERIOD - ctx.now)
             )
             due = msg is None
         if msg is not None:
@@ -325,7 +303,7 @@ def _leaf_task(
             yield Compute(ops, fn=fn)
             units_since += 1
         now = ctx.now
-        if due or now - last_report >= hc.report_period or (units_since and not pending):
+        if due or now - last_report >= REPORT_PERIOD or (units_since and not pending):
             dt = now - last_report
             # An idle interval carries no speed information: report
             # rate=None so the parent keeps its filtered estimate
@@ -362,7 +340,6 @@ def _node_task(
     init_remaining: dict[int, int],
     parent_pid: int | None,
     level: int,
-    hc: HierarchyConfig,
     stats: dict,
     total_units: int,
     sink: dict,
@@ -377,21 +354,22 @@ def _node_task(
         intake = pid if pid < n_leaves else tree.first_leaf(pid)
         children[pid] = _Child(init_remaining.get(pid, 0), intake, now)
     parent = parent_pid
+    # Units my children have reported done, kept as a running total
+    # rather than summed on every message.
+    done_total = 0
     sent_done: int | None = None  # the done count of the last SUM
     last_sum = now
     last_balance = now
     last_scan = now
-    scan_every = hc.dead_after / 2.0
+    scan_every = DEAD_AFTER / 2.0
 
     def _summary() -> dict[str, Any]:
         rem_total = 0
-        done_total = 0
         rate_total = 0.0
         intake = ctx.pid
         best_rem: int | None = None
         for st in children.values():
             rem_total += st.remaining
-            done_total += st.done
             if st.filt.value is not None:
                 rate_total += st.filt.value
             if best_rem is None or st.remaining < best_rem:
@@ -432,9 +410,7 @@ def _node_task(
         ]
         targets = proportional_counts(total_rem, weights)
         surplus = [st.remaining - tgt for (_, st), tgt in zip(items, targets)]
-        thresh = max(
-            hc.min_move, int(hc.imbalance_threshold * total_rem / len(items))
-        )
+        thresh = max(MIN_MOVE, int(IMBALANCE_THRESHOLD * total_rem / len(items)))
         givers = sorted(
             (i for i in range(len(items)) if surplus[i] >= thresh),
             key=lambda i: -surplus[i],
@@ -445,14 +421,14 @@ def _node_task(
         )
         ti = 0
         for gi in givers:
-            while surplus[gi] >= hc.min_move and ti < len(takers):
+            while surplus[gi] >= MIN_MOVE and ti < len(takers):
                 di = takers[ti]
                 need = -surplus[di]
                 if need <= 0:
                     ti += 1
                     continue
                 k = min(surplus[gi], need)
-                if k < hc.min_move:
+                if k < MIN_MOVE:
                     break
                 g_pid, g_st = items[gi]
                 d_st = items[di][1]
@@ -477,13 +453,14 @@ def _node_task(
 
     def _scan(t: float):
         """Declare silent internal children dead; adopt their orphans."""
+        nonlocal done_total
         dead = [
             pid
             for pid, st in children.items()
-            if pid >= n_leaves and t - st.last_heard > hc.dead_after
+            if pid >= n_leaves and t - st.last_heard > DEAD_AFTER
         ]
         for pid in dead:
-            del children[pid]
+            done_total -= children.pop(pid).done
             stats["deaths"] = stats.get("deaths", 0) + 1
             orphans = subtree.get(pid, ())
             if obs.enabled:
@@ -505,9 +482,9 @@ def _node_task(
                     obs.metrics.counter("scale.reparents").inc()
 
     while True:
-        wake = min(last_balance + hc.balance_period, last_scan + scan_every)
+        wake = min(last_balance + BALANCE_PERIOD, last_scan + scan_every)
         if parent is not None:
-            wake = min(wake, last_sum + hc.report_period)
+            wake = min(wake, last_sum + REPORT_PERIOD)
         msg = yield Recv(timeout=max(0.0, wake - ctx.now))
         now = ctx.now
         drained = False
@@ -522,7 +499,9 @@ def _node_task(
                 if st is not None:  # stale senders (reparented away) ignored
                     p = msg.payload
                     st.remaining = int(p["remaining"])
-                    st.done = int(p["done"])
+                    done = int(p["done"])
+                    done_total += done - st.done
+                    st.done = done
                     rate = p.get("rate")
                     if rate is not None:
                         st.filt.update(float(rate))
@@ -540,7 +519,7 @@ def _node_task(
             elif tag == Tags.TERM:
                 break
         if parent is not None:
-            periodic = now >= last_sum + hc.report_period
+            periodic = now >= last_sum + REPORT_PERIOD
             if periodic or drained:
                 summary = _summary()
                 # A drained shard reports at once, as a drained leaf
@@ -552,14 +531,14 @@ def _node_task(
                     yield Send(parent, Tags.SUM, summary, 48)
                     last_sum = now
                     sent_done = summary["done"]
-        if now >= last_balance + hc.balance_period:
+        if now >= last_balance + BALANCE_PERIOD:
             yield from _balance(now)
             last_balance = now
         if now >= last_scan + scan_every:
             yield from _scan(now)
             last_scan = now
         if parent is None:
-            if sum(st.done for st in children.values()) >= total_units:
+            if done_total >= total_units:
                 for pid in range(tree.root):
                     yield Send(pid, Tags.TERM, None, 16)
                 break
@@ -578,7 +557,6 @@ def run_hierarchical(
     loads: Mapping[int, LoadGenerator] | None = None,
     *,
     fanout: int | None = 8,
-    hier: HierarchyConfig | None = None,
     seed: int = 0,
     recorder: Recorder | None = None,
     faults: FaultPlan | None = None,
@@ -596,7 +574,6 @@ def run_hierarchical(
     :class:`ConfigError`.
     """
     run_cfg = run_cfg or RunConfig()
-    hc = hier or HierarchyConfig()
     n_leaves = run_cfg.cluster.n_slaves
     tree = build_tree(n_leaves, fanout)
     unrecoverable = _unrecoverable(tree, faults)
@@ -634,7 +611,7 @@ def run_hierarchical(
     for pid, bag in enumerate(mr.split()):
         leaf_units[pid] = len(bag.pending)
         mr.cluster.spawn(
-            pid, _leaf_task, bag, tree.parent[pid], tree.root, hc, stats
+            pid, _leaf_task, bag, tree.parent[pid], tree.root, stats
         )
     for node in (*tree.internal, tree.root):
         kids = tree.children[node]
@@ -650,7 +627,6 @@ def run_hierarchical(
             init_remaining,
             tree.parent.get(node),
             tree.level_of[node],
-            hc,
             stats,
             mr.total_units,
             mr.sink,

@@ -41,7 +41,7 @@ from .network import (
     TwoClusterTopology,
     build_topology,
 )
-from .process import Compute, Poll, Recv, Send, Sleep, Now
+from .process import Compute, Poll, Recv, Send, Now
 from .processor import Processor
 from .rusage import RusageReport
 from .trace import Trace
@@ -69,7 +69,6 @@ __all__ = [
     "Send",
     "Recv",
     "Poll",
-    "Sleep",
     "Now",
     "Processor",
     "RusageReport",

@@ -20,7 +20,7 @@ from .engine import Engine
 from .events import Message
 from .load import LoadGenerator, NoLoad
 from .network import Fabric, Mailbox, build_topology
-from .process import Compute, Now, Poll, Recv, Send, Sleep
+from .process import Compute, Now, Poll, Recv, Send
 from .processor import Processor
 from .rusage import RusageReport, TaskUsage
 
@@ -316,13 +316,6 @@ class Cluster:
         heappush(eng._heap, (t, eng._seq, self._step_cb, (task, msg)))
         eng._seq += 1
 
-    def _do_sleep(self, task: _Task, req: Sleep) -> None:
-        # Sleeps are rare and ``dt`` is caller-supplied: keep call_at's
-        # validation.
-        if req.dt < 0:
-            raise SimulationError(f"negative sleep: {req.dt}")
-        self._resume_later(self.engine._now + req.dt, task, None)
-
     def _do_now(self, task: _Task, _req: Now) -> None:
         eng = self.engine
         now = t = eng._now
@@ -564,6 +557,5 @@ _SYSCALLS: dict[type, Callable[[Cluster, _Task, Any], None]] = {
     Send: Cluster._do_send,
     Recv: Cluster._do_recv,
     Poll: Cluster._do_poll,
-    Sleep: Cluster._do_sleep,
     Now: Cluster._do_now,
 }

@@ -13,7 +13,6 @@ layer satisfies the request and resumes the generator with the result.
 ``Recv``          blocking selective receive -> :class:`Message`; with
                   ``timeout``, -> ``None`` once it expires first.
 ``Poll``          non-blocking receive -> :class:`Message` or ``None``.
-``Sleep``         advance virtual time without consuming CPU.
 ``Now``           -> current virtual time (float).
 ================  =====================================================
 """
@@ -23,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable
 
-__all__ = ["Compute", "Send", "Recv", "Poll", "Sleep", "Now"]
+__all__ = ["Compute", "Send", "Recv", "Poll", "Now"]
 
 
 @dataclass(slots=True)
@@ -76,13 +75,6 @@ class Poll:
 
     src: int | None = None
     tag: str | None = None
-
-
-@dataclass(slots=True)
-class Sleep:
-    """Yield the CPU for ``dt`` seconds of virtual time."""
-
-    dt: float
 
 
 class Now:

@@ -35,7 +35,7 @@ from .registry import (
     run_strategy,
 )
 from .protocol import RobustTags, StealTags
-from .stealing import StealingConfig, StealingResult, run_stealing
+from .stealing import StealingResult, run_stealing
 
 __all__ = [
     "STRATEGIES",
@@ -43,7 +43,6 @@ __all__ = [
     "RdlbResult",
     "RobustTags",
     "StealTags",
-    "StealingConfig",
     "StealingResult",
     "StrategyOutcome",
     "available_strategies",

@@ -23,7 +23,7 @@ from ..obs import Recorder
 from ..runtime.mapplane import MapResult
 from ..sim import LoadGenerator
 from .rdlb import RdlbConfig, run_rdlb
-from .stealing import StealingConfig, run_stealing
+from .stealing import run_stealing
 
 __all__ = [
     "STRATEGIES",
@@ -120,7 +120,6 @@ def run_strategy(
     seed: int = 0,
     recorder: Recorder | None = None,
     faults: FaultPlan | None = None,
-    stealing: StealingConfig | None = None,
     rdlb: RdlbConfig | None = None,
 ) -> StrategyOutcome:
     """Run ``plan`` under the named strategy and normalize the outcome.
@@ -164,7 +163,6 @@ def run_strategy(
             plan,
             run_cfg,
             loads,
-            stealing=stealing,
             seed=seed,
             recorder=recorder,
             faults=faults,

@@ -11,11 +11,11 @@ where the past does not predict the next unit.
 Protocol (see :class:`~repro.strategies.protocol.StealTags`): an idle
 worker runs a steal round.  It asks each peer at most once, in a fresh
 seeded order, one STEAL at a time, and waits in a timed receive for WORK
-(steal-half) or DENY.  A victim silent past ``steal_timeout`` gets ABORT
+(steal-half) or DENY.  A victim silent past ``STEAL_TIMEOUT`` gets ABORT
 and is skipped until any message from it arrives: a live victim always
 answers the aborted STEAL late (its WORK is still accepted), a dead one
 never does.  A worker computes a unit in slices of CPU no longer than
-``report_period`` or ``steal_timeout`` and serves its mailbox between
+``REPORT_PERIOD`` or ``STEAL_TIMEOUT`` and serves its mailbox between
 slices, so a long unit never hides its queue from thieves.
 
 The coordinator never judges a worker.  Reports carry the ids (and,
@@ -43,7 +43,6 @@ import numpy as np
 
 from ..compiler.plan import ExecutionPlan
 from ..config import RunConfig
-from ..errors import ConfigError
 from ..faults import FaultPlan
 from ..obs import Recorder
 from ..runtime.mapplane import MapResult, MapRun, UnitBag
@@ -55,35 +54,17 @@ from .protocol import StealTags
 # message sites exactly as it sees the central runtime's.
 Tags = StealTags
 
-__all__ = ["StealingConfig", "StealingResult", "run_stealing"]
+__all__ = ["StealingResult", "run_stealing"]
 
-
-@dataclass(frozen=True)
-class StealingConfig:
-    """Control-plane parameters of the work-stealing plane.
-
-    Attributes:
-        report_period: worker progress-report cadence.
-        steal_fraction: fraction of the victim's pending units a
-            successful steal ships (0.5 = steal-half); the coordinator
-            grants copies in the same proportion.
-        steal_timeout: how long a thief waits for WORK/DENY before
-            aborting the request and asking the next peer.  A worker
-            serves its mailbox at least every ``min(report_period,
-            steal_timeout)`` seconds of CPU.
-    """
-
-    report_period: float = 0.5
-    steal_fraction: float = 0.5
-    steal_timeout: float = 0.1
-
-    def __post_init__(self) -> None:
-        if self.report_period <= 0:
-            raise ConfigError("report_period must be positive")
-        if not 0 < self.steal_fraction <= 0.5:
-            raise ConfigError("steal_fraction must be in (0, 0.5]")
-        if self.steal_timeout <= 0:
-            raise ConfigError("steal_timeout must be positive")
+#: Worker progress-report cadence in simulated seconds.
+REPORT_PERIOD = 0.5
+#: Fraction of the victim's pending units a successful steal ships
+#: (steal-half); the coordinator grants copies in the same proportion.
+STEAL_FRACTION = 0.5
+#: How long a thief waits for WORK/DENY before aborting the request and
+#: asking the next peer.  A worker serves its mailbox at least every
+#: ``min(REPORT_PERIOD, STEAL_TIMEOUT)`` seconds of CPU.
+STEAL_TIMEOUT = 0.1
 
 
 @dataclass(kw_only=True)
@@ -111,7 +92,6 @@ def _worker_task(
     ctx,
     bag: UnitBag,
     n_workers: int,
-    sc: StealingConfig,
     stats: dict,
     seed: int,
 ):
@@ -125,7 +105,7 @@ def _worker_task(
     # The longest CPU slice computed without serving the mailbox: a live
     # victim answers a STEAL within about one timeout.
     slice_ops = (
-        min(sc.report_period, sc.steal_timeout) * ctx.cluster.spec.spec_for(pid).speed
+        min(REPORT_PERIOD, STEAL_TIMEOUT) * ctx.cluster.spec.spec_for(pid).speed
     )
     finished: list[int] = []  # units done since the last report
     states: list[Any] = []  # their state, when numerics run
@@ -168,7 +148,7 @@ def _worker_task(
         elif tag == Tags.STEAL:
             thief = int(msg.payload["thief"])
             req = int(msg.payload["req"])
-            k = int(len(pending) * sc.steal_fraction)
+            k = int(len(pending) * STEAL_FRACTION)
             if (thief, req) in aborted or k < 1:
                 aborted.discard((thief, req))
                 yield Send(thief, Tags.DENY, {"req": req}, 16)
@@ -218,7 +198,7 @@ def _worker_task(
             stats["steals"] = stats.get("steals", 0) + 1
             if obs.enabled:
                 obs.metrics.counter("steal.attempts").inc()
-            deadline = ctx.now + sc.steal_timeout
+            deadline = ctx.now + STEAL_TIMEOUT
             while outstanding == req and not pending and not terminated:
                 msg = yield Recv(timeout=max(0.0, deadline - ctx.now))
                 if msg is not None:
@@ -256,7 +236,7 @@ def _worker_task(
                 states.append(
                     kernels.extract_units(bag.local, np.asarray([unit]), {})
                 )
-            if not pending or ctx.now - last_report >= sc.report_period:
+            if not pending or ctx.now - last_report >= REPORT_PERIOD:
                 yield from _report(False)
             continue
         yield from _steal_round()
@@ -273,7 +253,6 @@ def _worker_task(
 def _coord_task(
     ctx,
     plan: ExecutionPlan,
-    sc: StealingConfig,
     exec_num: bool,
     global_state,
     n_workers: int,
@@ -306,7 +285,7 @@ def _coord_task(
             continue
         least = min(ledger.values())
         spare = [unit for unit, copies in ledger.items() if copies == least]
-        units = tuple(spare[: max(1, int(len(spare) * sc.steal_fraction))])
+        units = tuple(spare[: max(1, int(len(spare) * STEAL_FRACTION))])
         for unit in units:
             ledger[unit] += 1
         payload: dict[str, Any] = {"units": units}
@@ -344,7 +323,6 @@ def run_stealing(
     run_cfg: RunConfig | None = None,
     loads: Mapping[int, LoadGenerator] | None = None,
     *,
-    stealing: StealingConfig | None = None,
     seed: int = 0,
     recorder: Recorder | None = None,
     faults: FaultPlan | None = None,
@@ -356,7 +334,6 @@ def run_stealing(
     worker lives: the coordinator reissues units nobody has reported.
     """
     run_cfg = run_cfg or RunConfig()
-    sc = stealing or StealingConfig()
     mr = MapRun(
         "work stealing",
         plan,
@@ -368,12 +345,11 @@ def run_stealing(
     )
     n, stats = mr.n, mr.stats
     for pid, bag in enumerate(mr.split()):
-        mr.cluster.spawn(pid, _worker_task, bag, n, sc, stats, seed)
+        mr.cluster.spawn(pid, _worker_task, bag, n, stats, seed)
     mr.cluster.spawn(
         run_cfg.cluster.master_pid,
         _coord_task,
         plan,
-        sc,
         mr.exec_num,
         mr.global_state,
         n,

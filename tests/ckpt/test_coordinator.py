@@ -89,7 +89,7 @@ class TestCoordinatorLifecycle:
         assert epoch.snapshots == {}
 
     def test_abort_and_barrier_miss_grow_margin(self):
-        coord = make_coord(barrier_margin=2)
+        coord = make_coord()
         epoch = open_default(coord)
         assert coord.abort(now=6.0) is epoch
         assert coord.margin == 2  # plain abort: margin unchanged

@@ -3,8 +3,8 @@
 Two contracts are pinned here:
 
 1. **A silent injector changes nothing** (property test): for random
-   per-task programs of ``Compute``/``Send``/``Recv``/``Poll``/
-   ``Sleep``/``Now`` — on loaded and dedicated processors, observed and
+   per-task programs of ``Compute``/``Send``/``Recv`` (blocking and
+   timed)/``Poll``/``Now`` — on loaded and dedicated processors, observed and
    unobserved — a run with an armed injector whose plan never fires
    gives the same clock, event count, task finish times, per-processor
    CPU accounting, task-visible values and (when observed) JSONL trace
@@ -27,7 +27,7 @@ from repro.config import ClusterSpec, ProcessorSpec, RunConfig
 from repro.faults import FaultInjector, named_plan
 from repro.obs import Recorder
 from repro.runtime import run_application
-from repro.sim import Cluster, Compute, ConstantLoad, Now, Poll, Recv, Send, Sleep
+from repro.sim import Cluster, Compute, ConstantLoad, Now, Poll, Recv, Send
 
 # ----------------------------------------------------------------------
 # 1. Property: random programs, silent injector == no injector
@@ -35,7 +35,7 @@ from repro.sim import Cluster, Compute, ConstantLoad, Now, Poll, Recv, Send, Sle
 
 _STEP = st.one_of(
     st.tuples(st.just("compute"), st.floats(0.0, 3000.0)),
-    st.tuples(st.just("sleep"), st.floats(0.0, 0.005)),
+    st.tuples(st.just("wait"), st.floats(0.0, 0.005)),
     st.tuples(st.just("now"), st.none()),
     st.tuples(st.just("poll"), st.none()),
     st.tuples(st.just("send"), st.integers(1, 2)),
@@ -74,8 +74,10 @@ def _execute(programs, loaded, observe, injector):
             for kind, arg in steps[pid]:
                 if kind == "compute":
                     yield Compute(arg)
-                elif kind == "sleep":
-                    yield Sleep(arg)
+                elif kind == "wait":
+                    # A timed wait for a tag nobody sends: it always
+                    # expires, leaving the round's messages queued.
+                    yield Recv(tag="never", timeout=arg)
                 elif kind == "now":
                     seen[pid].append((yield Now()))
                 elif kind == "poll":

@@ -41,7 +41,6 @@ def _mk_loads(raw):
 def _run(plan, loads, seed, aggressive, speed=3e4):
     balancer = BalancerConfig(
         improvement_threshold=0.02 if aggressive else 0.10,
-        min_period=0.3 if aggressive else 0.5,
         profitability_enabled=not aggressive,
     )
     cfg = RunConfig(

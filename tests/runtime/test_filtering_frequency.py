@@ -5,8 +5,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.config import BalancerConfig
 from repro.errors import ConfigError
+from repro.runtime import frequency
 from repro.runtime.filtering import TrendFilter
 from repro.runtime.frequency import hooks_to_skip, select_period
 
@@ -116,30 +116,30 @@ class TestTrendFilter:
 
 class TestPeriodSelection:
     def test_floor_binds_for_cheap_costs(self):
-        b = select_period(0.001, 0.01, 0.1, BalancerConfig())
+        b = select_period(0.001, 0.01, 0.1)
         assert b.period == 0.5
         assert b.binding_constraint() in ("floor", "quantum")
 
     def test_movement_bound(self):
-        b = select_period(0.001, 20.0, 0.1, BalancerConfig())
+        b = select_period(0.001, 20.0, 0.1)
         assert b.period == pytest.approx(2.0)
         assert b.binding_constraint() == "movement"
 
     def test_interaction_bound(self):
-        b = select_period(0.2, 0.1, 0.1, BalancerConfig())
+        b = select_period(0.2, 0.1, 0.1)
         assert b.period == pytest.approx(4.0)
         assert b.binding_constraint() == "interaction"
 
     def test_quantum_bound(self):
-        b = select_period(0.001, 0.01, 0.5, BalancerConfig())
+        b = select_period(0.001, 0.01, 0.5)
         assert b.period == pytest.approx(2.5)
         assert b.binding_constraint() == "quantum"
 
     def test_validation(self):
         with pytest.raises(ConfigError):
-            select_period(-1.0, 0.0, 0.1, BalancerConfig())
+            select_period(-1.0, 0.0, 0.1)
         with pytest.raises(ConfigError):
-            select_period(0.0, 0.0, 0.0, BalancerConfig())
+            select_period(0.0, 0.0, 0.0)
 
     @given(
         inter=st.floats(0.0, 10.0),
@@ -147,12 +147,11 @@ class TestPeriodSelection:
         quantum=st.floats(0.01, 1.0),
     )
     def test_period_at_least_every_bound(self, inter, move, quantum):
-        cfg = BalancerConfig()
-        b = select_period(inter, move, quantum, cfg)
-        assert b.period >= cfg.min_period
-        assert b.period >= cfg.interaction_multiple * inter - 1e-12
-        assert b.period >= cfg.movement_multiple * move - 1e-12
-        assert b.period >= cfg.quantum_multiple * quantum - 1e-12
+        b = select_period(inter, move, quantum)
+        assert b.period >= frequency.MIN_PERIOD
+        assert b.period >= frequency.INTERACTION_MULTIPLE * inter - 1e-12
+        assert b.period >= frequency.MOVEMENT_MULTIPLE * move - 1e-12
+        assert b.period >= frequency.QUANTUM_MULTIPLE * quantum - 1e-12
 
 
 class TestHooksToSkip:

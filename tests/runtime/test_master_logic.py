@@ -3,8 +3,9 @@
 import pytest
 
 from repro.apps import build_lu, build_matmul, build_sor
-from repro.config import ClusterSpec, FaultToleranceConfig, RunConfig
+from repro.config import ClusterSpec, RunConfig
 from repro.errors import ProtocolError
+from repro.runtime.frequency import MIN_PERIOD
 from repro.runtime.master import MasterLog, _InFlightMove, _Master
 from repro.runtime.partition import IndexPartition, Transfer
 from repro.runtime.protocol import MoveOrder, SlaveReport
@@ -21,7 +22,7 @@ def make_master(plan=None, n=3, ft=False):
     cfg = RunConfig(
         cluster=ClusterSpec(n_slaves=n),
         execute_numerics=False,
-        ft=FaultToleranceConfig(enabled=ft),
+        ft=ft,
     )
     part = IndexPartition.even(plan.unit_count, n, lo=plan.unit_lo)
     return _Master(FakeCtx(n), plan, cfg, MasterLog(), None, None, part, None)
@@ -87,7 +88,7 @@ class TestAckBookkeeping:
         m = make_master()
         m.last_move_issue_time = 10.0
         assert not m._movement_allowed(now=10.2)
-        assert m._movement_allowed(now=10.0 + m.state.config.min_period)
+        assert m._movement_allowed(now=10.0 + MIN_PERIOD)
 
 
 class TestRemainingSets:

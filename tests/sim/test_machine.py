@@ -7,7 +7,7 @@ from repro.analysis.equivalence import SILENT_PLAN
 from repro.config import ClusterSpec, NetworkSpec, ProcessorSpec
 from repro.errors import DeadlockError, SimulationError
 from repro.faults import FaultInjector, FaultPlan, SlaveStall
-from repro.sim import Cluster, Compute, Now, Poll, Recv, Send, Sleep
+from repro.sim import Cluster, Compute, Now, Poll, Recv, Send
 from repro.sim.load import ConstantLoad
 
 
@@ -50,7 +50,7 @@ class TestComputeAndTime:
         cl = make_cluster()
 
         def task(ctx):
-            yield Sleep(5.0)
+            yield Recv(tag="never", timeout=5.0)
 
         cl.spawn(0, task)
         cl.run()
@@ -208,7 +208,7 @@ class TestMessaging:
             yield Send(dst=1, tag="x", payload=7, nbytes=8)
 
         def receiver(ctx):
-            yield Sleep(1.0)  # let the message arrive
+            yield Recv(tag="never", timeout=1.0)  # let the message arrive
             m = yield Poll(tag="x")
             results.append(m.payload)
 
@@ -264,7 +264,7 @@ class TestTimedRecv:
         log = []
 
         def task(ctx):
-            yield Sleep(0.25)
+            yield Recv(tag="never", timeout=0.25)
             msg = yield Recv(tag="never", timeout=1.5)
             log.append((msg, ctx.now))
 
@@ -279,9 +279,9 @@ class TestTimedRecv:
         got = []
 
         def sender(ctx):
-            yield Sleep(0.5)
+            yield Recv(tag="never", timeout=0.5)
             yield Send(dst=1, tag="x", payload=1, nbytes=8)
-            yield Sleep(2.0)
+            yield Recv(tag="never", timeout=2.0)
             yield Send(dst=1, tag="x", payload=2, nbytes=8)
 
         def receiver(ctx):
@@ -377,7 +377,7 @@ class TestErrors:
         cl = make_cluster()
 
         def t(ctx):
-            yield Sleep(1.0)
+            yield Recv(tag="never", timeout=1.0)
 
         cl.spawn(0, t)
         with pytest.raises(SimulationError):
@@ -441,7 +441,7 @@ class TestRusage:
         def task(ctx):
             seen["n"] = ctx.n_slaves
             seen["m"] = ctx.master_pid
-            yield Sleep(0.0)
+            yield Recv(tag="never", timeout=0.0)
 
         cl.spawn(0, task)
         cl.run()

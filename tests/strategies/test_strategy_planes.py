@@ -20,12 +20,13 @@ from repro.errors import ConfigError, SimulationError
 from repro.faults import FaultPlan, SlaveCrash
 from repro.obs import Recorder
 from repro.sim import ConstantLoad
-from repro.strategies import STRATEGIES, RdlbConfig, StealingConfig, run_strategy
+from repro.strategies import STRATEGIES, RdlbConfig, run_strategy
 from repro.strategies.robustness import (
     cell_perturbation,
     oracle_makespan,
     perturbation_loads,
 )
+from repro.strategies.stealing import REPORT_PERIOD
 from repro.scale.workload import IrregularBag, synthetic_bag
 
 SEED = 7
@@ -233,7 +234,7 @@ class TestStealingLongUnits:
         out = run_strategy("stealing", bag, cfg, seed=SEED, recorder=recorder)
         hits = recorder.log.filter(category="steal", name="hit")
         assert hits and hits[0].pid == 1 and hits[0].meta["victim"] == 0
-        assert hits[0].t < 2 * StealingConfig().report_period
+        assert hits[0].t < 2 * REPORT_PERIOD
         assert out.raw.completed_units == 8
 
 
