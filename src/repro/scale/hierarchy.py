@@ -354,8 +354,9 @@ def _node_task(
         intake = pid if pid < n_leaves else tree.first_leaf(pid)
         children[pid] = _Child(init_remaining.get(pid, 0), intake, now)
     parent = parent_pid
-    # Units my children have reported done, kept as a running total
-    # rather than summed on every message.
+    # Always sum(st.done for st in children.values()): each report adds
+    # its change, a dropped child takes its count with it, an adopted
+    # orphan enters with 0.
     done_total = 0
     sent_done: int | None = None  # the done count of the last SUM
     last_sum = now
