@@ -244,13 +244,13 @@ class BalancerConfig:
 
 @dataclass(frozen=True)
 class GrainConfig:
-    """Granularity control (paper Section 4.4).
+    """Granularity control (paper Section 4.4), given to the compiler.
 
-    The compiler strip-mines pipelined loops; the runtime sizes the strip at
-    startup so one strip of work takes
+    The compiler strip-mines pipelined loops.  With ``block_size_override``
+    set it fixes the strip's row count in the plan; otherwise the runtime
+    sizes the strip at startup so one strip of work takes
     :data:`repro.runtime.launcher.TARGET_BLOCK_TIME` (paper: 150 ms = 1.5x
-    the scheduling quantum), unless ``block_size_override`` fixes the
-    strip's row count.
+    the scheduling quantum).
     """
 
     block_size_override: int | None = None
@@ -312,7 +312,6 @@ class RunConfig:
 
     cluster: ClusterSpec = field(default_factory=ClusterSpec)
     balancer: BalancerConfig = field(default_factory=BalancerConfig)
-    grain: GrainConfig = field(default_factory=GrainConfig)
     ft: bool = False
     ckpt: CheckpointConfig = field(default_factory=CheckpointConfig)
     execute_numerics: bool = True

@@ -103,7 +103,7 @@ def grain(
         plan = build_sor(
             n=n, maxiter=maxiter, grain=grain_cfg, n_slaves_hint=n_slaves
         )
-        r = run_point(plan, n_slaves, loads=loads, seed=seed, grain=grain_cfg)
+        r = run_point(plan, n_slaves, loads=loads, seed=seed)
         block_time = (
             plan.unit_cost(0, n // 2) * ((n - 2) / n_slaves) * rows / (n - 2)
         ) / 1.0e6

@@ -9,7 +9,6 @@ from ..compiler.plan import ExecutionPlan
 from ..config import (
     BalancerConfig,
     ClusterSpec,
-    GrainConfig,
     NetworkSpec,
     ProcessorSpec,
     RunConfig,
@@ -37,7 +36,6 @@ def run_point(
     speed: float = PAPER_SPEED,
     seed: int = 0,
     balancer: BalancerConfig | None = None,
-    grain: GrainConfig | None = None,
     network: NetworkSpec | None = None,
     recorder: Recorder | None = None,
 ) -> RunResult:
@@ -51,7 +49,6 @@ def run_point(
         balancer=balancer
         if balancer is not None
         else BalancerConfig(pipelined=pipelined),
-        grain=grain if grain is not None else GrainConfig(),
         execute_numerics=execute_numerics,
         dlb_enabled=dlb,
         trace_enabled=trace,
