@@ -25,12 +25,21 @@ from .partition import (
 from .profitability import estimate_movement_cost, movement_profitable
 from .protocol import SlaveReport
 
-__all__ = ["BalancerState", "BalancerDecision", "decide"]
+__all__ = ["BalancerState", "BalancerDecision", "RemainingSets", "decide"]
 
 #: How many load-balancing periods of projected savings the
 #: profitability check may credit: rates can change again, so
 #: far-future benefit is not trusted.
 PROFITABILITY_HORIZON_PERIODS = 4.0
+
+
+@dataclass(frozen=True)
+class RemainingSets:
+    """Per-slave counts of the units that still carry movable work, with
+    the unit ids themselves built by ``sets()`` only when work is cut."""
+
+    counts: list[int]
+    sets: Callable[[], dict[int, Sequence[int]]]
 
 
 @dataclass
@@ -40,8 +49,8 @@ class BalancerDecision:
     phase: int
     transfers: list[Transfer]
     period: float
-    skip_hooks: dict[int, int]
     rates: dict[int, float]
+    units_per_hook: Mapping[int, float]
     t_current: float
     t_balanced: float
     improvement: float
@@ -51,6 +60,16 @@ class BalancerDecision:
     @property
     def moves_work(self) -> bool:
         return bool(self.transfers)
+
+    def skip_hooks(self, pid: int) -> int:
+        """Hooks slave ``pid`` passes between reports: one balancing
+        period at its filtered rate.  Computed when read, since a reply
+        goes to one slave, not all of them."""
+        return hooks_to_skip(
+            self.period,
+            self.rates[pid],
+            max(self.units_per_hook.get(pid, 1.0), 1e-9),
+        )
 
 
 class BalancerState:
@@ -180,19 +199,18 @@ def decide(
     partition: BlockPartition | IndexPartition,
     units_per_hook: Mapping[int, float],
     remaining_units: float,
-    active: Callable[[int], bool] | None = None,
     allow_movement: bool = True,
-    remaining_sets: Mapping[int, tuple[int, ...]] | None = None,
+    remaining_sets: RemainingSets | None = None,
 ) -> BalancerDecision:
     """Run one load-balancing phase and produce instructions.
 
-    ``partition`` is the master's view of current ownership; ``active``
-    restricts counting/movement to units that still carry work
-    (Section 4.7).  ``allow_movement=False`` is used while a previous
-    movement is still in flight.  For independent-iteration shapes the
-    master passes ``remaining_sets`` (per-slave ids of units with work
-    left, from slave reports) so the end of a run balances remaining
-    work rather than ownership.
+    ``partition`` is the master's view of current ownership.
+    ``allow_movement=False`` is used while a previous movement is still
+    in flight.  When ownership does not measure the work left, the master
+    passes ``remaining_sets``: for independent iterations near the end of
+    a run, the units slaves report as unfinished; for a shrinking
+    reduction front, the units still active (Section 4.7).  Their counts
+    are balanced instead of ownership, and only those units move.
     """
     cfg = state.config
     state.phase += 1
@@ -200,11 +218,9 @@ def decide(
     n = state.n_slaves
 
     if remaining_sets is not None:
-        counts = [len(remaining_sets.get(p, ())) for p in range(n)]
-    elif isinstance(partition, BlockPartition):
-        counts = partition.counts()
+        counts = remaining_sets.counts
     else:
-        counts = partition.counts(active)
+        counts = partition.counts()
     total = sum(counts)
 
     bounds = select_period(
@@ -213,10 +229,6 @@ def decide(
         state.quantum,
     )
     period = bounds.period
-    skips = {
-        pid: hooks_to_skip(period, rates[pid], max(units_per_hook.get(pid, 1.0), 1e-9))
-        for pid in range(n)
-    }
 
     weights = [rates[pid] for pid in range(n)]
     minimum = 1 if total >= n else 0
@@ -232,8 +244,8 @@ def decide(
             phase=state.phase,
             transfers=[],
             period=period,
-            skip_hooks=skips,
             rates=rates,
+            units_per_hook=units_per_hook,
             t_current=t_cur,
             t_balanced=t_new,
             improvement=improvement,
@@ -250,11 +262,9 @@ def decide(
         return no_move("threshold" if improvement > 0 else None)
 
     if remaining_sets is not None:
-        transfers = transfers_from_sets(dict(remaining_sets), targets)
-    elif isinstance(partition, BlockPartition):
-        transfers = partition.transfers_toward(targets)
+        transfers = transfers_from_sets(remaining_sets.sets(), targets)
     else:
-        transfers = partition.transfers_toward(targets, active)
+        transfers = partition.transfers_toward(targets)
     if not transfers:
         return no_move(None)
 
@@ -280,8 +290,8 @@ def decide(
         phase=state.phase,
         transfers=transfers,
         period=period,
-        skip_hooks=skips,
         rates=rates,
+        units_per_hook=units_per_hook,
         t_current=t_cur,
         t_balanced=t_new,
         improvement=improvement,

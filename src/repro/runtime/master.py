@@ -14,8 +14,9 @@ disagree about ownership.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Collection
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from ..config import RunConfig
 from ..errors import ProtocolError, SlaveLostError
 from ..obs import NULL_RECORDER, Recorder
 from ..sim import Recv, Send, TaskContext
-from .balancer import BalancerDecision, BalancerState, decide
+from .balancer import BalancerDecision, BalancerState, RemainingSets, decide
 from .frequency import MIN_PERIOD, QUANTUM_MULTIPLE, hooks_to_skip
 from .partition import (
     BlockPartition,
@@ -110,7 +111,7 @@ class _PendingCtrl:
 class MasterLog:
     """Everything the master learned during a run (for experiments)."""
 
-    decisions: list[BalancerDecision] = field(default_factory=list)
+    decision: BalancerDecision | None = None  # the latest one
     moves_issued: int = 0
     moves_applied: int = 0
     moves_canceled: int = 0
@@ -162,6 +163,10 @@ class _Master:
             quantum=run_cfg.cluster.processor.quantum,
         )
         self.last_report: dict[int, SlaveReport] = {}
+        # PARALLEL_MAP: live per-slave counts of unfinished owned units
+        # (see _remaining_sets), valid for the partition they were taken on.
+        self._remaining: list[int] = []
+        self._counted: BlockPartition | IndexPartition | None = None
         self.pending_orders: dict[int, list[MoveOrder]] = {p: [] for p in range(self.n)}
         self.in_flight: dict[int, _InFlightMove] = {}
         self.next_move_id = 0
@@ -237,9 +242,9 @@ class _Master:
         return float(plan.unit_count * plan.reps)
 
     def _units_per_hook(self) -> dict[int, float]:
-        counts = self._counts()
         if self.plan.shape is LoopShape.PARALLEL_MAP:
             return {p: 1.0 for p in range(self.n)}
+        counts = self._counts()
         if self.plan.shape is LoopShape.PIPELINE:
             bs = self.block_size or 1
             total = self.plan.strip.total
@@ -250,12 +255,26 @@ class _Master:
         return {p: max(float(counts[p]), 1.0) for p in range(self.n)}
 
     def _counts(self) -> list[int]:
-        if isinstance(self.partition, BlockPartition):
-            return self.partition.counts()
-        return self.partition.counts(self._active_predicate())
+        active = self._active_sets()
+        return active.counts if active is not None else self.partition.counts()
 
-    def _remaining_sets(self) -> dict[int, tuple[int, ...]] | None:
-        """Per-slave remaining-work unit ids (PARALLEL_MAP tail phase).
+    def note_report(self, report: SlaveReport) -> None:
+        """Keep ``report`` as its slave's latest, and refresh that slave's
+        live remaining count (the others' counts are unaffected)."""
+        self.last_report[report.pid] = report
+        if self._counted is self.partition:
+            self._remaining[report.pid] = len(self._unfinished(report.pid))
+
+    def _unfinished(self, p: int) -> Collection[int]:
+        """Units ``p`` owns, less those its last report called finished."""
+        owned = self.partition.units(p)
+        rep = self.last_report.get(p)
+        if rep is None or rep.remaining_units is None:
+            return owned
+        return set(rep.remaining_units).intersection(owned)
+
+    def _remaining_sets(self) -> RemainingSets | None:
+        """Per-slave remaining work in a PARALLEL_MAP tail phase.
 
         In steady state the paper's ownership-proportional balancing is
         used (remaining counts snapshotted at different report times
@@ -263,32 +282,47 @@ class _Master:
         while others still hold work, ownership no longer reflects load,
         so the tail balances explicit remaining-work sets — built from
         slave reports, intersected with current ownership so a stale
-        report cannot name a unit that has since moved."""
+        report cannot name a unit that has since moved.
+
+        The counts are live: :meth:`note_report` refreshes the reporter's,
+        and all are retaken when movement, a grant or a rollback replaces
+        the partition.  So the tail test costs O(P) per report, and the
+        sets are built only if work is cut."""
         if self.plan.shape is not LoopShape.PARALLEL_MAP:
             return None
-        sets: dict[int, tuple[int, ...]] = {}
-        for p in range(self.n):
-            owned = set(int(u) for u in self.partition.owned(p))
-            rep = self.last_report.get(p)
-            if rep is None or rep.remaining_units is None:
-                sets[p] = tuple(sorted(owned))
-            else:
-                sets[p] = tuple(sorted(owned & set(rep.remaining_units)))
-        lens = [len(s) for s in sets.values()]
-        if min(lens) > 0 or max(lens) == 0:
+        if self._counted is not self.partition:
+            self._counted = self.partition
+            self._remaining = [len(self._unfinished(p)) for p in range(self.n)]
+        counts = self._remaining
+        if min(counts) > 0 or max(counts) == 0:
             return None  # steady state (or fully done): ownership rules
-        return sets
+        return RemainingSets(
+            list(counts),
+            lambda: {p: tuple(sorted(self._unfinished(p))) for p in range(self.n)},
+        )
 
-    def _active_predicate(self) -> Callable[[int], bool] | None:
-        if self.plan.shape is not LoopShape.REDUCTION_FRONT:
+    def _active_sets(self) -> RemainingSets | None:
+        """The units each slave may still give away on a reduction front
+        with free movement (Section 4.7): those past the repetition it
+        last reported, plus one repetition of margin against report
+        staleness.  An owned list is sorted, so they are its suffix past
+        one bisection point."""
+        part = self.partition
+        if self.plan.shape is not LoopShape.REDUCTION_FRONT or not isinstance(
+            part, IndexPartition
+        ):
             return None
-        rep_of: dict[int, int] = {}
-        for p in range(self.n):
-            rep = self.last_report[p].rep if p in self.last_report else 0
-            for u in self.partition.owned(p):
-                rep_of[int(u)] = rep
-        # A margin of one repetition protects against report staleness.
-        return lambda u: u > rep_of.get(u, 0) + 1
+        cuts = [
+            bisect_right(
+                part.units(p),
+                (self.last_report[p].rep if p in self.last_report else 0) + 1,
+            )
+            for p in range(self.n)
+        ]
+        return RemainingSets(
+            [len(part.units(p)) - c for p, c in enumerate(cuts)],
+            lambda: {p: part.units(p)[c:] for p, c in enumerate(cuts)},
+        )
 
     # ------------------------------------------------------------------
     # Movement round bookkeeping
@@ -394,7 +428,7 @@ class _Master:
 
     def handle_report(self, report: SlaveReport, now: float) -> Instructions:
         self.log.reports_received += 1
-        self.last_report[report.pid] = report
+        self.note_report(report)
         self.done_units_accum += report.units_done
         self.done_units_by_pid[report.pid] = (
             self.done_units_by_pid.get(report.pid, 0.0) + report.units_done
@@ -432,11 +466,10 @@ class _Master:
             self.partition,
             self._units_per_hook(),
             remaining_units=remaining,
-            active=self._active_predicate(),
             allow_movement=allow,
-            remaining_sets=self._remaining_sets(),
+            remaining_sets=self._remaining_sets() or self._active_sets(),
         )
-        self.log.decisions.append(decision)
+        self.log.decision = decision
         if self.obs.enabled:
             self.obs.metrics.counter("lb.decisions").inc()
             if decision.cancelled is not None:
@@ -481,10 +514,11 @@ class _Master:
         and hook frequency, per the latest balancing decision."""
         orders = self.pending_orders[pid]
         self.pending_orders[pid] = []
-        decision = self.log.decisions[-1]
+        decision = self.log.decision
+        assert decision is not None  # orders only come from a decision
         return Instructions(
             phase=decision.phase,
-            skip_hooks=decision.skip_hooks.get(pid, 1),
+            skip_hooks=decision.skip_hooks(pid),
             sends=tuple(o for o in orders if o.transfer.src == pid),
             recvs=tuple(o for o in orders if o.transfer.dst == pid),
             era=self.era,

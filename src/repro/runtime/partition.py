@@ -18,6 +18,7 @@ slave proportional to its measured computation rate).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -175,6 +176,10 @@ class BlockPartition:
         lo, hi = self.owned_range(s)
         return np.arange(lo, hi)
 
+    def units(self, s: int) -> Sequence[int]:
+        """Slave ``s``'s unit ids in ascending order, without a copy."""
+        return range(*self.owned_range(s))
+
     def owner_of(self, unit: int) -> int:
         b = self.boundaries
         if not b[0] <= unit < b[-1]:
@@ -299,6 +304,11 @@ class IndexPartition:
     def owned(self, s: int) -> np.ndarray:
         return np.asarray(self._owned[s], dtype=int)
 
+    def units(self, s: int) -> Sequence[int]:
+        """Slave ``s``'s unit ids in ascending order: the partition's own
+        list, which nothing mutates (partitions are replaced, not edited)."""
+        return self._owned[s]
+
     def owner_of(self, unit: int) -> int:
         for s, o in enumerate(self._owned):
             if unit in o:
@@ -327,11 +337,26 @@ class IndexPartition:
         )
 
     def apply(self, transfers: Sequence[Transfer]) -> "IndexPartition":
-        owned = [list(o) for o in self._owned]
+        """New partition after ``transfers``.
+
+        Only the senders' and receivers' lists are copied and edited (kept
+        sorted by bisection); every other slave's list is shared with this
+        partition, so the cost follows the slaves involved, not the run.
+        """
+        owned = list(self._owned)
         for t in transfers:
+            src = owned[t.src] = list(owned[t.src])
+            dst = owned[t.dst] = list(owned[t.dst])
             for u in t.units:
-                if u not in owned[t.src]:
+                u = int(u)
+                i = bisect_left(src, u)
+                if i == len(src) or src[i] != u:
                     raise PartitionError(f"slave {t.src} does not own unit {u}")
-                owned[t.src].remove(u)
-                owned[t.dst].append(u)
-        return IndexPartition(owned)
+                del src[i]
+                j = bisect_left(dst, u)
+                if j < len(dst) and dst[j] == u:
+                    raise PartitionError(f"unit {u} owned twice")
+                dst.insert(j, u)
+        new = IndexPartition.__new__(IndexPartition)
+        new._owned = owned  # still sorted and disjoint: no re-check
+        return new

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import BalancerConfig, NetworkSpec
-from repro.runtime.balancer import BalancerState, decide
+from repro.runtime.balancer import BalancerState, RemainingSets, decide
 from repro.runtime.partition import BlockPartition, IndexPartition
 from repro.runtime.profitability import (
     MovementEstimate,
@@ -142,7 +142,11 @@ class TestDecide:
         feed(st_, [10.0, 30.0, 30.0, 30.0])
         part = IndexPartition.even(100, 4)
         active = lambda u: u >= 90  # noqa: E731 - only 10 active units
-        d = decide(st_, part, self._uph(), remaining_units=1e4, active=active)
+        sets = {p: [u for u in part.units(p) if active(u)] for p in range(4)}
+        remaining = RemainingSets([len(s) for s in sets.values()], lambda: sets)
+        d = decide(
+            st_, part, self._uph(), remaining_units=1e4, remaining_sets=remaining
+        )
         for t in d.transfers:
             assert all(u >= 90 for u in t.units)
 
@@ -152,7 +156,7 @@ class TestDecide:
         part = IndexPartition.even(100, 4)
         d = decide(st_, part, self._uph(), remaining_units=1e4)
         # Faster slaves pass more hooks per balancing period.
-        assert d.skip_hooks[1] > d.skip_hooks[0]
+        assert d.skip_hooks(1) > d.skip_hooks(0)
 
     def test_decision_metrics_consistent(self):
         st_ = make_state()

@@ -98,23 +98,24 @@ class TestRemainingSets:
 
     def test_steady_state_returns_none(self):
         m = make_master()
-        m.last_report[0] = report(0, remaining=tuple(m.partition.owned(0)))
+        m.note_report(report(0, remaining=tuple(m.partition.owned(0))))
         assert m._remaining_sets() is None  # everyone still has work
 
     def test_tail_returns_sets(self):
         m = make_master()
-        m.last_report[0] = report(0, remaining=())  # slave 0 ran dry
-        sets = m._remaining_sets()
-        assert sets is not None
+        m.note_report(report(0, remaining=()))  # slave 0 ran dry
+        tail = m._remaining_sets()
+        assert tail is not None
+        sets = tail.sets()
         assert sets[0] == ()
         assert len(sets[1]) > 0
 
     def test_stale_remaining_intersected_with_ownership(self):
         m = make_master()
         not_owned_by_1 = tuple(m.partition.owned(0))[:2]
-        m.last_report[0] = report(0, remaining=())
-        m.last_report[1] = report(1, remaining=not_owned_by_1)
-        sets = m._remaining_sets()
+        m.note_report(report(0, remaining=()))
+        m.note_report(report(1, remaining=not_owned_by_1))
+        sets = m._remaining_sets().sets()
         assert sets[1] == ()  # stale ids filtered out
 
 
@@ -122,12 +123,12 @@ class TestActivePredicate:
     def test_lu_active_margin(self):
         plan = build_lu(n=20)
         m = make_master(plan=plan)
-        m.last_report[0] = report(0, rep=5)
-        active = m._active_predicate()
+        m.note_report(report(0, rep=5))
+        active = set(m._active_sets().sets()[0])
         owned0 = [int(u) for u in m.partition.owned(0)]
         # Units at or before the front (+1 margin) are not movable.
         for u in owned0:
-            assert active(u) == (u > 6)
+            assert (u in active) == (u > 6)
 
 
 class TestInFlightMove:
