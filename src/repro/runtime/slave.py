@@ -17,6 +17,8 @@ PIPELINE interpreter (SOR) lives in :mod:`repro.runtime.pipeline`.
 
 from __future__ import annotations
 
+import heapq
+from bisect import bisect_left
 from typing import Any, Callable, Generator
 
 import numpy as np
@@ -581,6 +583,7 @@ class SlaveCore:
 
     def _exchange(self, done: bool) -> Generator[Any, Any, None]:
         applied, canceled, move_cost = self.ledger.pop_report_fields()
+        owned_count, remaining = self.work_left()
         report = SlaveReport(
             pid=self.pid,
             seq=self.seq,
@@ -588,10 +591,10 @@ class SlaveCore:
             work_time=self.work_time,
             meas_units=self.meas_units,
             meas_work=self.meas_work,
-            owned_count=self.active_owned_count(),
+            owned_count=owned_count,
             rep=self.rep,
             block=self.block,
-            remaining_units=self.remaining_units_list(),
+            remaining_units=remaining,
             applied_moves=applied,
             canceled_moves=canceled,
             measured_move_cost_per_unit=move_cost,
@@ -691,13 +694,11 @@ class SlaveCore:
 
     # -- shape-specific pieces --------------------------------------------
 
-    def active_owned_count(self) -> int:
-        return len(self.owned)
-
-    def remaining_units_list(self) -> tuple[int, ...] | None:
-        """Unit ids that still carry work (None for shapes where
-        ownership is the right balancing measure)."""
-        return None
+    def work_left(self) -> tuple[int, tuple[int, ...] | None]:
+        """A report's count of owned units that still carry work, and
+        their ids (None for shapes where ownership is the right
+        balancing measure)."""
+        return len(self.owned), None
 
     def pack_for(self, order: MoveOrder) -> MovePayload:
         raise NotImplementedError
@@ -799,30 +800,39 @@ class ParallelMapSlave(SlaveCore):
     def __init__(self, ctx, plan, run_cfg, init):
         super().__init__(ctx, plan, run_cfg, init)
         self.completed: dict[int, int] = {u: 0 for u in self.owned}
+        self._requeue()
 
     def _snapshot_extra(self) -> dict[str, Any]:
         return {"completed": dict(self.completed)}
 
-    def work_remaining(self) -> bool:
-        return any(self.completed[u] < self.plan.reps for u in self.owned)
-
-    def remaining_units_list(self) -> tuple[int, ...]:
-        return tuple(
-            u for u in self.owned if self.completed[u] < self.plan.reps
-        )
-
-    def active_owned_count(self) -> int:
-        return len(self.remaining_units_list())
+    def _requeue(self) -> None:
+        """Rebuild the next-unit heap after units arrived (a move or a
+        grant).  Entries are ``(completed, unit)``; one that no longer
+        matches ``completed`` (the unit ran or left) is dropped lazily."""
+        reps = self.plan.reps
+        self._queue: list[tuple[int, int]] = [
+            (c, u) for u, c in self.completed.items() if c < reps
+        ]
+        heapq.heapify(self._queue)
 
     def _next_unit(self) -> int | None:
-        best: int | None = None
-        for u in self.owned:
-            c = self.completed[u]
-            if c >= self.plan.reps:
-                continue
-            if best is None or (c, u) < (self.completed[best], best):
-                best = u
-        return best
+        """The owned unit with the fewest completed repetitions, lowest
+        id first; None once every owned unit is finished."""
+        queue = self._queue
+        while queue:
+            c, u = queue[0]
+            if self.completed.get(u) == c:
+                return u
+            heapq.heappop(queue)
+        return None
+
+    def work_remaining(self) -> bool:
+        return self._next_unit() is not None
+
+    def work_left(self) -> tuple[int, tuple[int, ...]]:
+        reps = self.plan.reps
+        left = tuple(u for u in self.owned if self.completed[u] < reps)
+        return len(left), left
 
     def _unit_ops(self, rep: int, u: int) -> float:
         """Actual iteration cost: data-dependent when the kernels know it
@@ -848,6 +858,8 @@ class ParallelMapSlave(SlaveCore):
             )
             self.note_access(dt, (u,), rep)
             self.completed[u] = rep + 1
+            if rep + 1 < self.plan.reps:
+                heapq.heappush(self._queue, (rep + 1, u))
             self.count_units(1.0)
             yield from self.lb_hook()
 
@@ -874,6 +886,7 @@ class ParallelMapSlave(SlaveCore):
             self.owned.append(u)
             self.completed[u] = int(completed.get(u, 0))
         self.owned.sort()
+        self._requeue()
 
     def pack_for(self, order: MoveOrder) -> MovePayload:
         units = order.transfer.units
@@ -905,6 +918,7 @@ class ParallelMapSlave(SlaveCore):
             self.owned.append(u)
             self.completed[u] = payload.meta["completed"][u]
         self.owned.sort()
+        self._requeue()
         return
         yield  # pragma: no cover - generator form for interface symmetry
 
@@ -985,9 +999,15 @@ class ReductionFrontSlave(SlaveCore):
             self.front_sent[u] = bool(front_sent.get(u, False))
         self.owned.sort()
 
-    def active_owned_count(self) -> int:
-        lo, hi = self.plan.domain(min(self.rep, self.plan.reps - 1))
-        return sum(1 for u in self.owned if lo <= u < hi)
+    def _window(self, rep: int) -> tuple[int, int]:
+        """Where repetition ``rep``'s active domain starts and ends in
+        ``owned`` (which is sorted)."""
+        lo, hi = self.plan.domain(rep)
+        return bisect_left(self.owned, lo), bisect_left(self.owned, hi)
+
+    def work_left(self) -> tuple[int, None]:
+        start, end = self._window(min(self.rep, self.plan.reps - 1))
+        return end - start, None
 
     def work_remaining(self) -> bool:
         return self.rep < self.plan.reps
@@ -1009,12 +1029,8 @@ class ReductionFrontSlave(SlaveCore):
                 front = yield from self._recv_front(k)
             self.front_cache[k] = front
             # --- update my active units that are exactly at rep k.
-            lo, hi = plan.domain(k)
-            todo = [
-                u
-                for u in self.owned
-                if lo <= u < hi and self.completed[u] == k
-            ]
+            start, end = self._window(k)
+            todo = [u for u in self.owned[start:end] if self.completed[u] == k]
             if todo:
                 ops = plan.units_cost(k, todo)
                 arr = np.asarray(sorted(todo))
