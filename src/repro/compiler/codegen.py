@@ -332,25 +332,42 @@ def compile_program(
         )
         unit_cost_expr = unit_cost_expr.times_affine(ploop.trip_count())
 
-    def unit_cost(rep: int, unit: int) -> float:
-        bindings = {**params, d: unit}
-        if rep_var is not None:
-            bindings[rep_var] = rep
-        for pv in deps.pipeline_vars:
-            bindings.setdefault(pv, 0)
-        return unit_cost_expr.evaluate(bindings)
-
-    varying_bounds = features.varying_loop_bounds
-
-    def unit_domain(rep: int) -> tuple[int, int]:
+    def bind(rep: int) -> dict[str, float]:
         bindings = {**params}
         if rep_var is not None:
             bindings[rep_var] = rep
         for pv in deps.pipeline_vars:
             bindings.setdefault(pv, 0)
-        lo = int(dist_loop.lower.evaluate(bindings))
-        hi = int(dist_loop.upper.evaluate(bindings))
-        return lo, hi
+        return bindings
+
+    # Every other variable is bound to a constant, so the unit cost and
+    # domain are memoized on the repetition and unit only where their
+    # expressions read them: LU's cost reads the repetition, MM's and
+    # SOR's neither.
+    cost_vars = unit_cost_expr.variables()
+    cost_reads_rep = rep_var is not None and rep_var in cost_vars
+    cost_reads_unit = d in cost_vars
+    costs: dict[tuple[int | None, int | None], float] = {}
+
+    def unit_cost(rep: int, unit: int) -> float:
+        key = (rep if cost_reads_rep else None, unit if cost_reads_unit else None)
+        if key not in costs:
+            costs[key] = unit_cost_expr.evaluate({**bind(rep), d: unit})
+        return costs[key]
+
+    varying_bounds = features.varying_loop_bounds
+    bound_vars = dist_loop.lower.variables() | dist_loop.upper.variables()
+    domain_reads_rep = rep_var is not None and rep_var in bound_vars
+    domains: dict[int | None, tuple[int, int]] = {}
+
+    def unit_domain(rep: int) -> tuple[int, int]:
+        key = rep if domain_reads_rep else None
+        if key not in domains:
+            bindings = bind(rep)
+            lo = int(dist_loop.lower.evaluate(bindings))
+            hi = int(dist_loop.upper.evaluate(bindings))
+            domains[key] = (lo, hi)
+        return domains[key]
 
     movement = MovementSpec(
         restricted=deps.movement_restricted,

@@ -2,11 +2,18 @@
 
 import pytest
 
-from repro.apps import build_lu, build_matmul, build_sor
+from repro.apps import (
+    build_adaptive,
+    build_lu,
+    build_matmul,
+    build_particle,
+    build_sor,
+)
 from repro.apps.lu import lu_directive, lu_program
 from repro.apps.matmul import matmul_directive, matmul_program
 from repro.apps.sor import sor_directive, sor_program
-from repro.compiler.codegen import compile_program, select_shape
+from repro.compiler.codegen import _rep_var, compile_program, select_shape
+from repro.compiler.costmodel import distributed_iteration_cost
 from repro.compiler.deps import analyze_dependences
 from repro.compiler.ir import (
     ArrayDecl,
@@ -182,3 +189,40 @@ class TestCompileErrors:
         )
         with pytest.raises(CompileError):
             compile_program(p, Directive("i", (("x", 3),)), AppKernels(), {})
+
+
+class TestMemoizedLookups:
+    """``unit_cost`` and ``unit_domain`` are memoized on the variables
+    their expressions read; every lookup, first or repeated, must equal a
+    fresh symbolic evaluation exactly."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [build_matmul, build_sor, build_lu, build_adaptive, build_particle],
+    )
+    def test_lookups_equal_symbolic_evaluation(self, build):
+        plan = build(n=24, n_slaves_hint=4)
+        program, directive = plan.program, plan.directive
+        pvars = plan.deps.pipeline_vars
+        expr = distributed_iteration_cost(program, directive)
+        if plan.shape is LoopShape.PIPELINE:
+            expr = expr.times_affine(program.find_loop(pvars[0]).trip_count())
+        rep_var = _rep_var(program, directive, pvars)
+        loop = program.find_loop(directive.distribute)
+        lo, hi = plan.unit_space()
+        for _ in range(2):  # the second pass reads the memo
+            for rep in range(plan.reps):
+                bindings = dict(plan.params)
+                if rep_var is not None:
+                    bindings[rep_var] = rep
+                for pv in pvars:
+                    bindings.setdefault(pv, 0)
+                if plan.unit_domain is not None:
+                    assert plan.unit_domain(rep) == (
+                        int(loop.lower.evaluate(bindings)),
+                        int(loop.upper.evaluate(bindings)),
+                    )
+                for unit in range(lo, hi):
+                    assert plan.unit_cost(rep, unit) == expr.evaluate(
+                        {**bindings, directive.distribute: unit}
+                    )
