@@ -25,7 +25,7 @@ is ``[1, n-1)``.
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -124,14 +124,35 @@ def _update_cell(G: np.ndarray, j: int, i: int) -> None:
     )
 
 
+def _sweep(G: np.ndarray, rows: Iterable[int], cols: Sequence[int]) -> None:
+    """Update every cell ``(j, i)``, row ``i`` by row, ``j`` in order
+    within a row: the sequential program's order."""
+    for i in rows:
+        for j in cols:
+            _update_cell(G, j, i)
+
+
+def _sweep_tracked(
+    G: np.ndarray, rows: Iterable[int], cols: Sequence[int], residual: float
+) -> float:
+    """:func:`_sweep`, returning the max of ``residual`` and every
+    cell's |delta| (the WHILE condition's residual)."""
+    for i in rows:
+        for j in cols:
+            old = G[j, i]
+            _update_cell(G, j, i)
+            delta = abs(G[j, i] - old)
+            if delta > residual:
+                residual = delta
+    return residual
+
+
 def sor_sequential(G0: np.ndarray, maxiter: int) -> np.ndarray:
     """Reference sequential sweep (in place on a copy)."""
     G = G0.copy()
-    n = G.shape[0]
+    inner = range(1, G.shape[0] - 1)
     for _ in range(maxiter):
-        for i in range(1, n - 1):
-            for j in range(1, n - 1):
-                _update_cell(G, j, i)
+        _sweep(G, inner, inner)
     return G
 
 
@@ -143,17 +164,10 @@ def sor_sequential_convergent(
     WHILE-loop semantics the distributed runtime must reproduce exactly,
     including the sweep count."""
     G = G0.copy()
-    n = G.shape[0]
+    inner = range(1, G.shape[0] - 1)
     sweeps = 0
     for _ in range(maxiter):
-        residual = 0.0
-        for i in range(1, n - 1):
-            for j in range(1, n - 1):
-                old = G[j, i]
-                _update_cell(G, j, i)
-                delta = abs(G[j, i] - old)
-                if delta > residual:
-                    residual = delta
+        residual = _sweep_tracked(G, inner, inner, 0.0)
         sweeps += 1
         if residual <= tol:
             break
@@ -226,27 +240,20 @@ class SorKernels(AppKernels):
         jcols = self._cols(local)
         if left_halo is not None:
             G[jcols[0] - 1, rows[0] + 1 : rows[1] + 1] = left_halo
-        if self.tol is None:
-            for i in self._rows(rows):
-                for j in jcols:
-                    _update_cell(G, j, i)
-        else:
-            self._update_tracked(local, jcols, rows)
+        self._update_strip(local, jcols, rows)
         return G[jcols[-1], rows[0] + 1 : rows[1] + 1].copy()
 
-    def _update_tracked(self, local: dict, jcols, rows: tuple[int, int]) -> None:
-        """Update cells while tracking the sweep's max |delta| (the local
-        contribution to the WHILE condition's residual)."""
-        G = local["G"]
-        residual = local["residual"]
-        for i in self._rows(rows):
-            for j in jcols:
-                old = G[j, i]
-                _update_cell(G, j, i)
-                delta = abs(G[j, i] - old)
-                if delta > residual:
-                    residual = delta
-        local["residual"] = residual
+    def _update_strip(
+        self, local: dict, jcols: Sequence[int], rows: tuple[int, int]
+    ) -> None:
+        """Update one strip of columns ``jcols``; in WHILE mode also fold
+        its max |delta| into the sweep's local residual."""
+        if self.tol is None:
+            _sweep(local["G"], self._rows(rows), jcols)
+        else:
+            local["residual"] = _sweep_tracked(
+                local["G"], self._rows(rows), jcols, local["residual"]
+            )
 
     def sweep_residual(self, local: dict, rep: int) -> float | None:
         """Local max |delta| of the sweep just finished; resets for the
@@ -272,12 +279,7 @@ class SorKernels(AppKernels):
         jmoved = sorted(int(u) for u in units)
         refreshed = []
         for lo, hi in row_blocks:
-            if self.tol is None:
-                for i in range(lo + 1, hi + 1):
-                    for j in jmoved:
-                        _update_cell(G, j, i)
-            else:
-                self._update_tracked(local, jmoved, (lo, hi))
+            self._update_strip(local, jmoved, (lo, hi))
             refreshed.append(G[jmoved[-1], lo + 1 : hi + 1].copy())
         return refreshed
 

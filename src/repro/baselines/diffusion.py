@@ -10,11 +10,11 @@ arrives; it does not poll.  Decisions use only local information, so
 load gradients take multiple exchange rounds to propagate across the
 network — the latency the paper's global-information design avoids.
 
-By default slaves form a chain (the original baseline); passing a
-:class:`~repro.config.TopologySpec` (or setting one on the cluster spec)
-makes the exchange graph topology-aware — ring, 2-D mesh, fat-tree, or
-WAN-linked two-cluster neighbour sets from :mod:`repro.sim.network` —
-and prices every message over the topology's routed links.
+By default slaves form a chain (the original baseline); naming a
+topology kind makes the exchange graph topology-aware — ring, 2-D mesh,
+fat-tree, or WAN-linked two-cluster neighbour sets from
+:mod:`repro.sim.network` — and prices every message over the topology's
+routed links.
 
 A passive coordinator only *detects termination* (it counts completed
 units and broadcasts a stop notice) and gathers results; it takes no
@@ -26,14 +26,13 @@ literature assumes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping
 
 from ..compiler.plan import ExecutionPlan
-from ..config import RunConfig, TopologySpec
+from ..config import RunConfig
 from ..runtime.mapplane import MapResult, MapRun, UnitBag
-from ..sim import Compute, LoadGenerator, Poll, Recv, Send
-from ..sim.network import build_topology
+from ..sim import Compute, Fabric, LoadGenerator, Poll, Recv, Send, build_topology
 
 __all__ = ["DiffusionResult", "run_diffusion"]
 
@@ -165,34 +164,27 @@ def run_diffusion(
     run_cfg: RunConfig,
     loads: Mapping[int, LoadGenerator] | None = None,
     seed: int = 0,
-    topology: TopologySpec | None = None,
+    topology: str | None = None,
 ) -> DiffusionResult:
     """Run ``plan`` under near-neighbour diffusion balancing.
 
-    ``topology`` (or ``run_cfg.cluster.topology``) selects the exchange
-    graph and prices messages over the topology's links; with neither,
-    slaves form the legacy chain over a crossbar.
+    ``topology`` (a :func:`~repro.sim.build_topology` kind) selects the
+    exchange graph and prices messages over the topology's links;
+    without it, slaves form the legacy chain over a crossbar.
     """
     n = run_cfg.cluster.n_slaves
-    topo = topology if topology is not None else run_cfg.cluster.topology
-    if topo is None:  # legacy chain
+    fabric = None
+    if topology is None:  # legacy chain
         neighbor_map = {
             pid: tuple(nb for nb in (pid - 1, pid + 1) if 0 <= nb < n)
             for pid in range(n)
         }
     else:
-        if topo.n_members is None:
-            topo = replace(topo, n_members=n)
-        graph = build_topology(topo, topo.n_members, run_cfg.cluster.network)
+        net = run_cfg.cluster.network
+        graph = build_topology(topology, n, net)
         neighbor_map = {pid: graph.neighbors(pid) for pid in range(n)}
-    mr = MapRun(
-        "diffusion",
-        plan,
-        run_cfg,
-        loads,
-        seed=seed,
-        spec=replace(run_cfg.cluster, topology=topo),
-    )
+        fabric = Fabric(graph, net)
+    mr = MapRun("diffusion", plan, run_cfg, loads, seed=seed, fabric=fabric)
     for pid, bag in enumerate(mr.split()):
         mr.cluster.spawn(pid, _diff_slave, bag, neighbor_map[pid], mr.stats)
     mr.cluster.spawn(
@@ -203,5 +195,5 @@ def run_diffusion(
         DiffusionResult,
         moves=mr.stats.get("moves", 0),
         units_moved=mr.stats.get("moved_units", 0),
-        topology=topo.kind if topo is not None else "chain",
+        topology=topology or "chain",
     )

@@ -181,7 +181,6 @@ def run_suite(
     topologies: Sequence[str] | None = None,
     state_dir: str | None = None,
     timeout_s: float | None = None,
-    self_chaos: Any = None,
 ) -> dict[str, Any]:
     """Run every cell of ``suite`` (or ``all``) and return the document.
 
@@ -242,7 +241,6 @@ def run_suite(
         state_dir=state_dir,
         workers=n_workers,
         meta={"suite": suite, "repeat": repeat},
-        chaos=self_chaos,
     )
     cells: list[dict[str, Any]] = []
     for record in sweep.records:
@@ -600,13 +598,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "killed and recorded as timeout)",
     )
     parser.add_argument(
-        "--self-chaos",
-        default=None,
-        metavar="SPEC",
-        help="inject orchestrator faults while benching, e.g. "
-        "'kill-worker:2' (testing hook)",
-    )
-    parser.add_argument(
         "--list", action="store_true", help="list suites and cells, then exit"
     )
     args = parser.parse_args(argv)
@@ -636,12 +627,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.topologies is not None
         else None
     )
-    self_chaos = None
-    if args.self_chaos is not None:
-        from ..faults.selfchaos import SelfChaos
-
-        parsed = SelfChaos.parse(args.self_chaos)
-        self_chaos = None if parsed.empty else parsed
     try:
         doc = run_suite(
             args.suite,
@@ -651,7 +636,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             topologies=topologies,
             state_dir=args.state_dir,
             timeout_s=args.timeout,
-            self_chaos=self_chaos,
         )
     except KeyError as exc:
         print(f"bench: {exc.args[0]}")

@@ -92,7 +92,6 @@ def _run_cfg_from_args(args: argparse.Namespace) -> RunConfig:
         execute_numerics=args.numerics,
         dlb_enabled=not args.no_dlb,
         ckpt=_ckpt_from_args(args),
-        strategy=getattr(args, "strategy", "centralized") or "centralized",
     )
 
 
@@ -110,7 +109,7 @@ def _faults_from_args(
     if fault_plan.empty:
         return None
     if fault_plan.needs_horizon:
-        if run_cfg.strategy == "centralized":
+        if args.strategy == "centralized":
             base = run_application(plan, run_cfg, loads=loads, seed=args.seed)
             horizon = base.elapsed
         else:
@@ -119,7 +118,7 @@ def _faults_from_args(
             from .strategies import run_strategy
 
             horizon = run_strategy(
-                run_cfg.strategy, plan, run_cfg, loads, seed=args.seed
+                args.strategy, plan, run_cfg, loads, seed=args.seed
             ).elapsed
         fault_plan = fault_plan.resolved(horizon)
     return fault_plan
@@ -134,12 +133,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except ConfigError as exc:
         print(f"run: {exc}")
         return 2
-    if run_cfg.strategy != "centralized":
+    if args.strategy != "centralized":
         from .strategies import run_strategy
 
         try:
             out = run_strategy(
-                run_cfg.strategy, plan, run_cfg, loads, seed=args.seed, faults=faults
+                args.strategy, plan, run_cfg, loads, seed=args.seed, faults=faults
             )
         except ConfigError as exc:
             print(f"run: {exc}")
@@ -182,7 +181,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if args.app is None:
         print("trace: an application is required unless --inspect is given")
         return 2
-    if getattr(args, "strategy", "centralized") != "centralized":
+    if args.strategy != "centralized":
         print(
             "trace: RunReport aggregation covers the centralized runtime; "
             "use `repro run --strategy ...` for the other planes"

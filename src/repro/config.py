@@ -16,7 +16,6 @@ from .errors import ConfigError
 __all__ = [
     "ProcessorSpec",
     "NetworkSpec",
-    "TopologySpec",
     "ClusterSpec",
     "BalancerConfig",
     "GrainConfig",
@@ -90,75 +89,6 @@ class NetworkSpec:
 
 
 @dataclass(frozen=True)
-class TopologySpec:
-    """Interconnect topology replacing the default uncontended crossbar.
-
-    With a topology configured, message transfer time is computed by a
-    :class:`repro.sim.network.Fabric` over the topology's links (per-hop
-    latency, per-link bandwidth, and — with ``contention`` — per-link
-    store-and-forward queueing) instead of the single dedicated path the
-    crossbar assumes.  Per-message CPU overheads are unchanged.
-
-    The fabric spans ``n_members`` *member* nodes (defaults to the
-    cluster's slave count); processors beyond the members (masters,
-    sub-masters) are attached to a member's network port via the
-    ``Cluster``'s attach map.
-
-    Attributes:
-        kind: ``"ring"``, ``"mesh2d"``, ``"fat_tree"``, or
-            ``"two_cluster"``.
-        n_members: fabric node count (default: the cluster's slaves).
-        radix: fat-tree switch radix (leaves per edge switch).
-        fat_factor: fat-tree per-level uplink bandwidth multiplier
-            (``radix`` gives full bisection; lower oversubscribes).
-        split: two-cluster boundary — members ``< split`` are in cluster
-            A (default: half).
-        wan_latency: two-cluster A-to-B one-way latency in seconds.
-        wan_latency_back: B-to-A latency (defaults to ``wan_latency``;
-            setting it differently models asymmetric WAN paths).
-        wan_bandwidth: shared inter-cluster link bandwidth, bytes/s.
-        hop_latency: per-hop wire latency (default: the network spec's
-            crossbar latency).
-        contention: model per-link serialization queueing (deterministic
-            busy-time bookkeeping) instead of latency-only routes.
-    """
-
-    kind: str = "ring"
-    n_members: int | None = None
-    radix: int = 4
-    fat_factor: float = 2.0
-    split: int | None = None
-    wan_latency: float = 0.025
-    wan_latency_back: float | None = None
-    wan_bandwidth: float = 10.0e6
-    hop_latency: float | None = None
-    contention: bool = True
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("ring", "mesh2d", "fat_tree", "two_cluster"):
-            raise ConfigError(
-                "topology kind must be one of 'ring', 'mesh2d', 'fat_tree', "
-                f"'two_cluster', got {self.kind!r}"
-            )
-        if self.n_members is not None and self.n_members < 2:
-            raise ConfigError(f"topology needs >= 2 members, got {self.n_members}")
-        if self.radix < 2:
-            raise ConfigError(f"fat-tree radix must be >= 2, got {self.radix}")
-        if self.fat_factor < 1.0:
-            raise ConfigError(f"fat_factor must be >= 1, got {self.fat_factor}")
-        if self.split is not None and self.split < 1:
-            raise ConfigError(f"two_cluster split must be >= 1, got {self.split}")
-        if self.wan_latency < 0 or (
-            self.wan_latency_back is not None and self.wan_latency_back < 0
-        ):
-            raise ConfigError("WAN latencies must be >= 0")
-        if self.wan_bandwidth <= 0:
-            raise ConfigError("WAN bandwidth must be positive")
-        if self.hop_latency is not None and self.hop_latency < 0:
-            raise ConfigError("hop_latency must be >= 0")
-
-
-@dataclass(frozen=True)
 class ClusterSpec:
     """A cluster: ``n_slaves`` worker processors plus one master processor.
 
@@ -171,9 +101,6 @@ class ClusterSpec:
     processor: ProcessorSpec = field(default_factory=ProcessorSpec)
     network: NetworkSpec = field(default_factory=NetworkSpec)
     processor_overrides: tuple[tuple[int, ProcessorSpec], ...] = ()
-    stagger_phases: bool = True
-    # None keeps the legacy uncontended crossbar (byte-identical traces).
-    topology: TopologySpec | None = None
 
     def __post_init__(self) -> None:
         if self.n_slaves < 1:
@@ -181,13 +108,6 @@ class ClusterSpec:
         for pid, _spec in self.processor_overrides:
             if not 0 <= pid <= self.n_slaves:
                 raise ConfigError(f"processor override pid {pid} out of range")
-        if self.topology is not None:
-            members = self.topology.n_members
-            if members is not None and members > self.n_processors:
-                raise ConfigError(
-                    f"topology spans {members} members but the cluster has "
-                    f"only {self.n_processors} processors"
-                )
 
     @property
     def n_processors(self) -> int:
@@ -205,7 +125,7 @@ class ClusterSpec:
         for opid, ospec in self.processor_overrides:
             if opid == pid:
                 spec = ospec
-        if self.stagger_phases and spec.phase == 0.0:
+        if spec.phase == 0.0:
             # Deterministic per-processor stagger so round-robin cycles do
             # not align across the cluster.
             spec = replace(spec, phase=(pid * 0.37) % spec.quantum)
@@ -263,7 +183,7 @@ class CheckpointConfig:
     Disabled by default: with ``enabled=False`` no checkpoint traffic is
     generated and fault-free event traces are byte-for-byte identical to
     runs before checkpointing existed.  Enabling checkpoints implies the
-    failure-tolerant control plane (``RunConfig.ft``).
+    failure-tolerant control plane.
 
     Attributes:
         enabled: take periodic coordinated snapshots and allow the master
@@ -293,33 +213,17 @@ class CheckpointConfig:
 class RunConfig:
     """Top-level knobs for one simulated application run.
 
-    ``ft`` turns on the failure-tolerant runtime (see
-    docs/fault-tolerance.md): heartbeats, suspicion/death detection,
-    control retries and work reassignment.  Every master and slave wait
-    is a receive either way; the flag only gives each wait a deadline.
-    Fault plans that need recovery, and checkpointing, turn it on
-    (:func:`repro.runtime.launcher.resolve_run_cfg`).
-
-    ``strategy`` selects the DLB control plane for PARALLEL_MAP
-    workloads: ``"centralized"`` is the paper's runtime
-    (:func:`repro.runtime.run_application`); the other names are the
-    :mod:`repro.strategies` registry (``rate``, ``hier``, ``diffusion``,
-    ``stealing``, ``rdlb``, ``fsc``, ``gss``, ``factoring``,
-    ``trapezoid``).  The name is validated where it is consumed
-    (:func:`repro.strategies.run_strategy`), not here, so the config
-    module stays dependency-free.
+    The failure-tolerant runtime (see docs/fault-tolerance.md) is not a
+    knob: :func:`repro.runtime.launcher.resolve_run_cfg` turns it on for
+    fault plans that need recovery and for enabled checkpointing.  The
+    DLB control plane is chosen by the entry point:
+    :func:`repro.runtime.run_application` runs the paper's runtime and
+    :func:`repro.strategies.run_strategy` the other planes.
     """
 
     cluster: ClusterSpec = field(default_factory=ClusterSpec)
     balancer: BalancerConfig = field(default_factory=BalancerConfig)
-    ft: bool = False
     ckpt: CheckpointConfig = field(default_factory=CheckpointConfig)
     execute_numerics: bool = True
     dlb_enabled: bool = True
-    trace_enabled: bool = False
     max_virtual_time: float = 1.0e7
-    strategy: str = "centralized"
-
-    def __post_init__(self) -> None:
-        if not self.strategy or not isinstance(self.strategy, str):
-            raise ConfigError(f"strategy must be a non-empty name, got {self.strategy!r}")

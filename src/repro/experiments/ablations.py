@@ -52,10 +52,12 @@ def pipelining(
     for latency in latencies:
         net = NetworkSpec(latency=latency)
         r_sync = run_point(
-            plan, n_slaves, loads=loads, pipelined=False, seed=seed, network=net
+            plan, n_slaves, loads=loads, seed=seed, network=net,
+            balancer=BalancerConfig(pipelined=False),
         )
         r_pipe = run_point(
-            plan, n_slaves, loads=loads, pipelined=True, seed=seed, network=net
+            plan, n_slaves, loads=loads, seed=seed, network=net,
+            balancer=BalancerConfig(pipelined=True),
         )
         penalty = 100.0 * (r_sync.elapsed - r_pipe.elapsed) / r_pipe.elapsed
         series.add(

@@ -30,9 +30,7 @@ def run_point(
     n_slaves: int,
     loads: Mapping[int, LoadGenerator] | None = None,
     dlb: bool = True,
-    pipelined: bool = True,
     execute_numerics: bool = False,
-    trace: bool = False,
     speed: float = PAPER_SPEED,
     seed: int = 0,
     balancer: BalancerConfig | None = None,
@@ -46,12 +44,9 @@ def run_point(
             processor=ProcessorSpec(speed=speed, quantum=PAPER_QUANTUM),
             network=network if network is not None else NetworkSpec(),
         ),
-        balancer=balancer
-        if balancer is not None
-        else BalancerConfig(pipelined=pipelined),
+        balancer=balancer if balancer is not None else BalancerConfig(),
         execute_numerics=execute_numerics,
         dlb_enabled=dlb,
-        trace_enabled=trace,
     )
     return run_application(plan, cfg, loads=loads, seed=seed, recorder=recorder)
 

@@ -33,9 +33,7 @@ def run(
     plan = build_matmul(n=n, reps=reps, n_slaves_hint=n_slaves)
     loads = {0: OscillatingLoad(k=1, period=period, duration=duration)}
     recorder = Recorder()
-    res = run_point(
-        plan, n_slaves, loads=loads, trace=True, seed=seed, recorder=recorder
-    )
+    res = run_point(plan, n_slaves, loads=loads, seed=seed, recorder=recorder)
     trace = res.trace
     raw_t, raw_v = trace.series("raw_rate[0]")
     adj_t, adj_v = trace.series("adjusted_rate[0]")

@@ -86,7 +86,7 @@ def chaos_app_cells(
         recorder = Recorder() if reports_dir is not None else None
         cell: dict[str, Any] = {"app": app, "plan": pname}
         has_crash = bool(fault_plan.crashes)
-        recoverable = can_recover(plan, resolve_run_cfg(cfg, plan, fault_plan))
+        recoverable = can_recover(plan, resolve_run_cfg(cfg, plan, fault_plan)[0])
         try:
             res = run_application(
                 plan, cfg, seed=seed, faults=fault_plan, recorder=recorder

@@ -82,8 +82,8 @@ class RunResult:
     def make_report(self) -> RunReport:
         """Aggregate this run into a :class:`repro.obs.RunReport`.
 
-        Requires the run to have been observed (``trace=True`` /
-        ``run_cfg.trace_enabled`` or an explicit recorder).
+        Requires the run to have been observed (a recorder passed to
+        :func:`run_application`).
         """
         if self.recorder is None:
             raise SimulationError(
@@ -101,19 +101,22 @@ def sequential_time(plan: ExecutionPlan, run_cfg: RunConfig) -> float:
 
 def resolve_run_cfg(
     run_cfg: RunConfig, plan: ExecutionPlan, faults: FaultPlan | None
-) -> RunConfig:
-    """Effective configuration for a run.
+) -> tuple[RunConfig, bool]:
+    """Effective configuration for a run, and whether it needs the
+    failure-tolerant runtime (heartbeats, death detection, control
+    retries and work reassignment; see docs/fault-tolerance.md).
 
-    - Fault plans with crashes, stalls, or partitions auto-enable the
-      failure-tolerant runtime (``run_cfg.ft``).
+    - Fault plans with crashes, stalls, or partitions need the
+      failure-tolerant runtime.
     - Crashes on dependence-carrying shapes (``PIPELINE``,
       ``REDUCTION_FRONT``) additionally auto-enable checkpointing
       (``run_cfg.ckpt``), the only recovery mechanism for them.
-    - Enabled checkpointing always implies the failure-tolerant runtime
+    - Enabled checkpointing always needs the failure-tolerant runtime
       it rides on (epoch controls travel the recovery channel).
 
-    A fault-free run with checkpointing off is returned unchanged: the
-    runtime then waits with blocking receives and runs no recovery.
+    A fault-free run with checkpointing off gets its configuration back
+    unchanged and no failure tolerance: the runtime then waits with
+    blocking receives and runs no recovery.
     """
     have_faults = faults is not None and not faults.empty
     needs_recovery = have_faults and bool(
@@ -128,9 +131,7 @@ def resolve_run_cfg(
         run_cfg = replace(
             run_cfg, ckpt=replace(run_cfg.ckpt, enabled=True)
         )
-    if (needs_recovery or run_cfg.ckpt.enabled) and not run_cfg.ft:
-        run_cfg = replace(run_cfg, ft=True)
-    return run_cfg
+    return run_cfg, needs_recovery or run_cfg.ckpt.enabled
 
 
 def _initial_partition(plan: ExecutionPlan, run_cfg: RunConfig):
@@ -174,23 +175,20 @@ def run_application(
     """Run ``plan`` on a simulated cluster and return metrics.
 
     ``loads`` maps slave processor ids to competing-load generators
-    (dedicated processors otherwise).  ``recorder`` supplies an
-    observability sink explicitly; with ``run_cfg.trace_enabled`` one is
-    created automatically.  Observed runs carry a derived legacy
-    :class:`~repro.sim.Trace` and support :meth:`RunResult.make_report`.
+    (dedicated processors otherwise).  ``recorder`` is the observability
+    sink; observed runs carry a derived legacy :class:`~repro.sim.Trace`
+    and support :meth:`RunResult.make_report`.
 
     ``faults`` injects a seeded :class:`~repro.faults.FaultPlan`
     (fractional fault times must already be resolved against a horizon).
     Message-only plans rely on the transport layer alone; the effective
     configuration is computed by :func:`resolve_run_cfg` (crash/stall/
-    partition plans enable ``run_cfg.ft``; crashes on dependence-carrying
-    shapes also enable ``run_cfg.ckpt``).  With ``faults`` None (or an
-    empty plan) and checkpointing off, no injector is built and every
-    runtime wait is a blocking receive.
+    partition plans turn on the failure-tolerant runtime; crashes on
+    dependence-carrying shapes also enable ``run_cfg.ckpt``).  With
+    ``faults`` None (or an empty plan) and checkpointing off, no injector
+    is built and every runtime wait is a blocking receive.
     """
-    run_cfg = resolve_run_cfg(run_cfg or RunConfig(), plan, faults)
-    if recorder is None and run_cfg.trace_enabled:
-        recorder = Recorder()
+    run_cfg, ft = resolve_run_cfg(run_cfg or RunConfig(), plan, faults)
     injector: FaultInjector | None = None
     if faults is not None and not faults.empty:
         injector = FaultInjector(faults, master_pid=run_cfg.cluster.master_pid)
@@ -215,7 +213,7 @@ def run_application(
     log = MasterLog()
     sink: dict[str, Any] = {}
     for pid in range(run_cfg.cluster.n_slaves):
-        cluster.spawn(pid, slave_task, plan, run_cfg)
+        cluster.spawn(pid, slave_task, plan, run_cfg, ft)
     cluster.spawn(
         run_cfg.cluster.master_pid,
         master_task,
@@ -226,6 +224,7 @@ def run_application(
         global_state,
         partition,
         block_size,
+        ft,
         sink,
     )
     cluster.run(until=run_cfg.max_virtual_time)

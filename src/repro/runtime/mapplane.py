@@ -25,7 +25,7 @@ from ..config import ClusterSpec, RunConfig
 from ..errors import ConfigError, SimulationError
 from ..faults import FaultInjector, FaultPlan
 from ..obs import Recorder
-from ..sim import Cluster, LoadGenerator
+from ..sim import Cluster, Fabric, LoadGenerator
 from ..sim.rusage import RusageReport
 from .partition import proportional_counts
 
@@ -83,9 +83,10 @@ class MapRun:
 
     Validates the plan and loads, then builds the cluster (``spec``
     overrides ``run_cfg.cluster``; the cluster checks ``faults`` against
-    it) and the seeded global state.  Workers are pids ``0..n-1``; the
-    plane's tasks share :attr:`stats`, and its coordinator stores the
-    gathered results under ``sink["results"]``.
+    it; ``fabric`` prices its messages over a topology) and the seeded
+    global state.  Workers are pids ``0..n-1``; the plane's tasks share
+    :attr:`stats`, and its coordinator stores the gathered results under
+    ``sink["results"]``.
     """
 
     def __init__(
@@ -99,7 +100,7 @@ class MapRun:
         recorder: Recorder | None = None,
         faults: FaultPlan | None = None,
         spec: ClusterSpec | None = None,
-        fabric_attach: dict[int, int] | None = None,
+        fabric: Fabric | None = None,
         worker: str = "worker",
     ):
         if plan.shape is not LoopShape.PARALLEL_MAP:
@@ -129,7 +130,7 @@ class MapRun:
         if faults is not None and not faults.empty:
             injector = FaultInjector(faults, master_pid=spec.master_pid)
         self.recorder = recorder
-        self.cluster = Cluster(spec, loads, recorder, injector, fabric_attach)
+        self.cluster = Cluster(spec, loads, recorder, injector, fabric)
         self.exec_num = exec_num = run_cfg.execute_numerics
         rng = np.random.default_rng(seed)
         self.global_state = plan.kernels.make_global(rng) if exec_num else None

@@ -53,7 +53,7 @@ from .protocol import (
 
 __all__ = ["master_task", "MasterLog", "can_recover"]
 
-# Failure-tolerant runtime timings (RunConfig.ft; docs/fault-tolerance.md).
+# Failure-tolerant runtime timings (docs/fault-tolerance.md).
 
 #: Silence before the master *suspects* a slave: it stops directing new
 #: work at it but keeps its slices.  SUSPECT_AFTER < DEAD_AFTER.
@@ -141,6 +141,7 @@ class _Master:
         global_state: Any,
         partition: BlockPartition | IndexPartition,
         block_size: int | None,
+        ft: bool,
     ):
         self.ctx = ctx
         self.plan = plan
@@ -179,8 +180,8 @@ class _Master:
         self.parked: dict[int, int] = {}
         self.woken: set[int] = set()
         self.results: dict[int, Any] = {}
-        # Failure tolerance (RunConfig.ft; all empty in fault-free runs).
-        self.ft = run_cfg.ft
+        # Failure tolerance (resolve_run_cfg; all empty in fault-free runs).
+        self.ft = ft
         self.exec_num = run_cfg.execute_numerics and global_state is not None
         self.dead: set[int] = set()
         self.suspected: set[int] = set()
@@ -370,9 +371,14 @@ class _Master:
                 raise ProtocolError(f"cancel for unknown move {mid}")
             fl.acked.add(report.pid)
             fl.canceled = True
-        # Close out completed moves, applying ownership changes.
-        for mid in [m for m, fl in self.in_flight.items() if fl.complete()]:
-            fl = self.in_flight.pop(mid)
+        # Close out completed moves, applying ownership changes.  Every
+        # earlier report popped the moves it completed, so only the moves
+        # this one acknowledges can complete; ids follow issue order.
+        for mid in sorted({*report.applied_moves, *report.canceled_moves}):
+            fl = self.in_flight.get(mid)
+            if fl is None or not fl.complete():
+                continue
+            del self.in_flight[mid]
             if fl.canceled:
                 self.log.moves_canceled += 1
             else:
@@ -612,7 +618,7 @@ class _Master:
         return True
 
     # ------------------------------------------------------------------
-    # Failure tolerance (RunConfig.ft; see docs/fault-tolerance.md)
+    # Failure tolerance (see docs/fault-tolerance.md)
     # ------------------------------------------------------------------
 
     def _release_held(self, pid: int) -> bool:
@@ -1524,16 +1530,18 @@ def master_task(
     global_state: Any,
     partition: BlockPartition | IndexPartition,
     block_size: int | None,
+    ft: bool,
     result_sink: dict,
 ):
     """Simulator task body for the central load balancer.
 
     ``recorder`` is the observability sink for rate samples, balancer
     decisions, and move round-trips; ``None`` falls back to the
-    cluster's recorder (disabled by default).
+    cluster's recorder (disabled by default).  ``ft`` runs the
+    failure-tolerant runtime.
     """
     m = _Master(
-        ctx, plan, run_cfg, log, recorder, global_state, partition, block_size
+        ctx, plan, run_cfg, log, recorder, global_state, partition, block_size, ft
     )
     kernels = plan.kernels
     exec_num = run_cfg.execute_numerics and global_state is not None

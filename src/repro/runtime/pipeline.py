@@ -48,8 +48,8 @@ __all__ = ["PipelineSlave"]
 class PipelineSlave(SlaveCore):
     """Interpreter for loop-carried-dependence pipelines."""
 
-    def __init__(self, ctx, plan, run_cfg, init):
-        super().__init__(ctx, plan, run_cfg, init)
+    def __init__(self, ctx, plan, run_cfg, init, ft):
+        super().__init__(ctx, plan, run_cfg, init, ft)
         if plan.strip is None:
             raise ProtocolError("pipeline plan without strip spec")
         # Per-run resolved strip: the startup-sized block depends on the

@@ -68,18 +68,19 @@ class RollbackSignal(Exception):
     """
 
 
-def slave_task(ctx: TaskContext, plan: ExecutionPlan, run_cfg: RunConfig):
-    """Simulator task body for one slave (dispatches on plan shape)."""
+def slave_task(ctx: TaskContext, plan: ExecutionPlan, run_cfg: RunConfig, ft: bool):
+    """Simulator task body for one slave (dispatches on plan shape);
+    ``ft`` runs the failure-tolerant runtime."""
     msg = yield Recv(src=ctx.master_pid, tag=Tags.INIT)
     init = msg.payload
     if plan.shape is LoopShape.PARALLEL_MAP:
-        core: SlaveCore = ParallelMapSlave(ctx, plan, run_cfg, init)
+        core: SlaveCore = ParallelMapSlave(ctx, plan, run_cfg, init, ft)
     elif plan.shape is LoopShape.REDUCTION_FRONT:
-        core = ReductionFrontSlave(ctx, plan, run_cfg, init)
+        core = ReductionFrontSlave(ctx, plan, run_cfg, init, ft)
     elif plan.shape is LoopShape.PIPELINE:
         from .pipeline import PipelineSlave
 
-        core = PipelineSlave(ctx, plan, run_cfg, init)
+        core = PipelineSlave(ctx, plan, run_cfg, init, ft)
     else:  # pragma: no cover - closed enum
         raise ProtocolError(f"unknown shape {plan.shape}")
     ctx.core = core  # exposes slave state for tests and diagnostics
@@ -95,6 +96,7 @@ class SlaveCore:
         plan: ExecutionPlan,
         run_cfg: RunConfig,
         init: dict[str, Any],
+        ft: bool,
     ):
         self.ctx = ctx
         self.plan = plan
@@ -123,9 +125,9 @@ class SlaveCore:
         self.rep = 0
         self.block = 0
         self.released = False
-        # Failure-tolerant runtime (RunConfig.ft): _wait's Recv then
-        # also expires at the next heartbeat.
-        self.ft = run_cfg.ft
+        # Failure-tolerant runtime: _wait's Recv then also expires at
+        # the next heartbeat.
+        self.ft = ft
         self._last_master_send = 0.0
         self._ctrl_acks: dict[int, str] = {}  # ctrl seq -> recorded status
         # (era, owned) of the result last sent, so a failure-tolerant
@@ -200,7 +202,7 @@ class SlaveCore:
         self.hook_count = 0
         yield from self._exchange(done=False)
 
-    # -- failure tolerance (RunConfig.ft, docs/fault-tolerance.md) -------
+    # -- failure tolerance (docs/fault-tolerance.md) ----------------------
 
     def _maybe_heartbeat(self) -> Generator[Any, Any, None]:
         """Send an explicit heartbeat if the master has heard nothing
@@ -797,8 +799,8 @@ class ParallelMapSlave(SlaveCore):
     sender and receiver sit in different repetitions.
     """
 
-    def __init__(self, ctx, plan, run_cfg, init):
-        super().__init__(ctx, plan, run_cfg, init)
+    def __init__(self, ctx, plan, run_cfg, init, ft):
+        super().__init__(ctx, plan, run_cfg, init, ft)
         self.completed: dict[int, int] = {u: 0 for u in self.owned}
         self._requeue()
 
@@ -934,8 +936,8 @@ class ReductionFrontSlave(SlaveCore):
     negligible once iteration size shrinks, Sections 4.2/4.7).
     """
 
-    def __init__(self, ctx, plan, run_cfg, init):
-        super().__init__(ctx, plan, run_cfg, init)
+    def __init__(self, ctx, plan, run_cfg, init, ft):
+        super().__init__(ctx, plan, run_cfg, init, ft)
         self.completed: dict[int, int] = {u: 0 for u in self.owned}
         self.front_sent: dict[int, bool] = {u: False for u in self.owned}
         self.front_cache: dict[int, Any] = {}

@@ -33,7 +33,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from ..config import ClusterSpec, ProcessorSpec, RunConfig, TopologySpec
+from ..config import ClusterSpec, ProcessorSpec, RunConfig
 from ..errors import ConfigError
 from ..sim import ConstantLoad, LoadGenerator, OscillatingLoad, StepLoad
 from ..baselines.diffusion import run_diffusion
@@ -109,7 +109,6 @@ def cell_scaling(
     units_per_leaf: int = 16,
     ops_per_unit: float = 2.0e5,
     topology: str | None = None,
-    diffusion: bool = True,
     seed: int = 0,
 ) -> dict[str, Any]:
     """One crossover cell: all control planes at one (P, regime) point.
@@ -124,30 +123,26 @@ def cell_scaling(
     bag = synthetic_bag(
         P * units_per_leaf, ops_per_unit, name=f"bag-p{P}-{regime}"
     )
-    topo_spec = TopologySpec(kind=topology) if topology is not None else None
     loads = regime_loads(regime, P, seed=seed)
 
     makespans: dict[str, float] = {}
     messages: dict[str, int] = {}
     t0 = time.perf_counter()
     flat = run_hierarchical(
-        bag, _run_cfg(P), dict(loads), fanout=None, seed=seed, topology=topo_spec
+        bag, _run_cfg(P), dict(loads), fanout=None, seed=seed, topology=topology
     )
     makespans["centralized"] = flat.elapsed
     messages["centralized"] = flat.message_count
     for fanout in fanouts:
         res = run_hierarchical(
             bag, _run_cfg(P), dict(loads), fanout=fanout, seed=seed,
-            topology=topo_spec,
+            topology=topology,
         )
         makespans[f"hier{fanout}"] = res.elapsed
         messages[f"hier{fanout}"] = res.message_count
-    if diffusion:
-        diff = run_diffusion(
-            bag, _run_cfg(P), dict(loads), seed=seed, topology=topo_spec
-        )
-        makespans["diffusion"] = diff.elapsed
-        messages["diffusion"] = diff.message_count
+    diff = run_diffusion(bag, _run_cfg(P), dict(loads), seed=seed, topology=topology)
+    makespans["diffusion"] = diff.elapsed
+    messages["diffusion"] = diff.message_count
     wall = time.perf_counter() - t0
 
     winner = min(makespans, key=lambda mode: makespans[mode])

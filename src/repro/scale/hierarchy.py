@@ -37,14 +37,14 @@ from dataclasses import dataclass, replace
 from typing import Any, Mapping
 
 from ..compiler.plan import ExecutionPlan
-from ..config import RunConfig, TopologySpec
+from ..config import RunConfig
 from ..errors import ConfigError
 from ..faults import FaultPlan
 from ..obs import Recorder
 from ..runtime.filtering import TrendFilter
 from ..runtime.mapplane import MapResult, MapRun, UnitBag
 from ..runtime.partition import proportional_counts
-from ..sim import Compute, LoadGenerator, Poll, Recv, Send
+from ..sim import Compute, Fabric, LoadGenerator, Poll, Recv, Send, build_topology
 from .protocol import ScaleTags
 
 # Module-level alias named `Tags` so the protocol lint's AST resolver
@@ -561,18 +561,18 @@ def run_hierarchical(
     seed: int = 0,
     recorder: Recorder | None = None,
     faults: FaultPlan | None = None,
-    topology: TopologySpec | None = None,
+    topology: str | None = None,
 ) -> HierarchyResult:
     """Run ``plan`` under the hierarchical control plane.
 
     ``run_cfg.cluster.n_slaves`` is the *leaf* (worker) count; sub-master
     and root processors are added on top of it.  ``fanout=None`` runs
-    the flat/centralized shape.  ``topology`` (or
-    ``run_cfg.cluster.topology``) prices messages over an explicit
-    interconnect, with each sub-master attached to its shard's first
-    leaf node and the root to leaf 0.  ``faults`` may crash sub-masters
-    only (see :func:`hier_can_recover`); any other crash is a
-    :class:`ConfigError`.
+    the flat/centralized shape.  ``topology`` (a
+    :func:`~repro.sim.build_topology` kind) prices messages over an
+    explicit interconnect spanning the leaves, with each sub-master
+    attached to its shard's first leaf node and the root to leaf 0.
+    ``faults`` may crash sub-masters only (see :func:`hier_can_recover`);
+    any other crash is a :class:`ConfigError`.
     """
     run_cfg = run_cfg or RunConfig()
     n_leaves = run_cfg.cluster.n_slaves
@@ -585,12 +585,14 @@ def run_hierarchical(
             "recoverable (a leaf's pending units die with it; root crashes "
             "are not modeled)"
         )
-    topo = topology if topology is not None else run_cfg.cluster.topology
-    attach = None
-    if topo is not None:
-        if topo.n_members is None:
-            topo = replace(topo, n_members=n_leaves)
-        attach = {node: tree.first_leaf(node) for node in (*tree.internal, tree.root)}
+    fabric = None
+    if topology is not None:
+        net = run_cfg.cluster.network
+        fabric = Fabric(
+            build_topology(topology, n_leaves, net),
+            net,
+            {node: tree.first_leaf(node) for node in (*tree.internal, tree.root)},
+        )
     mr = MapRun(
         "hierarchical control plane",
         plan,
@@ -599,8 +601,8 @@ def run_hierarchical(
         seed=seed,
         recorder=recorder,
         faults=faults,
-        spec=replace(run_cfg.cluster, n_slaves=tree.root, topology=topo),
-        fabric_attach=attach,
+        spec=replace(run_cfg.cluster, n_slaves=tree.root),
+        fabric=fabric,
         worker="leaf",
     )
     if recorder is not None and recorder.enabled:

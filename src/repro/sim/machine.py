@@ -19,7 +19,7 @@ from ..obs import NULL_RECORDER, Recorder
 from .engine import Engine
 from .events import Message
 from .load import LoadGenerator, NoLoad
-from .network import Fabric, Mailbox, build_topology
+from .network import Fabric, Mailbox
 from .process import Compute, Now, Poll, Recv, Send
 from .processor import Processor
 from .rusage import RusageReport, TaskUsage
@@ -102,7 +102,9 @@ class Cluster:
 
     One application task may run per processor.  Processor ids
     ``0..n_slaves-1`` are the slaves; ``n_slaves`` is the master (see
-    :class:`repro.config.ClusterSpec`).
+    :class:`repro.config.ClusterSpec`).  Messages take the uncontended
+    crossbar's time unless a :class:`~repro.sim.network.Fabric` is
+    given, which prices them over its topology's routed links.
     """
 
     def __init__(
@@ -111,7 +113,7 @@ class Cluster:
         loads: dict[int, LoadGenerator] | None = None,
         recorder: Recorder | None = None,
         injector: FaultInjector | None = None,
-        fabric_attach: dict[int, int] | None = None,
+        fabric: Fabric | None = None,
     ):
         self.spec = spec
         self.obs = recorder if recorder is not None else NULL_RECORDER
@@ -137,17 +139,7 @@ class Cluster:
         self._net_latency = spec.network.latency
         self._net_bandwidth = spec.network.bandwidth
         self._n_procs = spec.n_processors  # property resolved once
-        # Optional interconnect topology: None keeps the legacy crossbar
-        # arithmetic below byte-identical; a fabric reprices arrivals
-        # over explicit routed links (see repro.sim.network.Fabric).
-        self._fabric = None
-        if spec.topology is not None:
-            members = spec.topology.n_members or spec.n_slaves
-            self._fabric = Fabric(
-                build_topology(spec.topology, members, spec.network),
-                spec.network,
-                fabric_attach,
-            )
+        self._fabric = fabric
         # Pre-bound callbacks: scheduling happens once or more per event,
         # so the bound-method allocation and attribute hops add up.
         self._call_at = self.engine.call_at
@@ -342,8 +334,7 @@ class Cluster:
             # float summation order (and thus traces) bit-identical.
             arrival = cpu_done + (self._net_latency + nbytes / self._net_bandwidth)
         else:
-            # Also books the route's links when the fabric models
-            # contention, with or without an injector.
+            # Also books the route's links, with or without an injector.
             arrival = self._fabric.arrival(task.pid, req.dst, nbytes, cpu_done)
         self.message_count += 1
         self.bytes_sent += nbytes

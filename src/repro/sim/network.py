@@ -5,14 +5,15 @@ a dedicated path (no contention), characterised by latency and bandwidth,
 with per-message CPU overheads charged on each side through the processor
 model (see :class:`repro.config.NetworkSpec`).
 
-With a :class:`repro.config.TopologySpec` configured on the cluster,
-messages instead traverse an explicit interconnect — ring, 2-D mesh,
-fat-tree, or a WAN-linked two-cluster system — via a :class:`Fabric`
-that routes over directed links, sums per-hop latencies, divides by
-per-link bandwidth, and (optionally) serializes competing messages on
-each link with deterministic store-and-forward busy-time bookkeeping.
-Topologies also expose the neighbor sets used by the decentralized
-diffusion balancer (see :mod:`repro.baselines.diffusion`).
+A plane that names a topology kind (``"ring"``, ``"mesh2d"``,
+``"fat_tree"`` or ``"two_cluster"``) hands the cluster a :class:`Fabric`,
+and messages instead traverse that explicit interconnect: the fabric
+routes over directed links, sums per-hop latencies, divides by per-link
+bandwidth, and serializes competing messages on each link with
+deterministic store-and-forward busy-time bookkeeping.  A topology's
+parameters are the module constants below.  Topologies also expose the
+neighbor sets used by the decentralized diffusion balancer (see
+:mod:`repro.baselines.diffusion`).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import math
 from collections import deque
 
-from ..config import NetworkSpec, TopologySpec
+from ..config import NetworkSpec
 from ..errors import ConfigError
 from ..fastcopy import snapshot_payload
 from ..obs import NULL_RECORDER, Recorder
@@ -101,27 +102,36 @@ class Mailbox:
 # latency/bandwidth tables and busy-time bookkeeping on these ids.
 Link = tuple
 
+#: Fat-tree switch radix: leaves per edge switch.
+RADIX = 4
+#: Fat-tree per-level uplink bandwidth multiplier (``RADIX`` would give
+#: full bisection; lower oversubscribes).
+FAT_FACTOR = 2.0
+#: Two-cluster one-way WAN latency in seconds, each direction.
+WAN_LATENCY = 0.025
+#: Two-cluster shared WAN link bandwidth in bytes/s.
+WAN_BANDWIDTH = 10.0e6
+
+
 class Topology:
     """An interconnect over ``n_members`` member nodes.
 
     Subclasses define the member adjacency used by decentralized
     balancers (:meth:`neighbors`) and the directed-link routes used by
     the :class:`Fabric` to price messages (:meth:`route`,
-    :meth:`link_latency`, :meth:`link_bandwidth`).
+    :meth:`link_latency`, :meth:`link_bandwidth`).  Every hop has the
+    network's latency and bandwidth unless a subclass says otherwise.
     """
 
     kind = "abstract"
 
-    def __init__(self, n_members: int, spec: TopologySpec, net: NetworkSpec):
+    def __init__(self, n_members: int, net: NetworkSpec):
         if n_members < 2:
             raise ConfigError(
                 f"{self.kind} topology needs >= 2 members, got {n_members}"
             )
         self.n_members = n_members
-        self.spec = spec
-        self.hop_latency = (
-            spec.hop_latency if spec.hop_latency is not None else net.latency
-        )
+        self.hop_latency = net.latency
         self.base_bandwidth = net.bandwidth
 
     def neighbors(self, node: int) -> tuple[int, ...]:
@@ -187,8 +197,8 @@ class Mesh2DTopology(Topology):
 
     kind = "mesh2d"
 
-    def __init__(self, n_members: int, spec: TopologySpec, net: NetworkSpec):
-        super().__init__(n_members, spec, net)
+    def __init__(self, n_members: int, net: NetworkSpec):
+        super().__init__(n_members, net)
         rows = int(math.isqrt(n_members))
         while rows > 1 and n_members % rows:
             rows -= 1
@@ -231,36 +241,34 @@ class Mesh2DTopology(Topology):
 
 
 class FatTreeTopology(Topology):
-    """Members are leaves of a radix-``k`` switch tree.
+    """Members are leaves of a radix-:data:`RADIX` switch tree.
 
     Routes climb to the lowest common ancestor switch and descend; the
     link between tree level ``l`` and ``l + 1`` has bandwidth
-    ``base * fat_factor**l`` (``fat_factor == radix`` is full bisection,
-    smaller values model oversubscription).  The diffusion neighbor set
-    of a leaf is its siblings under the same edge switch plus the
-    same-position leaf in each adjacent switch group (a ring of groups),
-    so decentralized exchange has both cheap local and one inter-group
-    edge per leaf.
+    ``base * FAT_FACTOR**l`` (``FAT_FACTOR == RADIX`` would be full
+    bisection; smaller values model oversubscription).  The diffusion
+    neighbor set of a leaf is its siblings under the same edge switch
+    plus the same-position leaf in each adjacent switch group (a ring of
+    groups), so decentralized exchange has both cheap local and one
+    inter-group edge per leaf.
     """
 
     kind = "fat_tree"
 
-    def __init__(self, n_members: int, spec: TopologySpec, net: NetworkSpec):
-        super().__init__(n_members, spec, net)
-        self.radix = spec.radix
-        self.fat_factor = spec.fat_factor
+    def __init__(self, n_members: int, net: NetworkSpec):
+        super().__init__(n_members, net)
         # Entity counts per level: level 0 = leaves, then switches.
         counts = [n_members]
         while counts[-1] > 1:
-            counts.append(-(-counts[-1] // self.radix))
+            counts.append(-(-counts[-1] // RADIX))
         self.levels = len(counts) - 1  # switch levels above the leaves
 
     def n_groups(self) -> int:
-        return -(-self.n_members // self.radix)
+        return -(-self.n_members // RADIX)
 
     def neighbors(self, node: int) -> tuple[int, ...]:
         self._check_member(node)
-        k = self.radix
+        k = RADIX
         group, pos = divmod(node, k)
         out = [
             leaf
@@ -282,7 +290,7 @@ class FatTreeTopology(Topology):
         self._check_member(dst)
         if src == dst:
             return ()
-        k = self.radix
+        k = RADIX
         up, down = [], []
         a, b = src, dst
         level = 0
@@ -297,38 +305,25 @@ class FatTreeTopology(Topology):
         return tuple(up + list(reversed(down)))
 
     def link_bandwidth(self, link: Link) -> float:
-        return self.base_bandwidth * (self.fat_factor ** link[1])
+        return self.base_bandwidth * (FAT_FACTOR ** link[1])
 
 
 class TwoClusterTopology(Topology):
     """Two crossbar clusters joined by one shared WAN link.
 
-    Members ``< split`` form cluster A, the rest cluster B.  Intra-cluster
-    messages use a dedicated per-pair path (crossbar); inter-cluster
-    messages traverse the sender's access port plus the shared WAN link,
-    whose latency may be asymmetric (``wan_latency`` A->B vs
-    ``wan_latency_back`` B->A).  Diffusion neighbors form a ring within
-    each cluster plus one gateway edge between member 0 and member
-    ``split``.
+    The first half of the members (``< split``) form cluster A, the
+    rest cluster B.  Intra-cluster messages use a dedicated per-pair path
+    (crossbar); inter-cluster messages traverse the sender's access port
+    plus the shared WAN link (:data:`WAN_LATENCY`,
+    :data:`WAN_BANDWIDTH`).  Diffusion neighbors form a ring within each
+    cluster plus one gateway edge between member 0 and member ``split``.
     """
 
     kind = "two_cluster"
 
-    def __init__(self, n_members: int, spec: TopologySpec, net: NetworkSpec):
-        super().__init__(n_members, spec, net)
-        split = spec.split if spec.split is not None else n_members // 2
-        if not 1 <= split < n_members:
-            raise ConfigError(
-                f"two_cluster split {split} must be in 1..{n_members - 1}"
-            )
-        self.split = split
-        self.wan_latency = spec.wan_latency
-        self.wan_latency_back = (
-            spec.wan_latency_back
-            if spec.wan_latency_back is not None
-            else spec.wan_latency
-        )
-        self.wan_bandwidth = spec.wan_bandwidth
+    def __init__(self, n_members: int, net: NetworkSpec):
+        super().__init__(n_members, net)
+        self.split = n_members // 2
 
     def cluster_of(self, node: int) -> int:
         return 0 if node < self.split else 1
@@ -362,14 +357,10 @@ class TwoClusterTopology(Topology):
         return (("acc", src), ("wan", self.cluster_of(src)))
 
     def link_latency(self, link: Link) -> float:
-        if link[0] == "wan":
-            return self.wan_latency if link[1] == 0 else self.wan_latency_back
-        return self.hop_latency
+        return WAN_LATENCY if link[0] == "wan" else self.hop_latency
 
     def link_bandwidth(self, link: Link) -> float:
-        if link[0] == "wan":
-            return self.wan_bandwidth
-        return self.base_bandwidth
+        return WAN_BANDWIDTH if link[0] == "wan" else self.base_bandwidth
 
 
 _TOPOLOGIES = {
@@ -381,13 +372,15 @@ _TOPOLOGIES = {
 
 
 def build_topology(
-    spec: TopologySpec, n_members: int, net: NetworkSpec | None = None
+    kind: str, n_members: int, net: NetworkSpec | None = None
 ) -> Topology:
-    """Instantiate the topology described by ``spec`` over ``n_members``."""
-    cls = _TOPOLOGIES.get(spec.kind)
+    """Instantiate the ``kind`` topology over ``n_members`` member nodes."""
+    cls = _TOPOLOGIES.get(kind)
     if cls is None:
-        raise ConfigError(f"unknown topology kind {spec.kind!r}")
-    return cls(n_members, spec, net if net is not None else NetworkSpec())
+        raise ConfigError(
+            f"unknown topology kind {kind!r}; choose from {', '.join(_TOPOLOGIES)}"
+        )
+    return cls(n_members, net if net is not None else NetworkSpec())
 
 
 class Fabric:
@@ -398,11 +391,9 @@ class Fabric:
     member node via ``attach`` (default member 0), sharing its network
     position.  Same-node transfers cost the crossbar base time.
 
-    With contention enabled, each directed link serializes: a message
-    reaching a busy link queues behind the messages already on it
-    (store-and-forward, deterministic busy-time bookkeeping).  Without
-    contention, arrival is departure plus the route's summed latency and
-    per-link byte times — O(1) per message after the route is cached.
+    Each directed link serializes: a message reaching a busy link queues
+    behind the messages already on it (store-and-forward, deterministic
+    busy-time bookkeeping).
     """
 
     def __init__(
@@ -414,14 +405,10 @@ class Fabric:
         self.topology = topology
         self.base_latency = net.latency
         self.base_bandwidth = net.bandwidth
-        self.contention = topology.spec.contention
         self._attach = dict(attach or {})
         for pid, node in self._attach.items():
             topology._check_member(node)
         self._routes: dict[tuple[int, int], tuple[Link, ...]] = {}
-        # (summed latency, summed 1/bandwidth) per node pair, for the
-        # contention-free fast path.
-        self._price: dict[tuple[int, int], tuple[float, float]] = {}
         self._busy: dict[Link, float] = {}
 
     def node_of(self, pid: int) -> int:
@@ -439,15 +426,7 @@ class Fabric:
         topo = self.topology
         route = self._routes.get(key)
         if route is None:
-            route = topo.route(src, dst)
-            self._routes[key] = route
-            self._price[key] = (
-                sum(topo.link_latency(lk) for lk in route),
-                sum(1.0 / topo.link_bandwidth(lk) for lk in route),
-            )
-        if not self.contention:
-            lat, inv_bw = self._price[key]
-            return t + lat + nbytes * inv_bw
+            route = self._routes[key] = topo.route(src, dst)
         busy = self._busy
         for lk in route:
             start = busy.get(lk, 0.0)

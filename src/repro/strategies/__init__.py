@@ -20,14 +20,14 @@ alternatives:
   :mod:`repro.strategies.rdlb`) on the same master, never reissuing a
   chunk (so they refuse crash plans).
 
-Selection is wired through ``RunConfig.strategy`` and
+Selection is wired through :func:`run_strategy` and
 ``repro run --strategy``.  The perturbation-robustness bench suite
 (:mod:`repro.strategies.robustness`) races the strategies over irregular
 workloads and recorded load traces and reports degradation versus an
 idealized oracle makespan.
 """
 
-from .rdlb import RdlbConfig, RdlbResult, run_rdlb
+from .rdlb import RdlbResult, run_rdlb
 from .registry import (
     STRATEGIES,
     StrategyOutcome,
@@ -39,7 +39,6 @@ from .stealing import StealingResult, run_stealing
 
 __all__ = [
     "STRATEGIES",
-    "RdlbConfig",
     "RdlbResult",
     "RobustTags",
     "StealTags",

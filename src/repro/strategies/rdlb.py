@@ -20,10 +20,12 @@ requester with nothing to take gets no reply and waits for the final
 stop.  No rate filtering, no trend estimation, no movement decisions —
 robustness against both perturbation (a slowed worker's chunk is simply
 finished by someone else) and fail-stop crashes comes entirely from
-reissuing work the master still owns: a chunk survives ``dup_max - 1``
-holder crashes.  With ``dup_max=1`` it is plain self-scheduling, which
-is how the registry runs FSC/GSS/factoring/trapezoid; those never
-reissue and so refuse crash plans.
+reissuing work the master still owns.  The strategy name fixes both
+choices: ``rdlb`` cuts factoring chunks and lets a chunk have two
+holders, so it survives one holder crash; ``fsc``, ``gss``,
+``factoring`` and ``trapezoid`` cut their own chunks and keep one
+holder, which is plain self-scheduling: they never reissue and so
+refuse crash plans.
 
 The cost is the self-scheduling cost the paper's iteration-ownership
 design avoids — every chunk ships its input data from the master and
@@ -58,12 +60,12 @@ __all__ = [
     "GuidedPolicy",
     "FactoringPolicy",
     "TrapezoidPolicy",
-    "RdlbConfig",
     "RdlbResult",
     "run_rdlb",
 ]
 
-_CHUNKINGS = ("fsc", "gss", "factoring", "trapezoid")
+#: Chunk size of fixed-size chunk self-scheduling (``fsc``).
+FSC_CHUNK = 8
 
 
 class ChunkPolicy:
@@ -117,36 +119,6 @@ class TrapezoidPolicy:
         return min(max(1, c), remaining)
 
 
-@dataclass(frozen=True)
-class RdlbConfig:
-    """Parameters of the robust self-scheduling plane.
-
-    Attributes:
-        chunking: chunk-sizing policy — ``"fsc"`` (:class:`ChunkPolicy`),
-            ``"gss"`` (:class:`GuidedPolicy`), ``"factoring"``, or
-            ``"trapezoid"``.
-        chunk: fixed chunk size when ``chunking="fsc"``.
-        dup_max: maximum concurrent holders per chunk (2 = one reissue);
-            bounds the duplicated compute, and a chunk survives
-            ``dup_max - 1`` holder crashes.
-    """
-
-    chunking: str = "factoring"
-    chunk: int = 8
-    dup_max: int = 2
-
-    def __post_init__(self) -> None:
-        if self.chunking not in _CHUNKINGS:
-            raise ConfigError(
-                f"chunking must be one of {', '.join(_CHUNKINGS)}, "
-                f"got {self.chunking!r}"
-            )
-        if self.chunk < 1:
-            raise ConfigError(f"chunk must be >= 1, got {self.chunk}")
-        if self.dup_max < 1:
-            raise ConfigError(f"dup_max must be >= 1, got {self.dup_max}")
-
-
 @dataclass(kw_only=True)
 class RdlbResult(MapResult):
     """Outcome and metrics of one robust self-scheduling run."""
@@ -166,12 +138,22 @@ class RdlbResult(MapResult):
         )
 
 
-def _make_policy(rc: RdlbConfig, total: int, n_slaves: int):
-    if rc.chunking == "fsc":
-        return ChunkPolicy(rc.chunk)
-    if rc.chunking == "gss":
+#: strategy name -> (chunking, most holders a chunk may have).
+_SCHEDULES = {
+    "rdlb": ("factoring", 2),
+    "fsc": ("fsc", 1),
+    "gss": ("gss", 1),
+    "factoring": ("factoring", 1),
+    "trapezoid": ("trapezoid", 1),
+}
+
+
+def _make_policy(chunking: str, total: int, n_slaves: int):
+    if chunking == "fsc":
+        return ChunkPolicy(FSC_CHUNK)
+    if chunking == "gss":
         return GuidedPolicy()
-    if rc.chunking == "trapezoid":
+    if chunking == "trapezoid":
         return TrapezoidPolicy(total, n_slaves)
     return FactoringPolicy()
 
@@ -207,7 +189,8 @@ def _rdlb_worker(ctx, plan: ExecutionPlan):
 def _rdlb_master(
     ctx,
     plan: ExecutionPlan,
-    rc: RdlbConfig,
+    chunking: str,
+    dup_max: int,
     exec_num: bool,
     global_state,
     n_workers: int,
@@ -219,7 +202,7 @@ def _rdlb_master(
     lo, hi = plan.unit_space()
     total = hi - lo
     queue = list(range(lo, hi))
-    policy = _make_policy(rc, total, n_workers)
+    policy = _make_policy(chunking, total, n_workers)
     outstanding: dict[int, _Chunk] = {}  # in issue order: oldest first
     chunks_served = 0
     done_units = 0
@@ -238,7 +221,7 @@ def _rdlb_master(
             outstanding[cid] = _Chunk(units, pid)
             return cid, units
         for cid, ch in outstanding.items():
-            if pid in ch.holders or len(ch.holders) >= rc.dup_max:
+            if pid in ch.holders or len(ch.holders) >= dup_max:
                 continue
             ch.holders.add(pid)
             stats["reassigns"] = stats.get("reassigns", 0) + 1
@@ -293,22 +276,29 @@ def run_rdlb(
     run_cfg: RunConfig | None = None,
     loads: Mapping[int, LoadGenerator] | None = None,
     *,
-    rdlb: RdlbConfig | None = None,
+    strategy: str = "rdlb",
     seed: int = 0,
     recorder: Recorder | None = None,
     faults: FaultPlan | None = None,
 ) -> RdlbResult:
-    """Run ``plan`` under rDLB-style robust self-scheduling.
+    """Run ``plan`` under the central-queue ``strategy``: ``rdlb`` or
+    one of the classic self-scheduling variants it hardens (``fsc``,
+    ``gss``, ``factoring``, ``trapezoid``).
 
-    With ``dup_max=1`` no chunk is ever reissued, so a crashed holder's
-    chunk could never finish: a fault plan with crashes is then a
+    The classics never reissue a chunk, so a crashed holder's chunk
+    could never finish: a fault plan with crashes is then a
     :class:`ConfigError`.
     """
     run_cfg = run_cfg or RunConfig()
-    rc = rdlb or RdlbConfig()
-    if rc.dup_max == 1 and faults is not None and faults.crashes:
+    if strategy not in _SCHEDULES:
         raise ConfigError(
-            f"{rc.chunking} self-scheduling never reissues a chunk "
+            f"unknown self-scheduling strategy {strategy!r}; "
+            f"choose from {', '.join(_SCHEDULES)}"
+        )
+    chunking, dup_max = _SCHEDULES[strategy]
+    if dup_max == 1 and faults is not None and faults.crashes:
+        raise ConfigError(
+            f"{chunking} self-scheduling never reissues a chunk "
             "(dup_max=1), so a crashed worker's chunk would be lost; "
             "crash plans need dup_max >= 2 (the rdlb strategy)"
         )
@@ -328,7 +318,8 @@ def run_rdlb(
         run_cfg.cluster.master_pid,
         _rdlb_master,
         plan,
-        rc,
+        chunking,
+        dup_max,
         mr.exec_num,
         mr.global_state,
         mr.n,
@@ -342,7 +333,7 @@ def run_rdlb(
     return mr.finish(
         RdlbResult,
         [part for parts in mr.sink["results"].values() for part in parts],
-        chunking=rc.chunking,
+        chunking=chunking,
         chunks_served=stats.get("chunks", 0),
         reassigns=stats.get("reassigns", 0),
         duplicate_results=stats.get("duplicates", 0),

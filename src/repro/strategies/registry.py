@@ -6,14 +6,14 @@ returning a :class:`StrategyOutcome`, which is what the CLI
 (``repro run --strategy``), the perturbation-robustness bench, and the
 chaos harness consume.  The classic self-scheduling chunking variants
 (FSC/GSS/factoring/trapezoid) are first-class strategies: they run
-through the robust self-scheduling master with ``dup_max=1``, which
-gives the classic chunk sequence with recorder support and no reissue
-(so they refuse crash plans).
+through the robust self-scheduling master, which gives each its classic
+chunk sequence with recorder support and no reissue (so they refuse
+crash plans).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Mapping
 
 from ..config import RunConfig
@@ -22,7 +22,7 @@ from ..faults import FaultPlan
 from ..obs import Recorder
 from ..runtime.mapplane import MapResult
 from ..sim import LoadGenerator
-from .rdlb import RdlbConfig, run_rdlb
+from .rdlb import run_rdlb
 from .stealing import run_stealing
 
 __all__ = [
@@ -120,7 +120,6 @@ def run_strategy(
     seed: int = 0,
     recorder: Recorder | None = None,
     faults: FaultPlan | None = None,
-    rdlb: RdlbConfig | None = None,
 ) -> StrategyOutcome:
     """Run ``plan`` under the named strategy and normalize the outcome.
 
@@ -168,16 +167,12 @@ def run_strategy(
             faults=faults,
         )
         return _wrap(strategy, res)
-    # rdlb and the promoted chunking variants share the robust master;
-    # the classics never reissue a chunk.
-    rc = rdlb or RdlbConfig()
-    if strategy != "rdlb":
-        rc = replace(rc, chunking=strategy, dup_max=1)
+    # rdlb and the promoted chunking variants share the robust master.
     res = run_rdlb(
         plan,
         run_cfg,
         loads,
-        rdlb=rc,
+        strategy=strategy,
         seed=seed,
         recorder=recorder,
         faults=faults,

@@ -8,7 +8,7 @@ from repro.apps import build_lu, build_matmul
 from repro.config import ClusterSpec, ProcessorSpec, RunConfig
 from repro.errors import ConfigError
 from repro.sim import ConstantLoad
-from repro.strategies import RdlbConfig, run_strategy
+from repro.strategies import run_strategy
 
 
 class TestRuns:
@@ -23,9 +23,7 @@ class TestRuns:
     @pytest.mark.parametrize(
         "run",
         [
-            lambda plan, cfg: run_strategy(
-                "fsc", plan, cfg, rdlb=RdlbConfig(chunk=4), seed=2
-            ),
+            lambda plan, cfg: run_strategy("fsc", plan, cfg, seed=2),
             lambda plan, cfg: run_strategy("gss", plan, cfg, seed=2),
             lambda plan, cfg: run_strategy("factoring", plan, cfg, seed=2),
             lambda plan, cfg: run_strategy("trapezoid", plan, cfg, seed=2),
@@ -43,9 +41,7 @@ class TestRuns:
 
     def test_all_chunks_served(self):
         plan = build_matmul(n=64)
-        out = run_strategy(
-            "fsc", plan, self._cfg(), rdlb=RdlbConfig(chunk=8), seed=1
-        )
+        out = run_strategy("fsc", plan, self._cfg(), seed=1)
         assert out.raw.chunks_served == 8
 
     def test_load_balances_naturally(self):

@@ -75,13 +75,14 @@ def test_enabled_ckpt_runs_are_deterministic_and_commit():
 
 def test_resolve_run_cfg_is_identity_for_fault_free_disabled_runs():
     plan = build_sor(n=24, maxiter=4)
-    assert resolve_run_cfg(CFG, plan, None) is CFG
+    resolved, ft = resolve_run_cfg(CFG, plan, None)
+    assert resolved is CFG
+    assert not ft
 
 
 def test_resolve_run_cfg_enabling_ckpt_implies_ft():
     plan = build_sor(n=24, maxiter=4)
     cfg = replace(CFG, ckpt=CheckpointConfig(enabled=True))
-    assert not cfg.ft
-    resolved = resolve_run_cfg(cfg, plan, None)
-    assert resolved.ft
+    resolved, ft = resolve_run_cfg(cfg, plan, None)
+    assert ft
     assert resolved.ckpt.enabled

@@ -36,7 +36,6 @@ from repro.config import (
     ClusterSpec,
     ProcessorSpec,
     RunConfig,
-    TopologySpec,
 )
 from repro.faults import FaultPlan, SlaveCrash, named_plan
 from repro.obs import Recorder
@@ -201,7 +200,7 @@ PLANE_CASES = {
             _plane_cfg(8),
             {0: ConstantLoad(k=3)},
             seed=7,
-            topology=TopologySpec(kind="mesh2d"),
+            topology="mesh2d",
         ),
         False,
         ("moves", "units_moved", "topology"),

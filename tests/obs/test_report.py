@@ -30,7 +30,6 @@ def tiny_mm_report() -> RunReport:
         plan,
         3,
         loads={1: ConstantLoad(k=1)},
-        trace=True,
         seed=0,
         recorder=recorder,
     )
@@ -96,7 +95,6 @@ def test_loaded_fig9_report_has_timelines_and_overhead():
         plan,
         4,
         loads={0: OscillatingLoad(k=1, period=5.0, duration=2.5)},
-        trace=True,
         seed=0,
         recorder=recorder,
     )

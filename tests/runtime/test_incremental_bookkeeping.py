@@ -146,7 +146,7 @@ def make_slave(cls, plan, units):
         execute_numerics=False,
         dlb_enabled=False,
     )
-    return cls(FakeCtx(), plan, cfg, {"units": tuple(units)})
+    return cls(FakeCtx(), plan, cfg, {"units": tuple(units)}, False)
 
 
 def drive(gen):

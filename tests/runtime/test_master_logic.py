@@ -19,13 +19,9 @@ class FakeCtx:
 
 def make_master(plan=None, n=3, ft=False):
     plan = plan or build_matmul(n=30, n_slaves_hint=n)
-    cfg = RunConfig(
-        cluster=ClusterSpec(n_slaves=n),
-        execute_numerics=False,
-        ft=ft,
-    )
+    cfg = RunConfig(cluster=ClusterSpec(n_slaves=n), execute_numerics=False)
     part = IndexPartition.even(plan.unit_count, n, lo=plan.unit_lo)
-    return _Master(FakeCtx(n), plan, cfg, MasterLog(), None, None, part, None)
+    return _Master(FakeCtx(n), plan, cfg, MasterLog(), None, None, part, None, ft)
 
 
 def report(pid, done=False, applied=(), canceled=(), rep=0, remaining=None):

@@ -20,7 +20,6 @@ def make_cluster(n_slaves=2, speed=1e6, pipelined=False):
     spec = ClusterSpec(
         n_slaves=n_slaves,
         processor=ProcessorSpec(speed=speed),
-        stagger_phases=False,
     )
     cfg = RunConfig(
         cluster=spec,
@@ -50,7 +49,7 @@ class TestSlaveProtocol:
         plan = build_matmul(n=n_units, n_slaves_hint=1)
         log = []
         script = script or (lambda r: None)
-        cluster.spawn(0, slave_task, plan, cfg)
+        cluster.spawn(0, slave_task, plan, cfg, False)
         cluster.spawn(1, master_with_init, range(n_units), skip, script, log)
         cluster.run()
         return log
@@ -150,8 +149,8 @@ class TestScriptedMovement:
                 res = yield Recv(tag=Tags.RESULT)
                 (log0 if res.src == 0 else log1).append(("RESULT", res.payload))
 
-        cluster.spawn(0, slave_task, plan, cfg)
-        cluster.spawn(1, slave_task, plan, cfg)
+        cluster.spawn(0, slave_task, plan, cfg, False)
+        cluster.spawn(1, slave_task, plan, cfg, False)
         cluster.spawn(2, master, )
         cluster.run()
         result0 = [e for e in log0 if isinstance(e, tuple)][0][1]

@@ -80,13 +80,6 @@ class TestCellScaling:
             cell_scaling(**kw)["meta"]["makespans"]
         )
 
-    def test_diffusion_can_be_skipped(self):
-        out = cell_scaling(
-            P=8, fanouts=(4,), units_per_leaf=4, ops_per_unit=5e4,
-            diffusion=False,
-        )
-        assert "diffusion" not in out["meta"]["makespans"]
-
 
 def _fake_cell(P, regime, central, hier, topology="crossbar"):
     return {

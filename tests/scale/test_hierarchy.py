@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.apps import build_matmul, build_sor
-from repro.config import ClusterSpec, ProcessorSpec, RunConfig, TopologySpec
+from repro.config import ClusterSpec, ProcessorSpec, RunConfig
 from repro.errors import ConfigError
 from repro.faults import FaultPlan, SlaveCrash
 from repro.obs import Recorder
@@ -143,7 +143,7 @@ class TestRunHierarchical:
             cfg(8),
             {0: ConstantLoad(k=2)},
             fanout=4,
-            topology=TopologySpec(kind="ring"),
+            topology="ring",
         )
         assert res.elapsed > 0
         assert res.deaths == 0

@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.config import NetworkSpec, TopologySpec
+from repro.config import NetworkSpec
 from repro.errors import ConfigError
-from repro.sim.network import Fabric, build_topology
+from repro.sim.network import WAN_BANDWIDTH, WAN_LATENCY, Fabric, build_topology
 
 
-def topo(kind, n, **kw):
-    return build_topology(TopologySpec(kind=kind, **kw), n, NetworkSpec())
+def topo(kind, n):
+    return build_topology(kind, n, NetworkSpec())
 
 
 class TestRing:
@@ -58,22 +58,22 @@ class TestMesh2D:
 
 class TestFatTree:
     def test_neighbor_sets(self):
-        t = topo("fat_tree", 16, radix=4)
+        t = topo("fat_tree", 16)
         # Edge-switch siblings plus the same-position leaf in each
         # adjacent group (ring of groups).
         assert set(t.neighbors(0)) == {1, 2, 3, 4, 12}
         assert set(t.neighbors(5)) == {4, 6, 7, 1, 9}
 
     def test_intra_group_route_is_two_hops(self):
-        t = topo("fat_tree", 16, radix=4)
+        t = topo("fat_tree", 16)
         assert t.hops(0, 1) == 2
 
     def test_cross_group_route_climbs_to_lca(self):
-        t = topo("fat_tree", 16, radix=4)
+        t = topo("fat_tree", 16)
         assert t.hops(0, 15) == 4
 
     def test_upper_links_are_fatter(self):
-        t = topo("fat_tree", 16, radix=4, fat_factor=2.0)
+        t = topo("fat_tree", 16)
         route = t.route(0, 15)
         level0 = t.link_bandwidth(route[0])
         level1 = t.link_bandwidth(route[1])
@@ -93,52 +93,35 @@ class TestTwoCluster:
         assert t.hops(0, 3) == 1
         assert t.hops(5, 6) == 1
 
-    def test_wan_latency_is_asymmetric(self):
-        t = topo("two_cluster", 8, wan_latency=0.2, wan_latency_back=0.01)
-        out = sum(t.link_latency(lk) for lk in t.route(0, 5))
-        back = sum(t.link_latency(lk) for lk in t.route(5, 0))
-        assert out > 0.2 > 0.02 > back
-
-    def test_fabric_prices_wan_asymmetry(self):
-        spec = TopologySpec(
-            kind="two_cluster", n_members=8, wan_latency=0.2, wan_latency_back=0.01
-        )
-        fab = Fabric(build_topology(spec, 8, NetworkSpec()), NetworkSpec())
-        a_to_b = fab.arrival(0, 5, 100, 0.0)
-        b_to_a = fab.arrival(5, 0, 100, 10.0) - 10.0
-        assert a_to_b > b_to_a
+    def test_cross_cluster_arrivals_pay_wan_latency(self):
+        # A-to-B and B-to-A each cross the sender's access hop, then the
+        # shared WAN link: WAN_LATENCY plus the WAN byte time on top.
+        net = NetworkSpec()
+        fab = Fabric(topo("two_cluster", 8), net)
+        nbytes = 100
+        access = net.latency + nbytes / net.bandwidth
+        wan = WAN_LATENCY + nbytes / WAN_BANDWIDTH
+        assert fab.arrival(0, 5, nbytes, 0.0) == pytest.approx(access + wan)
+        b_to_a = fab.arrival(5, 0, nbytes, 10.0) - 10.0
+        assert b_to_a == pytest.approx(access + wan)
 
     def test_shared_wan_link_serializes_under_contention(self):
-        spec = TopologySpec(
-            kind="two_cluster", n_members=8, wan_bandwidth=1.0e3
-        )
-        fab = Fabric(build_topology(spec, 8, NetworkSpec()), NetworkSpec())
-        first = fab.arrival(0, 5, 1000, 0.0)
-        second = fab.arrival(1, 6, 1000, 0.0)
+        fab = Fabric(topo("two_cluster", 8), NetworkSpec())
+        first = fab.arrival(0, 5, 10_000_000, 0.0)
+        second = fab.arrival(1, 6, 10_000_000, 0.0)
         # Both cross the one WAN link; the second queues behind the
         # first's ~1 s of wire time.
         assert second >= first + 0.9
-
-    def test_contention_can_be_disabled(self):
-        spec = TopologySpec(
-            kind="two_cluster", n_members=8, wan_bandwidth=1.0e3, contention=False
-        )
-        fab = Fabric(build_topology(spec, 8, NetworkSpec()), NetworkSpec())
-        assert fab.arrival(0, 5, 1000, 0.0) == fab.arrival(1, 6, 1000, 0.0)
 
 
 class TestSpecValidation:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError, match="kind"):
-            TopologySpec(kind="hypercube")
+            build_topology("hypercube", 8)
 
     def test_too_few_members_rejected(self):
         with pytest.raises(ConfigError, match=">= 2"):
-            build_topology(TopologySpec(kind="ring"), 1)
-
-    def test_bad_split_rejected(self):
-        with pytest.raises(ConfigError, match="split"):
-            build_topology(TopologySpec(kind="two_cluster", split=8), 8)
+            build_topology("ring", 1)
 
     def test_member_out_of_range_rejected(self):
         with pytest.raises(ConfigError, match="out of range"):
@@ -147,17 +130,15 @@ class TestSpecValidation:
 
 class TestFabricAttach:
     def test_non_member_pids_ride_their_attach_node(self):
-        spec = TopologySpec(kind="ring", n_members=4)
         net = NetworkSpec()
-        fab = Fabric(build_topology(spec, 4, net), net, attach={9: 2})
+        fab = Fabric(build_topology("ring", 4, net), net, attach={9: 2})
         assert fab.node_of(9) == 2
         assert fab.node_of(1) == 1
         # Unattached non-members default to node 0.
         assert fab.node_of(7) == 0
 
     def test_same_node_messages_use_crossbar_time(self):
-        spec = TopologySpec(kind="ring", n_members=4)
         net = NetworkSpec()
-        fab = Fabric(build_topology(spec, 4, net), net, attach={9: 2})
+        fab = Fabric(build_topology("ring", 4, net), net, attach={9: 2})
         base = net.latency + 100 / net.bandwidth
         assert fab.arrival(9, 2, 100, 1.0) == pytest.approx(1.0 + base)

@@ -16,7 +16,6 @@ def make_cluster(n_slaves=2, **net_kwargs):
         n_slaves=n_slaves,
         processor=ProcessorSpec(speed=1e6, quantum=0.1),
         network=NetworkSpec(**net_kwargs) if net_kwargs else NetworkSpec(),
-        stagger_phases=False,
     )
     return Cluster(spec)
 
@@ -58,7 +57,7 @@ class TestComputeAndTime:
         assert cl.processors[0].app_cpu_total == 0.0
 
     def test_competing_load_dilates_compute(self):
-        spec = ClusterSpec(n_slaves=1, stagger_phases=False)
+        spec = ClusterSpec(n_slaves=1)
         cl = Cluster(spec, loads={0: ConstantLoad(k=1)})
 
         def task(ctx):
@@ -406,7 +405,7 @@ class TestErrors:
 
 class TestRusage:
     def test_report_totals(self):
-        spec = ClusterSpec(n_slaves=1, stagger_phases=False)
+        spec = ClusterSpec(n_slaves=1)
         cl = Cluster(spec, loads={0: ConstantLoad(k=1)})
 
         def task(ctx):
@@ -420,7 +419,7 @@ class TestRusage:
         assert u.app_cpu + u.competing_cpu == pytest.approx(u.elapsed, abs=0.11)
 
     def test_efficiency_formula(self):
-        spec = ClusterSpec(n_slaves=2, stagger_phases=False)
+        spec = ClusterSpec(n_slaves=2)
         cl = Cluster(spec)
 
         def task(ctx):

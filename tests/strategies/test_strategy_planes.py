@@ -20,7 +20,7 @@ from repro.errors import ConfigError, SimulationError
 from repro.faults import FaultPlan, SlaveCrash
 from repro.obs import Recorder
 from repro.sim import ConstantLoad
-from repro.strategies import STRATEGIES, RdlbConfig, run_strategy
+from repro.strategies import STRATEGIES, run_strategy
 from repro.strategies.robustness import (
     cell_perturbation,
     oracle_makespan,
@@ -236,22 +236,6 @@ class TestStealingLongUnits:
         assert hits and hits[0].pid == 1 and hits[0].meta["victim"] == 0
         assert hits[0].t < 2 * REPORT_PERIOD
         assert out.raw.completed_units == 8
-
-
-class TestRegistry:
-    def test_chunking_strategies_keep_rdlb_overrides(self):
-        """RdlbConfig fields other than chunking/dup_max (here chunk)
-        reach the promoted chunking strategies."""
-        plan = _plan("adaptive")
-        cfg = RunConfig(
-            cluster=ClusterSpec(n_slaves=SLAVES), execute_numerics=False
-        )
-        default = run_strategy("fsc", plan, cfg, seed=SEED)
-        small = run_strategy(
-            "fsc", plan, cfg, seed=SEED, rdlb=RdlbConfig(chunk=2)
-        )
-        assert small.raw.chunking == "fsc"
-        assert small.raw.chunks_served != default.raw.chunks_served
 
 
 class TestPlanShapeGuards:

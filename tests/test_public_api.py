@@ -1,6 +1,9 @@
-"""Public API surface checks: every exported name resolves, and every
-public module/class/function carries a docstring."""
+"""Public API surface checks: every exported name resolves, every
+public module/class/function carries a docstring, and the configuration
+surface (config fields and the entry points' parameters) is pinned, so
+a new knob shows up as an edit to this file."""
 
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -159,3 +162,77 @@ def test_every_package_module_listed():
 
 def test_version_string():
     assert repro.__version__.count(".") == 2
+
+
+CONFIG_FIELDS = {
+    "ProcessorSpec": ("speed", "quantum", "phase", "scheduler"),
+    "NetworkSpec": ("latency", "bandwidth", "send_cpu", "recv_cpu"),
+    "ClusterSpec": ("n_slaves", "processor", "network", "processor_overrides"),
+    "BalancerConfig": (
+        "improvement_threshold",
+        "pipelined",
+        "filter_enabled",
+        "profitability_enabled",
+        "restricted",
+    ),
+    "GrainConfig": ("block_size_override",),
+    "CheckpointConfig": ("enabled", "interval", "placement"),
+    "RunConfig": (
+        "cluster",
+        "balancer",
+        "ckpt",
+        "execute_numerics",
+        "dlb_enabled",
+        "max_virtual_time",
+    ),
+}
+
+ENTRY_POINT_PARAMETERS = {
+    "repro.experiments.common:run_point": (
+        "plan",
+        "n_slaves",
+        "loads",
+        "dlb",
+        "execute_numerics",
+        "speed",
+        "seed",
+        "balancer",
+        "network",
+        "recorder",
+    ),
+    "repro.runtime.launcher:run_application": (
+        "plan", "run_cfg", "loads", "seed", "recorder", "faults"
+    ),
+    "repro.strategies.registry:run_strategy": (
+        "strategy", "plan", "run_cfg", "loads", "seed", "recorder", "faults"
+    ),
+    "repro.strategies.rdlb:run_rdlb": (
+        "plan", "run_cfg", "loads", "strategy", "seed", "recorder", "faults"
+    ),
+    "repro.strategies.stealing:run_stealing": (
+        "plan", "run_cfg", "loads", "seed", "recorder", "faults"
+    ),
+    "repro.scale.hierarchy:run_hierarchical": (
+        "plan", "run_cfg", "loads", "fanout", "seed", "recorder", "faults", "topology"
+    ),
+    "repro.baselines.diffusion:run_diffusion": (
+        "plan", "run_cfg", "loads", "seed", "topology"
+    ),
+    "repro.scale.crossover:cell_scaling": (
+        "P", "regime", "fanouts", "units_per_leaf", "ops_per_unit", "topology", "seed"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONFIG_FIELDS))
+def test_config_fields_are_pinned(name):
+    cls = getattr(importlib.import_module("repro.config"), name)
+    assert tuple(f.name for f in dataclasses.fields(cls)) == CONFIG_FIELDS[name]
+
+
+@pytest.mark.parametrize("target", sorted(ENTRY_POINT_PARAMETERS))
+def test_entry_point_parameters_are_pinned(target):
+    module, name = target.split(":")
+    fn = getattr(importlib.import_module(module), name)
+    params = tuple(inspect.signature(fn).parameters)
+    assert params == ENTRY_POINT_PARAMETERS[target]
