@@ -52,10 +52,7 @@ __all__ = ["main"]
 
 
 def _build_plan(app: str, n: int, n_slaves: int):
-    builder = REGISTRY[app]
-    if app == "sor":
-        return builder(n=n, n_slaves_hint=n_slaves)
-    return builder(n=n, n_slaves_hint=n_slaves)
+    return REGISTRY[app](n=n, n_slaves_hint=n_slaves)
 
 
 def _loads_from_args(args: argparse.Namespace) -> dict:
@@ -237,15 +234,15 @@ def _check_subjects(args: argparse.Namespace) -> list[tuple[str, object]]:
     return [(app, _build_plan(app, args.n, args.slaves)) for app in apps]
 
 
-def _check_hier_protocol():
-    """Protocol lint (RA4xx) over the hierarchical control plane.
+def _check_protocols(args: argparse.Namespace) -> list:
+    """Protocol lint (RA4xx) over the PARALLEL_MAP planes' own tags.
 
-    Same send/receive pairing pass the central runtime gets, but with
-    the tag families derived from :class:`repro.scale.protocol.ScaleTags`
-    and the sources of the sub-master tree tasks — so a new ``sc.*``
-    message that is sent but never drained (or declared but dead) fails
-    ``repro check --hier`` exactly like an ``lb.*`` one fails the
-    default run.
+    The send/receive pairing pass the central runtime gets, run over
+    each plane's sources with tag families derived from its tag class:
+    ``--hier`` lints the sub-master tree's ``sc.*`` messages, ``--steal``
+    the work-stealing ``st.*`` and robust self-scheduling ``rb.*`` ones.
+    A message that is sent but never drained (or declared but dead)
+    fails the check exactly like an ``lb.*`` one fails the default run.
     """
     import inspect
 
@@ -253,41 +250,27 @@ def _check_hier_protocol():
     from .analysis.protocol_lint import lint_sources, tag_families
     from .scale import hierarchy
     from .scale.protocol import ScaleTags
-
-    diags = lint_sources(
-        [("scale/hierarchy.py", inspect.getsource(hierarchy))],
-        tag_families(ScaleTags),
-    )
-    return CheckResult(subject="hier-protocol[sc.*]", diagnostics=diags)
-
-
-def _check_steal_protocol() -> list:
-    """Protocol lint (RA4xx) over the strategy control planes.
-
-    Pairs every ``st.*`` (work stealing) and ``rb.*`` (robust
-    self-scheduling) send site with a selective receive in the strategy
-    sources, so a steal/deny/terminate message that is emitted but never
-    drained fails ``repro check --steal`` exactly like an ``lb.*``
-    orphan fails the default run.
-    """
-    import inspect
-
-    from .analysis import CheckResult
-    from .analysis.protocol_lint import lint_sources, tag_families
     from .strategies import rdlb, stealing
     from .strategies.protocol import RobustTags, StealTags
 
-    out = []
-    for subject, module, source_name, tags_cls in (
-        ("steal-protocol[st.*]", stealing, "strategies/stealing.py", StealTags),
-        ("robust-protocol[rb.*]", rdlb, "strategies/rdlb.py", RobustTags),
-    ):
-        diags = lint_sources(
-            [(source_name, inspect.getsource(module))],
-            tag_families(tags_cls),
+    table = {
+        "hier": [("hier-protocol[sc.*]", "scale/hierarchy.py", hierarchy, ScaleTags)],
+        "steal": [
+            ("steal-protocol[st.*]", "strategies/stealing.py", stealing, StealTags),
+            ("robust-protocol[rb.*]", "strategies/rdlb.py", rdlb, RobustTags),
+        ],
+    }
+    return [
+        CheckResult(
+            subject=subject,
+            diagnostics=lint_sources(
+                [(source_name, inspect.getsource(module))], tag_families(tags_cls)
+            ),
         )
-        out.append(CheckResult(subject=subject, diagnostics=diags))
-    return out
+        for flag, rows in table.items()
+        if getattr(args, flag)
+        for subject, source_name, module, tags_cls in rows
+    ]
 
 
 def _check_models(args: argparse.Namespace) -> list:
@@ -316,10 +299,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
     from .analysis import CheckResult, check_log_file, check_suite
 
     results: list[CheckResult] = []
-    if args.hier:
-        results.append(_check_hier_protocol())
-    if args.steal:
-        results.extend(_check_steal_protocol())
+    if args.hier or args.steal:
+        results.extend(_check_protocols(args))
     if args.model:
         results.extend(_check_models(args))
     if args.injector_equivalence:
@@ -379,243 +360,70 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _chaos_failed_cell(record: object) -> dict[str, object]:
-    """Synthesize a FAILED matrix cell for a job that never completed."""
+def _chaos_failed_row(record: object) -> dict[str, object]:
+    """A chaos row of one FAILED cell for a job that never completed."""
     from .orchestrator import JobRecord
 
     assert isinstance(record, JobRecord)
     error_lines = (record.error or "").strip().splitlines()
     detail = error_lines[-1] if error_lines else f"job {record.state.value}"
-    return {
-        "app": str(record.spec.params.get("app", record.spec.id)),
+    app = str(record.spec.params.get("app", record.spec.id))
+    cell = {
+        "app": app,
         "plan": "*",
         "outcome": "FAILED",
         "detail": f"chaos job did not complete: {detail}",
     }
+    return {"app": app, "skipped": None, "cells": [cell]}
 
 
-def _cmd_chaos_hier(args: argparse.Namespace) -> int:
-    """Sub-master-crash matrix for the hierarchical control plane.
+# (cell key, label) of the counters a chaos cell line shows when present
+_CHAOS_COUNTERS = (
+    ("crash_pid", "pid"),
+    ("deaths", "deaths"),
+    ("reparents", "reparents"),
+    ("dead_pids", "dead"),
+)
 
-    For each PARALLEL_MAP application: a fault-free hierarchical
-    baseline, then one cell per targeted sub-master crash (the first
-    and the last level-1 sub-master, at 40% and 60% of the fault-free
-    work phase, the busiest leaf's CPU time).  Every crash cell must complete with results identical to
-    the baseline — the custody rule (units travel leaf-to-leaf only)
-    means a dead sub-master can never lose shipped cells — and must
-    actually exercise the failure detector (``deaths``/``reparents``
-    counters).  PIPELINE / REDUCTION_FRONT apps are skipped: the
-    hierarchical plane is PARALLEL_MAP-only, their crash recovery is
-    the central runtime's checkpoint machinery (the default matrix).
-    Apps fan out as jobs of an orchestrated sweep (one baseline + both
-    crash cells per job).
-    """
-    import json
 
-    from .orchestrator import JobSpec, submit_sweep
-    from .scale import build_tree
-
-    apps = args.apps or sorted(REGISTRY)
-    for app in apps:
-        if app not in REGISTRY:
-            raise SystemExit(
-                f"chaos: unknown app {app!r}; choices: {', '.join(sorted(REGISTRY))}"
-            )
-    tree = build_tree(args.slaves, args.fanout)
-    if not tree.internal:
-        raise SystemExit(
-            f"chaos: --slaves {args.slaves} with --fanout {args.fanout} "
-            "builds a flat tree (no sub-masters to crash); "
-            "use more slaves or a smaller fanout"
-        )
-    specs = [
-        JobSpec(
-            id=f"chaos-hier/{app}",
-            fn="repro.faults.chaosrun:chaos_hier_cells",
-            params={
-                "app": app,
-                "n": args.n,
-                "slaves": args.slaves,
-                "fanout": args.fanout,
-                "seed": args.seed,
-            },
-            max_retries=1,
-            backoff_s=0.1,
-        )
-        for app in apps
-    ]
-    sweep = submit_sweep(
-        specs,
-        state_dir=args.state_dir,
-        workers=args.workers,
-        meta={"matrix": "chaos-hier"},
+def _chaos_cell_line(cell: dict) -> str:
+    counters = " ".join(
+        f"{label}={cell[key]}" for key, label in _CHAOS_COUNTERS if key in cell
     )
-    cells: list[dict[str, object]] = []
-    failed = 0
-    for record in sweep.records:
-        if not record.ok:
-            cell = _chaos_failed_cell(record)
-            cells.append(cell)
-            failed += 1
-            print(
-                f"chaos {cell['app']:>8} x {'*':<14} FAILED  ({cell['detail']})"
-            )
-            continue
-        row = record.result
-        if row["skipped"] is not None:
-            print(
-                f"chaos {row['app']:>8} x hier           skipped ({row['skipped']})"
-            )
-            continue
-        for cell in row["cells"]:
-            failed += cell["outcome"] == "FAILED"
-            cells.append(cell)
-            detail = f"  ({cell['detail']})" if "detail" in cell else ""
-            print(
-                f"chaos {cell['app']:>8} x {cell['plan']:<14} {cell['outcome']}"
-                f"  [pid={cell['crash_pid']} deaths={cell['deaths']}"
-                f" reparents={cell['reparents']}]"
-                f"{detail}"
-            )
-    ok = failed == 0
-    print(
-        f"\nchaos: {len(cells)} hierarchical cell(s), {failed} failure(s) "
-        f"[fanout={args.fanout} slaves={args.slaves} seed={args.seed}]"
+    return (
+        f"chaos {cell['app']:>8} x {cell['plan']:<20} {cell['outcome']}"
+        + (f"  [{counters}]" if counters else "")
+        + (f"  ({cell['detail']})" if "detail" in cell else "")
     )
-    if args.json is not None:
-        doc = {
-            "ok": ok,
-            "control": "hier",
-            "fanout": args.fanout,
-            "n": args.n,
-            "slaves": args.slaves,
-            "seed": args.seed,
-            "cells": cells,
-        }
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-        print(f"chaos results written to {args.json}")
-    return 0 if ok else 1
-
-
-def _cmd_chaos_strategy(args: argparse.Namespace) -> int:
-    """Worker-crash matrix for a robust strategy plane.
-
-    For each PARALLEL_MAP application: a fault-free baseline under the
-    strategy, then one cell per targeted worker crash (an early worker
-    at 25% and the last worker at 60% of the fault-free horizon).  Every
-    cell must terminate ``recovered``: all units complete and the result
-    numerically matches the baseline, because both planes reissue work
-    nobody has reported done.  A hang or silent divergence fails the
-    cell.  PIPELINE / REDUCTION_FRONT apps are skipped — the strategy
-    planes are PARALLEL_MAP-only.
-    """
-    import json
-
-    from .orchestrator import JobSpec, submit_sweep
-
-    apps = args.apps or sorted(REGISTRY)
-    for app in apps:
-        if app not in REGISTRY:
-            raise SystemExit(
-                f"chaos: unknown app {app!r}; choices: {', '.join(sorted(REGISTRY))}"
-            )
-    specs = [
-        JobSpec(
-            id=f"chaos-{args.control}/{app}",
-            fn="repro.faults.chaosrun:chaos_strategy_cells",
-            params={
-                "app": app,
-                "strategy": args.control,
-                "n": args.n,
-                "slaves": args.slaves,
-                "seed": args.seed,
-            },
-            max_retries=1,
-            backoff_s=0.1,
-        )
-        for app in apps
-    ]
-    sweep = submit_sweep(
-        specs,
-        state_dir=args.state_dir,
-        workers=args.workers,
-        meta={"matrix": f"chaos-{args.control}"},
-    )
-    cells: list[dict[str, object]] = []
-    failed = 0
-    for record in sweep.records:
-        if not record.ok:
-            cell = _chaos_failed_cell(record)
-            cells.append(cell)
-            failed += 1
-            print(
-                f"chaos {cell['app']:>8} x {'*':<14} FAILED  ({cell['detail']})"
-            )
-            continue
-        row = record.result
-        if row["skipped"] is not None:
-            print(
-                f"chaos {row['app']:>8} x {args.control:<14} "
-                f"skipped ({row['skipped']})"
-            )
-            continue
-        for cell in row["cells"]:
-            failed += cell["outcome"] == "FAILED"
-            cells.append(cell)
-            detail = f"  ({cell['detail']})" if "detail" in cell else ""
-            print(
-                f"chaos {cell['app']:>8} x {cell['plan']:<20} {cell['outcome']}"
-                f"  [pid={cell['crash_pid']} dead={cell.get('dead_pids', '?')}]"
-                f"{detail}"
-            )
-    ok = failed == 0
-    print(
-        f"\nchaos: {len(cells)} {args.control} cell(s), {failed} failure(s) "
-        f"[slaves={args.slaves} seed={args.seed}]"
-    )
-    if args.json is not None:
-        doc = {
-            "ok": ok,
-            "control": args.control,
-            "n": args.n,
-            "slaves": args.slaves,
-            "seed": args.seed,
-            "cells": cells,
-        }
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-        print(f"chaos results written to {args.json}")
-    return 0 if ok else 1
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    """Run an application x fault-plan matrix and validate every cell.
+    """Crash one control plane over an app matrix and validate every cell.
 
+    ``--control central`` (default) runs each fault plan against the
+    paper's runtime (:func:`repro.faults.chaosrun.chaos_app_cells`).
     Message-only plans must leave results bit-identical to the
     fault-free baseline (the transport layer hides them).  Crash plans
     must recover with results still matching: PARALLEL_MAP shapes by
     work reassignment, dependence-carrying shapes by checkpoint rollback
     (auto-enabled, see :func:`repro.runtime.launcher.resolve_run_cfg`).
-    Whether a cell may legitimately be lost is decided by
-    :func:`repro.runtime.master.can_recover` on the *effective*
-    configuration; an unexpected :class:`~repro.errors.SlaveLostError`
-    fails the cell and the command exits nonzero.  Apps fan out as jobs
-    of an orchestrated sweep (one baseline + every plan cell per job);
-    ``--workers`` widens the warm pool and ``--state-dir`` makes the
-    matrix resumable.
+
+    ``hier``, ``stealing`` and ``rdlb`` make two targeted crashes
+    against that PARALLEL_MAP plane
+    (:func:`repro.faults.chaosrun.chaos_crash_cells`); PIPELINE /
+    REDUCTION_FRONT apps are skipped.
+
+    A FAILED cell makes the exit code 1.  Apps fan out as jobs of an
+    orchestrated sweep (one baseline + every cell of the app's row per
+    job); ``--workers`` widens the warm pool and ``--state-dir`` makes
+    the matrix resumable.
     """
     import json
 
     from .errors import FaultPlanError
     from .orchestrator import JobSpec, submit_sweep
 
-    if args.control == "hier":
-        return _cmd_chaos_hier(args)
-    if args.control in ("stealing", "rdlb"):
-        return _cmd_chaos_strategy(args)
-
-    apps = args.apps or sorted(REGISTRY)
+    control = args.control
     plan_names = args.plans or [
         "message-light",
         "message-heavy",
@@ -623,34 +431,61 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         "one-crash",
         "stall",
     ]
-    try:
-        for pname in plan_names:
-            load_plan(pname, seed=args.fault_seed).validate_for(args.slaves)
-    except FaultPlanError as exc:
-        print(f"chaos: {exc}")
-        return 2
+    if control == "central":
+        try:
+            for pname in plan_names:
+                load_plan(pname, seed=args.fault_seed).validate_for(args.slaves)
+        except FaultPlanError as exc:
+            print(f"chaos: {exc}")
+            return 2
+    apps = args.apps or sorted(REGISTRY)
     for app in apps:
         if app not in REGISTRY:
             raise SystemExit(
                 f"chaos: unknown app {app!r}; choices: {', '.join(sorted(REGISTRY))}"
             )
-    ckpt_cfg = _ckpt_from_args(args)
+    run_args = {"n": args.n, "slaves": args.slaves, "seed": args.seed}
+    header: dict[str, object] = dict(run_args)
+    if control == "central":
+        ckpt_cfg = _ckpt_from_args(args)
+        fn = "chaos_app_cells"
+        params: dict[str, object] = {
+            "plans": list(plan_names),
+            "fault_seed": args.fault_seed,
+            "ckpt_interval": ckpt_cfg.interval,
+            "ckpt_placement": ckpt_cfg.placement,
+            "reports_dir": args.reports,
+        }
+        header["fault_seed"] = args.fault_seed
+        kind = ""
+        settings = (
+            f"apps={len(apps)} plans={len(plan_names)} seed={args.seed} "
+            f"fault-seed={args.fault_seed}"
+        )
+    else:
+        fn = "chaos_crash_cells"
+        params = {"control": control, "fanout": args.fanout}
+        header["control"] = control
+        kind = f"{control} "
+        settings = f"slaves={args.slaves} seed={args.seed}"
+    if control == "hier":
+        from .scale import build_tree
+
+        if not build_tree(args.slaves, args.fanout).internal:
+            raise SystemExit(
+                f"chaos: --slaves {args.slaves} with --fanout {args.fanout} "
+                "builds a flat tree (no sub-masters to crash); "
+                "use more slaves or a smaller fanout"
+            )
+        header["fanout"] = args.fanout
+        kind = "hierarchical "
+        settings = f"fanout={args.fanout} {settings}"
+    matrix = "chaos" if control == "central" else f"chaos-{control}"
     specs = [
         JobSpec(
-            id=f"chaos/{app}",
-            fn="repro.faults.chaosrun:chaos_app_cells",
-            params={
-                "app": app,
-                "plans": list(plan_names),
-                "n": args.n,
-                "slaves": args.slaves,
-                "seed": args.seed,
-                "fault_seed": args.fault_seed,
-                "ckpt": ckpt_cfg.enabled,
-                "ckpt_interval": ckpt_cfg.interval,
-                "ckpt_placement": ckpt_cfg.placement,
-                "reports_dir": args.reports,
-            },
+            id=f"{matrix}/{app}",
+            fn=f"repro.faults.chaosrun:{fn}",
+            params={"app": app, **run_args, **params},
             max_retries=1,
             backoff_s=0.1,
         )
@@ -660,42 +495,21 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         specs,
         state_dir=args.state_dir,
         workers=args.workers,
-        meta={"matrix": "chaos"},
+        meta={"matrix": matrix},
     )
     cells: list[dict[str, object]] = []
-    failed = 0
     for record in sweep.records:
-        if not record.ok:
-            cell = _chaos_failed_cell(record)
+        row = record.result if record.ok else _chaos_failed_row(record)
+        if row["skipped"] is not None:
+            print(f"chaos {row['app']:>8} x {control:<14} skipped ({row['skipped']})")
+        for cell in row["cells"]:
             cells.append(cell)
-            failed += 1
-            print(
-                f"chaos {cell['app']:>8} x {'*':<14} FAILED  ({cell['detail']})"
-            )
-            continue
-        for cell in record.result:
-            failed += cell["outcome"] == "FAILED"
-            cells.append(cell)
-            detail = f"  ({cell['detail']})" if "detail" in cell else ""
-            print(
-                f"chaos {cell['app']:>8} x {cell['plan']:<14} "
-                f"{cell['outcome']}{detail}"
-            )
+            print(_chaos_cell_line(cell))
+    failed = sum(cell["outcome"] == "FAILED" for cell in cells)
     ok = failed == 0
-    print(
-        f"\nchaos: {len(cells)} cell(s), {failed} failure(s) "
-        f"[apps={len(apps)} plans={len(plan_names)} seed={args.seed} "
-        f"fault-seed={args.fault_seed}]"
-    )
+    print(f"\nchaos: {len(cells)} {kind}cell(s), {failed} failure(s) [{settings}]")
     if args.json is not None:
-        doc = {
-            "ok": ok,
-            "n": args.n,
-            "slaves": args.slaves,
-            "seed": args.seed,
-            "fault_seed": args.fault_seed,
-            "cells": cells,
-        }
+        doc = {"ok": ok, **header, "cells": cells}
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
         print(f"chaos results written to {args.json}")

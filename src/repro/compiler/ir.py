@@ -87,13 +87,21 @@ class Affine:
         return Affine.build(const_part, new_terms)
 
     def evaluate(self, bindings: Mapping[str, Number]) -> Number:
-        """Fully evaluate; raises if any variable is unbound."""
-        result = self.substitute(bindings)
-        if not result.is_constant():
-            raise CompileError(
-                f"unbound variables {sorted(result.variables())} in {self}"
-            )
-        return result.constant
+        """Fully evaluate; raises if any variable is unbound.
+
+        Adds the terms in the order :meth:`substitute` does, so the value
+        is bit-equal to ``self.substitute(bindings).constant``.
+        """
+        value: Number = self.constant
+        unbound: list[str] = []
+        for v, c in self.terms:
+            if v in bindings:
+                value += c * bindings[v]
+            else:
+                unbound.append(v)
+        if unbound:
+            raise CompileError(f"unbound variables {unbound} in {self}")
+        return value
 
     # ---- arithmetic -------------------------------------------------
 

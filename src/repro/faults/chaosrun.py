@@ -1,12 +1,13 @@
-"""Picklable chaos-matrix cells for orchestrated fan-out.
+"""Picklable chaos-matrix rows for orchestrated fan-out.
 
 ``repro chaos`` submits one job per application to
 :func:`repro.orchestrator.submit_sweep`; each job runs that app's
-fault-free baseline once and then every fault-plan cell against it,
-returning plain JSON-safe cell dicts.  Keeping baseline + cells inside
-one job preserves the original semantics (one baseline run per app) and
-makes the job deterministic in its parameters — which is what lets the
-orchestrator's content-hash cache serve repeated chaos cells for free.
+fault-free baseline once and then every cell of its row against it,
+returning ``{"app", "skipped", "cells"}`` with plain JSON-safe cell
+dicts.  Keeping baseline + cells inside one job preserves the original
+semantics (one baseline run per app) and makes the job deterministic in
+its parameters — which is what lets the orchestrator's content-hash
+cache serve repeated chaos cells for free.
 """
 
 from __future__ import annotations
@@ -18,18 +19,20 @@ import numpy as np
 
 from ..config import CheckpointConfig, ClusterSpec, RunConfig
 
-__all__ = ["chaos_app_cells", "chaos_hier_cells", "chaos_strategy_cells"]
+__all__ = ["chaos_app_cells", "chaos_crash_cells"]
 
 
-def _results_identical(a: object, b: object) -> bool:
-    """Deep bit-identity between two run results (dicts/arrays/None)."""
+def _results_match(a: object, b: object, exact: bool) -> bool:
+    """Deep comparison of two run results (dicts/arrays/None): bit
+    identity when ``exact``, numerical closeness otherwise."""
     if isinstance(a, dict) and isinstance(b, dict):
         return a.keys() == b.keys() and all(
-            _results_identical(a[k], b[k]) for k in a
+            _results_match(a[k], b[k], exact) for k in a
         )
     if a is None or b is None:
         return a is b
-    return bool(np.array_equal(np.asarray(a), np.asarray(b)))
+    x, y = np.asarray(a), np.asarray(b)
+    return bool(np.array_equal(x, y) if exact else np.allclose(x, y))
 
 
 def _build_plan(app: str, n: int, n_slaves: int) -> Any:
@@ -45,37 +48,30 @@ def chaos_app_cells(
     slaves: int,
     seed: int,
     fault_seed: int,
-    ckpt: bool = False,
-    ckpt_interval: float | None = None,
-    ckpt_placement: str | None = None,
+    ckpt_interval: float,
+    ckpt_placement: str,
     reports_dir: str | None = None,
-) -> list[dict[str, Any]]:
+) -> dict[str, Any]:
     """One app's row of the central chaos matrix (baseline + each plan).
 
     Message-only plans must leave results bit-identical to the fault-free
-    baseline; crash plans must recover (or be legitimately lost when the
-    effective configuration cannot recover).  Cell dicts match the
-    historical ``repro chaos`` output schema exactly.
+    baseline; crash plans must recover with results still identical
+    (checkpointing, at ``ckpt_interval`` / ``ckpt_placement``, is
+    switched on for crash plans on dependence-carrying shapes by
+    :func:`repro.runtime.launcher.resolve_run_cfg`).  Any
+    :class:`~repro.errors.SlaveLostError` fails the cell.
     """
     from ..errors import SlaveLostError
     from ..faults import load_plan
     from ..obs import Recorder
     from ..runtime import run_application
-    from ..runtime.launcher import resolve_run_cfg
-    from ..runtime.master import can_recover
 
-    defaults = CheckpointConfig()
     plan = _build_plan(app, n, slaves)
     cfg = RunConfig(
         cluster=ClusterSpec(n_slaves=slaves),
-        ckpt=CheckpointConfig(
-            enabled=ckpt,
-            interval=ckpt_interval if ckpt_interval is not None else defaults.interval,
-            placement=ckpt_placement or defaults.placement,
-        ),
+        ckpt=CheckpointConfig(interval=ckpt_interval, placement=ckpt_placement),
     )
     base = run_application(plan, cfg, seed=seed)
-    base_result = base.result
     if reports_dir is not None:
         os.makedirs(reports_dir, exist_ok=True)
     cells: list[dict[str, Any]] = []
@@ -85,187 +81,133 @@ def chaos_app_cells(
             fault_plan = fault_plan.resolved(base.elapsed)
         recorder = Recorder() if reports_dir is not None else None
         cell: dict[str, Any] = {"app": app, "plan": pname}
-        has_crash = bool(fault_plan.crashes)
-        recoverable = can_recover(plan, resolve_run_cfg(cfg, plan, fault_plan)[0])
+        cells.append(cell)
         try:
             res = run_application(
                 plan, cfg, seed=seed, faults=fault_plan, recorder=recorder
             )
         except SlaveLostError as exc:
-            if has_crash and not recoverable:
-                cell["outcome"] = "lost-expected"
-                cell["detail"] = str(exc)
-            else:
-                cell["outcome"] = "FAILED"
-                cell["detail"] = f"unexpected SlaveLostError: {exc}"
+            cell["outcome"] = "FAILED"
+            cell["detail"] = f"unexpected SlaveLostError: {exc}"
+            continue
+        identical = _results_match(res.result, base.result, exact=True)
+        cell["bit_identical"] = identical
+        cell["retransmits"] = res.retransmits
+        cell["messages_lost"] = res.messages_lost
+        cell["dead_pids"] = list(res.dead_pids)
+        cell["elapsed"] = res.elapsed
+        cell["rollbacks"] = res.log.rollbacks
+        cell["units_restored"] = res.log.units_restored
+        cell["ckpt_epochs_committed"] = res.log.ckpt_epochs_committed
+        cell["ckpt_snapshots"] = res.log.ckpt_snapshots
+        if identical:
+            cell["outcome"] = "recovered" if res.dead_pids else "identical"
         else:
-            identical = _results_identical(res.result, base_result)
-            cell["bit_identical"] = identical
-            cell["retransmits"] = res.retransmits
-            cell["messages_lost"] = res.messages_lost
-            cell["dead_pids"] = list(res.dead_pids)
-            cell["elapsed"] = res.elapsed
-            cell["rollbacks"] = res.log.rollbacks
-            cell["units_restored"] = res.log.units_restored
-            cell["ckpt_epochs_committed"] = res.log.ckpt_epochs_committed
-            cell["ckpt_snapshots"] = res.log.ckpt_snapshots
-            if identical:
-                cell["outcome"] = "recovered" if res.dead_pids else "identical"
-            else:
-                cell["outcome"] = "FAILED"
-                cell["detail"] = "results diverged from fault-free baseline"
-            if recorder is not None and reports_dir is not None:
-                res.make_report().save(
-                    os.path.join(reports_dir, f"{app}-{pname}.json")
-                )
-        cells.append(cell)
-    return cells
+            cell["outcome"] = "FAILED"
+            cell["detail"] = "results diverged from fault-free baseline"
+        if reports_dir is not None:
+            res.make_report().save(os.path.join(reports_dir, f"{app}-{pname}.json"))
+    return {"app": app, "skipped": None, "cells": cells}
 
 
-def chaos_hier_cells(
+def chaos_crash_cells(
     app: str,
+    control: str,
     n: int,
     slaves: int,
-    fanout: int,
     seed: int,
+    fanout: int,
 ) -> dict[str, Any]:
-    """One app's row of the hierarchical sub-master-crash matrix.
+    """One app's row of a crash matrix for a PARALLEL_MAP plane.
 
-    Returns ``{"app", "skipped", "cells"}``; ``skipped`` names the loop
-    shape when the app has no hierarchical plane (PIPELINE /
-    REDUCTION_FRONT), in which case ``cells`` is empty.
+    ``control`` is ``hier`` (the sub-master tree, ``fanout`` wide),
+    ``stealing`` or ``rdlb``.  After a fault-free baseline, each of two
+    targeted crashes must land and leave the result matching the
+    baseline:
+
+    - ``hier`` kills the first and the last level-1 sub-master at 40% and
+      60% of the work phase.  Leaves keep custody of every unit, so the
+      result must be bit-identical, and the crash must exercise the
+      failure detector (a death and a re-parenting).
+    - ``stealing`` / ``rdlb`` kill an early worker at 25% and the last
+      worker at 60% of the baseline's makespan.  Neither plane judges a
+      worker dead; both reissue work nobody has reported done, and they
+      merge per-chunk partial results in an order that depends on the
+      fault, so the result need only be numerically close.
+
+    A run that does not terminate cleanly fails its cell.  ``skipped``
+    names the loop shape of a PIPELINE / REDUCTION_FRONT app, which has
+    no such plane; its ``cells`` are empty.
     """
     from ..compiler.plan import LoopShape
+    from ..errors import SimulationError
     from ..faults import FaultPlan, SlaveCrash
-    from ..scale import build_tree, run_hierarchical
 
     plan = _build_plan(app, n, slaves)
     if plan.shape is not LoopShape.PARALLEL_MAP:
         return {"app": app, "skipped": plan.shape.name, "cells": []}
     cfg = RunConfig(cluster=ClusterSpec(n_slaves=slaves))
-    tree = build_tree(slaves, fanout)
-    base = run_hierarchical(plan, cfg, fanout=fanout, seed=seed)
-    # Crash inside the work phase (the busiest leaf's CPU time), not at a
-    # share of the makespan: a shard that has drained has already sent
-    # its last summary, and a crash after that needs no recovery.
-    work = max(base.rusage.usage_for(leaf).app_cpu for leaf in range(slaves))
-    targets = [
-        ("first-submaster", tree.internal[0], 0.4),
-        ("last-submaster", tree.internal[-1], 0.6),
-    ]
+    hier = control == "hier"
+    if hier:
+        from ..scale import build_tree, run_hierarchical
+
+        def run(faults: FaultPlan | None = None) -> Any:
+            return run_hierarchical(plan, cfg, fanout=fanout, seed=seed, faults=faults)
+
+        base = run()
+        # Crash inside the work phase (the busiest leaf's CPU time), not
+        # at a share of the makespan: a shard that has drained has
+        # already sent its last summary, and a crash after that needs no
+        # recovery.
+        horizon = max(base.rusage.usage_for(leaf).app_cpu for leaf in range(slaves))
+        internal = build_tree(slaves, fanout).internal
+        targets = [
+            ("first-submaster", internal[0], 0.4),
+            ("last-submaster", internal[-1], 0.6),
+        ]
+        plane: dict[str, Any] = {"fanout": fanout}
+    else:
+        from ..strategies import run_strategy
+
+        def run(faults: FaultPlan | None = None) -> Any:
+            return run_strategy(control, plan, cfg, seed=seed, faults=faults)
+
+        base = run()
+        horizon = base.elapsed
+        # Worker pids are 0..slaves-1 in the strategy planes (the master /
+        # coordinator sits at pid == slaves and cannot be faulted).
+        targets = [("early-crash", 1 % slaves, 0.25), ("late-crash", slaves - 1, 0.6)]
+        plane = {"strategy": control}
     cells: list[dict[str, Any]] = []
     for label, pid, frac in targets:
-        faults = FaultPlan(
-            name=f"hier-{label}",
-            crashes=(SlaveCrash(pid=pid, at=frac * work),),
-        )
-        cell: dict[str, Any] = {
-            "app": app,
-            "plan": f"hier-{label}",
-            "fanout": fanout,
-            "crash_pid": pid,
-        }
-        res = run_hierarchical(plan, cfg, fanout=fanout, seed=seed, faults=faults)
-        identical = _results_identical(res.result, base.result)
-        cell["bit_identical"] = identical
-        cell["deaths"] = res.deaths
-        cell["reparents"] = res.reparents
+        name = f"{control}-{label}"
+        cell: dict[str, Any] = {"app": app, "plan": name, "crash_pid": pid, **plane}
+        cells.append(cell)
+        faults = FaultPlan(name=name, crashes=(SlaveCrash(pid=pid, at=frac * horizon),))
+        try:
+            res = run(faults)
+        except SimulationError as exc:
+            cell["outcome"] = "FAILED"
+            cell["detail"] = f"simulation did not terminate cleanly: {exc}"
+            continue
+        match = _results_match(res.result, base.result, exact=hier)
         cell["dead_pids"] = list(res.dead_pids)
         cell["elapsed"] = res.elapsed
-        if identical and res.deaths >= 1 and res.reparents >= 1:
+        if hier:
+            cell["bit_identical"] = match
+            cell["deaths"] = res.deaths
+            cell["reparents"] = res.reparents
+            landed = res.deaths >= 1 and res.reparents >= 1
+            missed = "crash did not exercise the failure detector"
+        else:
+            cell["result_matches_baseline"] = match
+            landed = bool(res.dead_pids)
+            missed = "crash did not land before the run finished"
+        if landed and match:
             cell["outcome"] = "recovered"
         else:
             cell["outcome"] = "FAILED"
             cell["detail"] = (
-                "results diverged from fault-free baseline"
-                if not identical
-                else "crash did not exercise the failure detector"
+                missed if not landed else "results diverged from fault-free baseline"
             )
-        cells.append(cell)
     return {"app": app, "skipped": None, "cells": cells}
-
-
-def _results_close(a: object, b: object) -> bool:
-    """Numerical closeness between two run results (dicts/arrays/None).
-
-    Strategy planes merge per-chunk partial results whose summation
-    order depends on the (fault-dependent) unit-to-worker assignment, so
-    bit identity is the wrong bar; closeness is.
-    """
-    if isinstance(a, dict) and isinstance(b, dict):
-        return a.keys() == b.keys() and all(_results_close(a[k], b[k]) for k in a)
-    if a is None or b is None:
-        return a is b
-    return bool(np.allclose(np.asarray(a), np.asarray(b)))
-
-
-def chaos_strategy_cells(
-    app: str,
-    strategy: str,
-    n: int,
-    slaves: int,
-    seed: int,
-) -> dict[str, Any]:
-    """One app's row of the robust-strategy crash matrix.
-
-    Crashes one worker mid-run under ``strategy`` (``stealing`` or
-    ``rdlb``) and checks the contract those planes promise: the run
-    terminates (never hangs) and recovers fully, with a result
-    numerically equal to the fault-free baseline — neither plane judges
-    a worker dead; both reissue work nobody has reported done (rDLB's
-    master once its queue is dry, the stealing coordinator to a worker
-    whose steal round found nothing).  A crash that lands after the run,
-    silent divergence or a hang is a failure.
-
-    Returns ``{"app", "strategy", "skipped", "cells"}`` with the same
-    shape as :func:`chaos_hier_cells`.
-    """
-    from ..compiler.plan import LoopShape
-    from ..errors import SimulationError
-    from ..faults import FaultPlan, SlaveCrash
-    from ..strategies import run_strategy
-
-    plan = _build_plan(app, n, slaves)
-    if plan.shape is not LoopShape.PARALLEL_MAP:
-        return {"app": app, "strategy": strategy, "skipped": plan.shape.name, "cells": []}
-    cfg = RunConfig(cluster=ClusterSpec(n_slaves=slaves))
-    base = run_strategy(strategy, plan, cfg, seed=seed)
-    # Worker pids are 0..slaves-1 in the strategy planes (the master /
-    # coordinator sits at pid == slaves and cannot be faulted).
-    targets = [
-        ("early-crash", 1 % slaves, 0.25),
-        ("late-crash", slaves - 1, 0.6),
-    ]
-    cells: list[dict[str, Any]] = []
-    for label, pid, frac in targets:
-        faults = FaultPlan(
-            name=f"{strategy}-{label}",
-            crashes=(SlaveCrash(pid=pid, at=frac * base.elapsed),),
-        )
-        cell: dict[str, Any] = {
-            "app": app,
-            "strategy": strategy,
-            "plan": f"{strategy}-{label}",
-            "crash_pid": pid,
-        }
-        try:
-            res = run_strategy(strategy, plan, cfg, seed=seed, faults=faults)
-        except SimulationError as exc:
-            cell["outcome"] = "FAILED"
-            cell["detail"] = f"simulation did not terminate cleanly: {exc}"
-            cells.append(cell)
-            continue
-        close = _results_close(res.result, base.result)
-        cell["dead_pids"] = list(res.dead_pids)
-        cell["elapsed"] = res.elapsed
-        cell["result_matches_baseline"] = close
-        if not res.dead_pids:
-            cell["outcome"] = "FAILED"
-            cell["detail"] = "crash did not land before the run finished"
-        elif close:
-            cell["outcome"] = "recovered"
-        else:
-            cell["outcome"] = "FAILED"
-            cell["detail"] = "results diverged from fault-free baseline"
-        cells.append(cell)
-    return {"app": app, "strategy": strategy, "skipped": None, "cells": cells}

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.analysis import check_suite
 from repro.apps import REGISTRY
 from repro.cli import main
@@ -78,6 +80,29 @@ class TestCheckCli:
         assert "sor" in subjects
         for s in doc["subjects"]:
             assert set(s["counts"]) == {"error", "warning", "info"}
+
+    @pytest.mark.parametrize(
+        "flags, lints",
+        [
+            (["--hier"], ["hier-protocol[sc.*]"]),
+            (["--steal"], ["steal-protocol[st.*]", "robust-protocol[rb.*]"]),
+            (
+                ["--hier", "--steal"],
+                [
+                    "hier-protocol[sc.*]",
+                    "steal-protocol[st.*]",
+                    "robust-protocol[rb.*]",
+                ],
+            ),
+        ],
+    )
+    def test_plane_protocol_lints(self, flags, lints, tmp_path, capsys):
+        path = tmp_path / "check.json"
+        rc = main(["check", "matmul", "--no-replay", *flags, "--json", str(path)])
+        capsys.readouterr()
+        assert rc == 0
+        doc = json.loads(path.read_text())
+        assert [s["subject"] for s in doc["subjects"]] == [*lints, "matmul"]
 
     def test_events_replay_from_file(self, tmp_path, capsys):
         events = tmp_path / "run.jsonl"

@@ -76,6 +76,22 @@ class TestAffine:
     def test_evaluate_unbound_raises(self):
         with pytest.raises(CompileError):
             var("i").evaluate({})
+        e = 3 * var("z") + var("a") + 2 * var("m") - 1
+        with pytest.raises(CompileError) as exc:
+            e.evaluate({"m": 2})
+        assert str(exc.value).startswith("unbound variables ['a', 'z'] in ")
+
+    @given(
+        st.floats(-1e6, 1e6),
+        st.dictionaries(
+            st.sampled_from("ijkn"), st.floats(-1e3, 1e3), min_size=1
+        ),
+        st.floats(-1e6, 1e6),
+    )
+    def test_evaluate_bit_equal_to_substitute(self, c0, coeffs, x):
+        e = Affine.build(c0, coeffs)
+        bindings = {v: x * (k + 1) for k, v in enumerate(sorted(coeffs))}
+        assert e.evaluate(bindings) == e.substitute(bindings).constant
 
     def test_depends_on(self):
         e = var("i") + 2 * var("k")

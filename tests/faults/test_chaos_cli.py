@@ -57,6 +57,65 @@ def test_chaos_unknown_plan_rejected(capsys):
     assert "'kaboom' is neither" in capsys.readouterr().out
 
 
+# Crash pids per app: the first and last level-1 sub-master of a 16-leaf
+# fanout-4 tree; an early and the last of 8 strategy workers.
+@pytest.mark.parametrize(
+    "control, argv, pids, plane_fields",
+    [
+        (
+            "hier",
+            ["matmul", "adaptive", "--fanout", "4", "--slaves", "16"],
+            [16, 19] * 2,
+            {"deaths": 1, "reparents": 4, "bit_identical": True},
+        ),
+        (
+            "stealing",
+            ["matmul", "adaptive", "particle", "--slaves", "8"],
+            [1, 7] * 3,
+            {"result_matches_baseline": True},
+        ),
+        (
+            "rdlb",
+            ["matmul", "adaptive", "particle", "--slaves", "8"],
+            [1, 7] * 3,
+            {"result_matches_baseline": True},
+        ),
+    ],
+)
+def test_chaos_crash_controls(control, argv, pids, plane_fields, capsys, tmp_path):
+    out_json = tmp_path / f"chaos-{control}.json"
+    rc = main(
+        ["chaos", *argv, "--control", control, "-n", "48", "--seed", "11",
+         "--json", str(out_json)]
+    )
+    assert rc == 0
+    assert "recovered" in capsys.readouterr().out
+    doc = json.loads(out_json.read_text())
+    assert doc["ok"] is True and doc["control"] == control
+    assert [c["crash_pid"] for c in doc["cells"]] == pids
+    for cell in doc["cells"]:
+        assert cell["outcome"] == "recovered", cell
+        assert cell["dead_pids"] == [cell["crash_pid"]]
+        for key, value in plane_fields.items():
+            assert cell[key] == value, (key, cell)
+
+
+def test_chaos_crash_control_skips_pipeline(capsys):
+    rc = main(["chaos", "sor", "--control", "rdlb"])
+    assert rc == 0
+    assert "skipped (PIPELINE)" in capsys.readouterr().out
+
+
+def test_chaos_hier_rejects_flat_tree():
+    with pytest.raises(SystemExit) as exc:
+        main(["chaos", "matmul", "--control", "hier", "--slaves", "4",
+              "--fanout", "4"])
+    assert exc.value.code == (
+        "chaos: --slaves 4 with --fanout 4 builds a flat tree (no "
+        "sub-masters to crash); use more slaves or a smaller fanout"
+    )
+
+
 def test_run_with_faults_flag(capsys):
     rc = main(
         [
