@@ -13,8 +13,6 @@ Commands:
 - ``chaos``    — run an application x fault-plan matrix and validate
                  results against fault-free baselines.
 - ``figures``  — regenerate the paper's tables/figures (all or by name).
-- ``bench``    — run a named benchmark suite and optionally gate it
-                 against a recorded baseline (see ``repro.bench``).
 - ``orchestrate`` — operate crash-safe experiment sweeps: run a jobs
                  file, inspect/resume/cancel a journaled sweep, and
                  garbage-collect its result cache
@@ -413,7 +411,10 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     (:func:`repro.faults.chaosrun.chaos_crash_cells`); PIPELINE /
     REDUCTION_FRONT apps are skipped.
 
-    A FAILED cell makes the exit code 1.  Apps fan out as jobs of an
+    A flag the chosen control would ignore (``--plans``,
+    ``--fault-seed``, ``--reports`` and ``--ckpt-*`` outside ``central``;
+    ``--fanout`` outside ``hier``) exits 2 before any job runs.  A
+    FAILED cell makes the exit code 1.  Apps fan out as jobs of an
     orchestrated sweep (one baseline + every cell of the app's row per
     job); ``--workers`` widens the warm pool and ``--state-dir`` makes
     the matrix resumable.
@@ -424,6 +425,21 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     from .orchestrator import JobSpec, submit_sweep
 
     control = args.control
+    ignored = [] if control == "hier" else [("--fanout", args.fanout)]
+    if control != "central":
+        ignored += [
+            ("--plans", args.plans),
+            ("--fault-seed", args.fault_seed),
+            ("--reports", args.reports),
+            ("--ckpt-interval", args.ckpt_interval),
+            ("--ckpt-placement", args.ckpt_placement),
+        ]
+    for flag, value in ignored:
+        if value is not None:
+            print(f"chaos: {flag} has no effect under --control {control}")
+            return 2
+    fault_seed = 0 if args.fault_seed is None else args.fault_seed
+    fanout = 4 if args.fanout is None else args.fanout
     plan_names = args.plans or [
         "message-light",
         "message-heavy",
@@ -434,7 +450,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     if control == "central":
         try:
             for pname in plan_names:
-                load_plan(pname, seed=args.fault_seed).validate_for(args.slaves)
+                load_plan(pname, seed=fault_seed).validate_for(args.slaves)
         except FaultPlanError as exc:
             print(f"chaos: {exc}")
             return 2
@@ -451,35 +467,35 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         fn = "chaos_app_cells"
         params: dict[str, object] = {
             "plans": list(plan_names),
-            "fault_seed": args.fault_seed,
+            "fault_seed": fault_seed,
             "ckpt_interval": ckpt_cfg.interval,
             "ckpt_placement": ckpt_cfg.placement,
             "reports_dir": args.reports,
         }
-        header["fault_seed"] = args.fault_seed
+        header["fault_seed"] = fault_seed
         kind = ""
         settings = (
             f"apps={len(apps)} plans={len(plan_names)} seed={args.seed} "
-            f"fault-seed={args.fault_seed}"
+            f"fault-seed={fault_seed}"
         )
     else:
         fn = "chaos_crash_cells"
-        params = {"control": control, "fanout": args.fanout}
+        params = {"control": control, "fanout": fanout}
         header["control"] = control
         kind = f"{control} "
         settings = f"slaves={args.slaves} seed={args.seed}"
     if control == "hier":
         from .scale import build_tree
 
-        if not build_tree(args.slaves, args.fanout).internal:
+        if not build_tree(args.slaves, fanout).internal:
             raise SystemExit(
-                f"chaos: --slaves {args.slaves} with --fanout {args.fanout} "
+                f"chaos: --slaves {args.slaves} with --fanout {fanout} "
                 "builds a flat tree (no sub-masters to crash); "
                 "use more slaves or a smaller fanout"
             )
-        header["fanout"] = args.fanout
+        header["fanout"] = fanout
         kind = "hierarchical "
-        settings = f"fanout={args.fanout} {settings}"
+        settings = f"fanout={fanout} {settings}"
     matrix = "chaos" if control == "central" else f"chaos-{control}"
     specs = [
         JobSpec(
@@ -795,8 +811,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     p_chaos.add_argument(
         "--fault-seed",
         type=int,
-        default=0,
-        help="seed for the fault plans' RNG",
+        default=None,
+        help="seed for the fault plans' RNG (--control central; default 0)",
     )
     p_chaos.add_argument(
         "--control",
@@ -813,7 +829,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     p_chaos.add_argument(
         "--fanout",
         type=int,
-        default=4,
+        default=None,
         help="sub-master fanout for --control hier (default 4)",
     )
     p_chaos.add_argument(
@@ -874,12 +890,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     p_fig.set_defaults(fn=_cmd_figures)
 
     sub.add_parser(
-        "bench",
-        help="run a benchmark suite and gate against a baseline",
-        add_help=False,
-    )
-
-    sub.add_parser(
         "orchestrate",
         help="operate crash-safe sweeps: run/status/resume/cancel/gc",
         add_help=False,
@@ -895,14 +905,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     p_feat.set_defaults(fn=_cmd_features)
 
     raw = list(argv) if argv is not None else sys.argv[1:]
-    if raw and raw[0] == "bench":
-        # ``bench`` owns its full option surface (repro.bench.harness);
-        # delegate before the main parser can reject its flags.
-        from .bench import main as bench_main
-
-        return bench_main(raw[1:])
     if raw and raw[0] == "orchestrate":
-        # same arrangement for the sweep operations CLI
+        # ``orchestrate`` owns its full option surface
+        # (repro.orchestrator.cli); delegate before the main parser can
+        # reject its flags.
         from .orchestrator.cli import main as orchestrate_main
 
         return orchestrate_main(raw[1:])

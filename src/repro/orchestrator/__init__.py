@@ -1,7 +1,7 @@
 """Crash-safe experiment orchestration for every sweep in the repo.
 
-``repro.orchestrator`` is the substrate that ``repro bench``, the chaos
-matrix, and the scaling-crossover study submit their cells to:
+``repro.orchestrator`` is the substrate that the chaos matrix
+(``repro chaos``) and ``repro orchestrate`` submit their cells to:
 
 - a **warm process pool** (:mod:`.pool`) keyed by config digest —
   workers are spawned once, health-checked via heartbeats, and restarted

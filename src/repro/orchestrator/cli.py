@@ -13,7 +13,7 @@ Subcommands::
 ``max_retries``, ``backoff_s`` optional).  ``run`` and ``resume`` exit 0
 when every job succeeded (fresh or cached), 1 when any job ended
 ``failed``/``timeout``/``cancelled``, and 2 on operator error or
-interruption — mirroring the ``repro bench`` exit scheme.
+interruption — the same exit scheme as ``repro chaos``.
 """
 
 from __future__ import annotations

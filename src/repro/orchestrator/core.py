@@ -1,9 +1,9 @@
 """The sweep engine: queue, dispatch, retries, timeouts, resume.
 
 :func:`submit_sweep` is the single entry point every sweep in the repo
-goes through (``repro bench``, the chaos matrix, the scaling-crossover
-study).  It drives a warm worker pool through a priority queue of
-:class:`~.jobs.JobSpec` with:
+goes through (the chaos matrix and ``repro orchestrate``).  It drives a
+warm worker pool through a priority queue of :class:`~.jobs.JobSpec`
+with:
 
 - per-attempt wall-clock **timeouts** (the hung worker is killed and
   respawned, the job retried);

@@ -11,12 +11,12 @@ evaluated in the scaling-crossover study (see ``docs/scaling.md``):
 - the topology-aware decentralized diffusion mode (promoted
   :mod:`repro.baselines.diffusion` over :mod:`repro.sim.network`
   topologies);
-- :mod:`repro.scale.crossover` — the ``repro bench scaling_crossover``
-  suite sweeping processor count x load volatility across the three
-  control planes.
+- :mod:`repro.scale.crossover` — the scaling-crossover study's cell and
+  analysis, sweeping processor count x load volatility across the three
+  control planes (the ``benchmarks/bench_scaling_crossover.py`` table).
 """
 
-from .crossover import crossover_analysis, crossover_sweep
+from .crossover import crossover_analysis
 from .hierarchy import (
     HierarchyResult,
     build_tree,
@@ -31,7 +31,6 @@ __all__ = [
     "HierarchyResult",
     "build_tree",
     "crossover_analysis",
-    "crossover_sweep",
     "hier_can_recover",
     "run_hierarchical",
     "SyntheticBag",

@@ -8,7 +8,7 @@ load regime:
   every leaf reports straight to one root, the paper's single-master
   shape re-expressed in the scale protocol so message costs are
   apples-to-apples;
-- **hierarchical** — sub-master trees at each requested fanout;
+- **hierarchical** — sub-master trees at each fanout in ``FANOUTS``;
 - **diffusion** — the decentralised neighbour-exchange baseline.
 
 Load regimes (deterministic under a fixed seed):
@@ -19,12 +19,14 @@ Load regimes (deterministic under a fixed seed):
 - ``trace`` — a seeded random-walk :class:`~repro.sim.StepLoad` per
   loaded leaf, the stand-in for replaying a recorded machine-room trace.
 
-The workload weak-scales (``units_per_leaf`` fixed, total units
+The workload weak-scales (``UNITS_PER_LEAF`` fixed, total units
 proportional to ``P``), so a perfectly balanced run has a
 ``P``-independent makespan and any growth with ``P`` is control-plane
 overhead.  :func:`crossover_analysis` reduces a list of cell results to
 the measured crossover point per regime: the smallest ``P`` at which the
-best hierarchical fanout beats the centralized makespan.
+best hierarchical fanout beats the centralized makespan.  The table
+bench ``benchmarks/bench_scaling_crossover.py`` runs the whole grid and
+commits its makespans, message counts and analysis.
 """
 
 from __future__ import annotations
@@ -43,20 +45,25 @@ from .workload import synthetic_bag
 __all__ = [
     "ANALYSIS_SCHEMA",
     "REGIMES",
-    "SWEEP_SCHEMA",
     "cell_scaling",
     "crossover_analysis",
-    "crossover_sweep",
     "regime_loads",
 ]
 
 ANALYSIS_SCHEMA = "repro-crossover/1"
-SWEEP_SCHEMA = "repro-crossover-sweep/1"
 
 #: Fraction of leaves that carry competing load, as ``pid % LOAD_STRIDE == 0``.
 LOAD_STRIDE = 4
 
 REGIMES = ("constant", "oscillating", "trace")
+
+#: Sub-master fanouts each cell races against the flat tree.
+FANOUTS = (4, 8, 16)
+#: Weak scaling: every leaf's share of the bag, and each unit's cost.
+UNITS_PER_LEAF = 16
+OPS_PER_UNIT = 2.0e5
+#: Seed of the trace regime's random walks and of every run.
+SEED = 0
 
 
 def regime_loads(
@@ -103,127 +110,38 @@ def _run_cfg(P: int) -> RunConfig:
 
 
 def cell_scaling(
-    P: int,
-    regime: str = "constant",
-    fanouts: Sequence[int] = (4, 8, 16),
-    units_per_leaf: int = 16,
-    ops_per_unit: float = 2.0e5,
-    topology: str | None = None,
-    seed: int = 0,
+    P: int, regime: str = "constant", topology: str | None = None
 ) -> dict[str, Any]:
     """One crossover cell: all control planes at one (P, regime) point.
 
-    ``wall_s`` (gated) covers every mode's run; the per-mode simulated
-    makespans land in ``meta`` — they are deterministic, so the harness
-    flags drift, and :func:`crossover_analysis` reduces them to the
-    crossover point.
+    Returns the per-mode simulated makespans and message counts, which
+    :func:`crossover_analysis` reduces to the crossover point.
     """
-    import time
-
-    bag = synthetic_bag(
-        P * units_per_leaf, ops_per_unit, name=f"bag-p{P}-{regime}"
-    )
-    loads = regime_loads(regime, P, seed=seed)
+    bag = synthetic_bag(P * UNITS_PER_LEAF, OPS_PER_UNIT, name=f"bag-p{P}-{regime}")
+    loads = regime_loads(regime, P, seed=SEED)
 
     makespans: dict[str, float] = {}
     messages: dict[str, int] = {}
-    t0 = time.perf_counter()
-    flat = run_hierarchical(
-        bag, _run_cfg(P), dict(loads), fanout=None, seed=seed, topology=topology
-    )
-    makespans["centralized"] = flat.elapsed
-    messages["centralized"] = flat.message_count
-    for fanout in fanouts:
+    for mode, fanout in [("centralized", None)] + [
+        (f"hier{fanout}", fanout) for fanout in FANOUTS
+    ]:
         res = run_hierarchical(
-            bag, _run_cfg(P), dict(loads), fanout=fanout, seed=seed,
+            bag, _run_cfg(P), dict(loads), fanout=fanout, seed=SEED,
             topology=topology,
         )
-        makespans[f"hier{fanout}"] = res.elapsed
-        messages[f"hier{fanout}"] = res.message_count
-    diff = run_diffusion(bag, _run_cfg(P), dict(loads), seed=seed, topology=topology)
+        makespans[mode] = res.elapsed
+        messages[mode] = res.message_count
+    diff = run_diffusion(bag, _run_cfg(P), dict(loads), seed=SEED, topology=topology)
     makespans["diffusion"] = diff.elapsed
     messages["diffusion"] = diff.message_count
-    wall = time.perf_counter() - t0
-
-    winner = min(makespans, key=lambda mode: makespans[mode])
-    metrics = {"wall_s": wall}
     return {
-        "metrics": metrics,
-        "meta": {
-            "P": P,
-            "regime": regime,
-            "fanouts": list(fanouts),
-            "topology": topology or "crossbar",
-            "units": bag.n_units,
-            "sim_elapsed": makespans,
-            "makespans": makespans,
-            "messages": messages,
-            "winner": winner,
-        },
-    }
-
-
-def crossover_sweep(
-    ps: Sequence[int] = (8, 32, 64, 128),
-    regimes: Sequence[str] = REGIMES,
-    *,
-    fanouts: Sequence[int] = (4, 8, 16),
-    seed: int = 0,
-    state_dir: str | None = None,
-    workers: int = 1,
-    timeout_s: float | None = None,
-    recorder: Any = None,
-) -> dict[str, Any]:
-    """Run the (P, regime) crossover grid as an orchestrated sweep.
-
-    Each grid point is one :func:`cell_scaling` job submitted to
-    :func:`repro.orchestrator.submit_sweep` — with a ``state_dir`` the
-    study is resumable after a crash and repeated points are served from
-    the content-hash cache.  Returns a schema-tagged document with the
-    completed cells, any failed/timeout points (the sweep degrades
-    rather than aborts), and the :func:`crossover_analysis` reduction
-    over whatever completed.
-    """
-    from ..orchestrator import JobSpec, submit_sweep
-
-    for regime in regimes:
-        if regime not in REGIMES:
-            raise ConfigError(
-                f"unknown load regime {regime!r}; choices: {', '.join(REGIMES)}"
-            )
-    specs = [
-        JobSpec(
-            id=f"P{P}_{regime}",
-            fn="repro.scale.crossover:cell_scaling",
-            params={
-                "P": int(P),
-                "regime": regime,
-                "fanouts": list(fanouts),
-                "seed": seed,
-            },
-            timeout_s=timeout_s,
-            max_retries=1,
-            backoff_s=0.1,
-        )
-        for P in ps
-        for regime in regimes
-    ]
-    sweep = submit_sweep(
-        specs,
-        state_dir=state_dir,
-        workers=workers,
-        meta={"study": "crossover", "ps": [int(P) for P in ps]},
-        recorder=recorder,
-    )
-    cells = [record.result for record in sweep.records if record.ok]
-    return {
-        "schema": SWEEP_SCHEMA,
-        "sweep_id": sweep.sweep_id,
-        "interrupted": sweep.interrupted,
-        "cells": cells,
-        "failed": [r.summary() for r in sweep.failed_records()],
-        "stats": sweep.stats,
-        "analysis": crossover_analysis(cells),
+        "P": P,
+        "regime": regime,
+        "topology": topology or "crossbar",
+        "units": bag.n_units,
+        "makespans": makespans,
+        "messages": messages,
+        "winner": min(makespans, key=lambda mode: makespans[mode]),
     }
 
 
@@ -243,19 +161,14 @@ def crossover_analysis(
     """
     by_regime: dict[str, list[dict[str, Any]]] = {}
     for cell in cells:
-        meta = cell.get("meta", {})
-        if meta.get("topology", "crossbar") != "crossbar":
+        if cell["topology"] != "crossbar":
             continue
-        spans = meta.get("makespans")
-        if not spans:
-            continue
+        spans = cell["makespans"]
         hier = {m: v for m, v in spans.items() if m.startswith("hier")}
-        if not hier or "centralized" not in spans:
-            continue
         best_fanout = min(hier, key=lambda mode: hier[mode])
-        by_regime.setdefault(meta["regime"], []).append(
+        by_regime.setdefault(cell["regime"], []).append(
             {
-                "P": meta["P"],
+                "P": cell["P"],
                 "centralized": spans["centralized"],
                 "best_hier": hier[best_fanout],
                 "best_fanout": int(best_fanout.removeprefix("hier")),

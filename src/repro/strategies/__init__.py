@@ -21,10 +21,11 @@ alternatives:
   chunk (so they refuse crash plans).
 
 Selection is wired through :func:`run_strategy` and
-``repro run --strategy``.  The perturbation-robustness bench suite
-(:mod:`repro.strategies.robustness`) races the strategies over irregular
-workloads and recorded load traces and reports degradation versus an
-idealized oracle makespan.
+``repro run --strategy``.  The perturbation-robustness study
+(:mod:`repro.strategies.robustness`, tabled by
+``benchmarks/bench_perturbation_robustness.py``) races the strategies
+over irregular workloads and recorded load traces and reports
+degradation versus an idealized oracle makespan.
 """
 
 from .rdlb import RdlbResult, run_rdlb

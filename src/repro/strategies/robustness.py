@@ -25,17 +25,17 @@ Perturbation regimes:
   simulation horizon and desynchronized across the loaded workers.
 
 The oracle deliberately ignores unit granularity, messaging, and
-scheduling quanta, so *every* strategy degrades; what the bench suite
-(``repro bench --suite perturbation_robustness``) exposes is the
-*ordering* — where the paper's rate-filtered redistribution (``rate``)
-still wins and where the robust strategies (``stealing``, ``rdlb``)
-overtake it.  :func:`robustness_analysis` reduces the cells to that
-crossover table.
+scheduling quanta, so *every* strategy degrades; what the study exposes
+is the *ordering* — where the paper's rate-filtered redistribution
+(``rate``) still wins and where the robust strategies (``stealing``,
+``rdlb``) overtake it.  :func:`robustness_analysis` reduces the cells to
+that crossover table; the table bench
+``benchmarks/bench_perturbation_robustness.py`` runs every workload x
+regime cell and commits the result.
 """
 
 from __future__ import annotations
 
-import time
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -48,7 +48,7 @@ from .registry import run_strategy
 
 __all__ = [
     "ANALYSIS_SCHEMA",
-    "DEFAULT_STRATEGIES",
+    "CELL_STRATEGIES",
     "PERTURBATION_REGIMES",
     "TRACE_PATH",
     "WORKLOADS",
@@ -62,7 +62,15 @@ ANALYSIS_SCHEMA = "repro-robustness/1"
 
 PERTURBATION_REGIMES = ("flat", "spike", "trace")
 WORKLOADS = ("uniform", "lognormal", "pareto")
-DEFAULT_STRATEGIES = ("rate", "stealing", "rdlb")
+#: The strategies each cell races: the paper's plane and the robust two.
+CELL_STRATEGIES = ("rate", "stealing", "rdlb")
+#: Every cell's machine and bag: P workers at SPEED ops/s, each with
+#: UNITS_PER_WORKER units of MEAN_OPS mean cost, drawn with SEED.
+P = 16
+SPEED = 1.0e6
+UNITS_PER_WORKER = 16
+MEAN_OPS = 2.0e5
+SEED = 0
 
 #: Every LOAD_STRIDE-th worker carries competing load (matches the
 #: scaling-crossover convention).
@@ -184,17 +192,18 @@ def oracle_makespan(
     return hi
 
 
-def _build_bag(workload: str, n_units: int, mean_ops: float, seed: int):
+def _build_bag(workload: str):
+    n_units = P * UNITS_PER_WORKER
     if workload == "uniform":
-        return synthetic_bag(n_units, mean_ops, name=f"uniform-{n_units}")
+        return synthetic_bag(n_units, MEAN_OPS, name=f"uniform-{n_units}")
     if workload == "lognormal":
         return irregular_bag(
-            n_units, mean_ops, tail="lognormal", sigma=1.4, seed=seed,
+            n_units, MEAN_OPS, tail="lognormal", sigma=1.4, seed=SEED,
             name=f"lognormal-{n_units}",
         )
     if workload == "pareto":
         return irregular_bag(
-            n_units, mean_ops, tail="pareto", alpha=1.5, seed=seed,
+            n_units, MEAN_OPS, tail="pareto", alpha=1.5, seed=SEED,
             name=f"pareto-{n_units}",
         )
     raise ConfigError(
@@ -203,53 +212,38 @@ def _build_bag(workload: str, n_units: int, mean_ops: float, seed: int):
 
 
 def cell_perturbation(
-    workload: str = "uniform",
-    regime: str = "flat",
-    P: int = 16,
-    units_per_worker: int = 16,
-    mean_ops: float = 2.0e5,
-    strategies: Sequence[str] = DEFAULT_STRATEGIES,
-    seed: int = 0,
+    workload: str = "uniform", regime: str = "flat"
 ) -> dict[str, Any]:
-    """One robustness cell: the named strategies at one point.
+    """One robustness cell: every strategy in ``CELL_STRATEGIES`` at one point.
 
-    ``wall_s`` (gated) covers every strategy's run; the simulated
-    makespans, oracle bound, and per-strategy degradation land in
-    ``meta`` for :func:`robustness_analysis` and the docs.
+    Returns the simulated makespans, message counts, oracle bound and
+    per-strategy degradation for :func:`robustness_analysis`.
     """
-    bag = _build_bag(workload, P * units_per_worker, mean_ops, seed)
-    loads = perturbation_loads(regime, P, seed=seed)
-    speed = 1.0e6
+    bag = _build_bag(workload)
+    loads = perturbation_loads(regime, P, seed=SEED)
     cfg = RunConfig(
-        cluster=ClusterSpec(n_slaves=P, processor=ProcessorSpec(speed=speed)),
+        cluster=ClusterSpec(n_slaves=P, processor=ProcessorSpec(speed=SPEED)),
         execute_numerics=False,
     )
-    oracle = oracle_makespan(bag.total_ops(), speed, loads, P)
+    oracle = oracle_makespan(bag.total_ops(), SPEED, loads, P)
     makespans: dict[str, float] = {}
     messages: dict[str, int] = {}
     degradation: dict[str, float] = {}
-    t0 = time.perf_counter()
-    for strategy in strategies:
-        out = run_strategy(strategy, bag, cfg, dict(loads), seed=seed)
+    for strategy in CELL_STRATEGIES:
+        out = run_strategy(strategy, bag, cfg, dict(loads), seed=SEED)
         makespans[strategy] = out.elapsed
         messages[strategy] = out.message_count
         degradation[strategy] = out.elapsed / oracle - 1.0
-    wall = time.perf_counter() - t0
-    winner = min(makespans, key=lambda s: makespans[s])
     return {
-        "metrics": {"wall_s": wall},
-        "meta": {
-            "P": P,
-            "workload": workload,
-            "regime": regime,
-            "units": bag.n_units,
-            "oracle_makespan": oracle,
-            "sim_elapsed": makespans,
-            "makespans": makespans,
-            "degradation": degradation,
-            "messages": messages,
-            "winner": winner,
-        },
+        "P": P,
+        "workload": workload,
+        "regime": regime,
+        "units": bag.n_units,
+        "oracle_makespan": oracle,
+        "makespans": makespans,
+        "degradation": degradation,
+        "messages": messages,
+        "winner": min(makespans, key=lambda s: makespans[s]),
     }
 
 
@@ -258,29 +252,24 @@ def robustness_analysis(
 ) -> dict[str, Any]:
     """Reduce robustness cells to the strategy-crossover table.
 
-    For every robust strategy present, lists the (workload, regime)
+    For every robust strategy, lists the (workload, regime)
     points where it beats the paper's ``rate`` plane by at least
     ``margin`` and where it loses by at least ``margin`` — the
     acceptance evidence that the robust planes are *complements*, not
     replacements, of rate-filtered redistribution.
     """
     points: list[dict[str, Any]] = []
-    challengers: set[str] = set()
     for cell in cells:
-        meta = cell.get("meta", {})
-        spans = meta.get("makespans")
-        if not spans or "rate" not in spans:
-            continue
-        challengers.update(s for s in spans if s != "rate")
+        spans = cell["makespans"]
         points.append(
             {
-                "workload": meta.get("workload"),
-                "regime": meta.get("regime"),
-                "P": meta.get("P"),
-                "oracle": meta.get("oracle_makespan"),
+                "workload": cell["workload"],
+                "regime": cell["regime"],
+                "P": cell["P"],
+                "oracle": cell["oracle_makespan"],
                 "makespans": dict(spans),
-                "degradation": dict(meta.get("degradation", {})),
-                "winner": meta.get("winner"),
+                "degradation": dict(cell["degradation"]),
+                "winner": cell["winner"],
             }
         )
     out: dict[str, Any] = {
@@ -289,13 +278,11 @@ def robustness_analysis(
         "points": points,
         "strategies": {},
     }
-    for strategy in sorted(challengers):
+    for strategy in sorted(set(CELL_STRATEGIES) - {"rate"}):
         wins: list[str] = []
         losses: list[str] = []
         for point in points:
             spans = point["makespans"]
-            if strategy not in spans:
-                continue
             label = f"{point['workload']}/{point['regime']}"
             if spans[strategy] < spans["rate"] * (1.0 - margin):
                 wins.append(label)

@@ -106,6 +106,41 @@ def test_chaos_crash_control_skips_pipeline(capsys):
     assert "skipped (PIPELINE)" in capsys.readouterr().out
 
 
+CENTRAL_ONLY_FLAGS = (
+    ["--plans", "kaboom"],
+    ["--fault-seed", "5"],
+    ["--reports", "REPORTS"],
+    ["--ckpt-interval", "1.0"],
+    ["--ckpt-placement", "buddy"],
+)
+
+
+@pytest.mark.parametrize(
+    "control, flag",
+    [
+        pytest.param(control, flag, id=f"{control}{flag[0]}")
+        for control in ("hier", "stealing", "rdlb")
+        for flag in CENTRAL_ONLY_FLAGS
+    ]
+    + [
+        pytest.param(control, ["--fanout", "7"], id=f"{control}--fanout")
+        for control in ("central", "stealing", "rdlb")
+    ],
+)
+def test_chaos_rejects_flags_its_control_ignores(control, flag, capsys, tmp_path):
+    reports = tmp_path / "reports"
+    argv = [str(reports) if arg == "REPORTS" else arg for arg in flag]
+    rc = main(
+        ["chaos", "matmul", "--control", control, "--slaves", "8", "-n", "48",
+         *argv]
+    )
+    assert rc == 2
+    assert capsys.readouterr().out == (
+        f"chaos: {flag[0]} has no effect under --control {control}\n"
+    )
+    assert not reports.exists()
+
+
 def test_chaos_hier_rejects_flat_tree():
     with pytest.raises(SystemExit) as exc:
         main(["chaos", "matmul", "--control", "hier", "--slaves", "4",

@@ -19,9 +19,6 @@ MODULES = [
     "repro.fastcopy",
     "repro.validate",
     "repro.cli",
-    "repro.bench",
-    "repro.bench.harness",
-    "repro.bench.workloads",
     "repro.sim",
     "repro.sim.engine",
     "repro.sim.load",
@@ -218,9 +215,8 @@ ENTRY_POINT_PARAMETERS = {
     "repro.baselines.diffusion:run_diffusion": (
         "plan", "run_cfg", "loads", "seed", "topology"
     ),
-    "repro.scale.crossover:cell_scaling": (
-        "P", "regime", "fanouts", "units_per_leaf", "ops_per_unit", "topology", "seed"
-    ),
+    "repro.scale.crossover:cell_scaling": ("P", "regime", "topology"),
+    "repro.strategies.robustness:cell_perturbation": ("workload", "regime"),
 }
 
 
