@@ -30,6 +30,15 @@ def save_json(name: str, data: dict) -> None:
     )
 
 
+def save_series(name: str, series) -> None:
+    """Archive an ``ExperimentSeries`` both ways: the rendered ``.txt``
+    table (3 decimals) and its full-precision ``to_dict()`` as ``.json``,
+    so a simulated change smaller than the table's rounding still shows
+    as a diff."""
+    save_table(name, series.format_table())
+    save_json(name, series.to_dict())
+
+
 def once(benchmark, fn):
     """Run ``fn`` exactly once under pytest-benchmark timing."""
     return benchmark.pedantic(fn, rounds=1, iterations=1)

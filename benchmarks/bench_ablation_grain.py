@@ -1,13 +1,13 @@
 """Section 4.4 — strip-mining granularity of the pipelined loop."""
 
-from _util import once, save_table
+from _util import once, save_series
 
 from repro.experiments import ablations
 
 
 def test_grain_sweep_matches_startup_rule(benchmark):
     series = once(benchmark, ablations.grain)
-    save_table("ablation_grain", series.format_table())
+    save_series("ablation_grain", series)
 
     block_times = series.column("block_time_s")
     elapsed = series.column("t_elapsed")

@@ -1,13 +1,13 @@
 """Section 3.3 — pipelined vs synchronous master-slave interaction."""
 
-from _util import once, save_table
+from _util import once, save_series
 
 from repro.experiments import ablations
 
 
 def test_pipelining_hides_interaction_cost(benchmark):
     series = once(benchmark, ablations.pipelining)
-    save_table("ablation_pipelining", series.format_table())
+    save_series("ablation_pipelining", series)
 
     penalties = series.column("sync_penalty_%")
     # Paper: "experiments comparing the pipelined and synchronous

@@ -1,13 +1,13 @@
 """Section 3.2 — balancer refinements prevent excessive work movement."""
 
-from _util import once, save_table
+from _util import once, save_series
 
 from repro.experiments import ablations
 
 
 def test_refinements_prevent_thrash(benchmark):
     series = once(benchmark, ablations.refinements)
-    save_table("ablation_refinements", series.format_table())
+    save_series("ablation_refinements", series)
 
     rows = {r[0]: r for r in series.rows}
     t_full, eff_full, moves_full = rows["all refinements"][1:4]

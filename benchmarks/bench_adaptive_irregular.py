@@ -1,6 +1,6 @@
 """Table 1 row 6 — data-dependent iteration sizes (extension)."""
 
-from _util import once, save_table
+from _util import once, save_series
 
 from repro.apps.adaptive import adaptive_application
 from repro.compiler.features import extract_features
@@ -9,7 +9,7 @@ from repro.experiments import adaptive_irregular
 
 def test_adaptive_irregular(benchmark):
     series = once(benchmark, adaptive_irregular.run)
-    save_table("adaptive_irregular", series.format_table())
+    save_series("adaptive_irregular", series)
 
     # The compiler flags the conditional as data-dependent iteration size.
     app = adaptive_application()

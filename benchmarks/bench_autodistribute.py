@@ -6,7 +6,7 @@ legality-checked by dependence analysis and ranked by shape, movement
 payload, nesting depth, and cost coverage.
 """
 
-from _util import once, save_table
+from _util import once, save_series
 
 from repro.apps.adaptive import adaptive_program
 from repro.apps.lu import lu_program
@@ -44,7 +44,7 @@ def _run():
 
 def test_compiler_chooses_distributions(benchmark):
     series, picks = once(benchmark, _run)
-    save_table("autodistribute", series.format_table())
+    save_series("autodistribute", series)
 
     assert picks["matmul"].distribute == "i"
     assert picks["lu"].distribute == "j"

@@ -8,7 +8,7 @@ paper's design claims: comparable balancing quality with far less data
 motion than a central queue, and faster response than diffusion.
 """
 
-from _util import once, save_table
+from _util import once, save_series
 
 from repro.apps.matmul import build_matmul
 from repro.config import ClusterSpec, RunConfig
@@ -51,7 +51,7 @@ def _run():
 
 def test_dlb_vs_related_work(benchmark):
     series = once(benchmark, _run)
-    save_table("baselines_selfsched", series.format_table())
+    save_series("baselines_selfsched", series)
 
     rows = {r[0]: r for r in series.rows}
     t = {k: v[1] for k, v in rows.items()}

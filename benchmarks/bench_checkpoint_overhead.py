@@ -12,7 +12,7 @@ epoch would make the premium meaningless).
 
 from dataclasses import replace
 
-from _util import once, save_json, save_table
+from _util import once, save_series
 
 from repro.apps import build_lu, build_matmul, build_sor
 from repro.config import (
@@ -90,8 +90,7 @@ def _run():
 
 def test_checkpoint_overhead(benchmark):
     series = once(benchmark, _run)
-    save_table("checkpoint_overhead", series.format_table())
-    save_json("checkpoint_overhead", series.to_dict())
+    save_series("checkpoint_overhead", series)
 
     for app, placement, _t, overhead_pct, committed, snapshots in series.rows:
         if placement == "off":

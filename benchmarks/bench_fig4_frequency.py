@@ -1,13 +1,13 @@
 """Figure 4 — load-balancing period selection bounds."""
 
-from _util import once, save_table
+from _util import once, save_series
 
 from repro.experiments import fig4_frequency
 
 
 def test_fig4_period_selection(benchmark):
     series = once(benchmark, fig4_frequency.run)
-    save_table("fig4_frequency", series.format_table())
+    save_series("fig4_frequency", series)
     periods = series.column("period")
     bindings = series.column("binding")
     # Paper: the period is never below the 500 ms floor / 5 quanta, and

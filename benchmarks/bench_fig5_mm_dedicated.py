@@ -1,6 +1,6 @@
 """Figure 5 — 500x500 MM on a dedicated homogeneous cluster."""
 
-from _util import once, save_table
+from _util import once, save_series
 
 from repro.experiments import fig5_mm_dedicated
 
@@ -9,7 +9,7 @@ def test_fig5_mm_dedicated(benchmark):
     series = once(
         benchmark, lambda: fig5_mm_dedicated.run(processors=(1, 2, 3, 4, 5, 6, 7))
     )
-    save_table("fig5_mm_dedicated", series.format_table())
+    save_series("fig5_mm_dedicated", series)
 
     t_seq = series.column("t_seq")[0]
     sp_dlb = series.column("speedup_dlb")

@@ -1,6 +1,6 @@
 """Figure 6 — 2000x2000 SOR on a dedicated homogeneous cluster."""
 
-from _util import once, save_table
+from _util import once, save_series
 
 from repro.experiments import fig6_sor_dedicated
 
@@ -9,7 +9,7 @@ def test_fig6_sor_dedicated(benchmark):
     series = once(
         benchmark, lambda: fig6_sor_dedicated.run(processors=(1, 2, 3, 4, 5, 6, 7))
     )
-    save_table("fig6_sor_dedicated", series.format_table())
+    save_series("fig6_sor_dedicated", series)
 
     t_seq = series.column("t_seq")[0]
     sp_par = series.column("speedup_par")

@@ -1,6 +1,6 @@
 """Figure 7 — 500x500 MM with a constant competing load on processor 0."""
 
-from _util import once, save_table
+from _util import once, save_series
 
 from repro.experiments import fig7_mm_loaded
 
@@ -9,7 +9,7 @@ def test_fig7_mm_loaded(benchmark):
     series = once(
         benchmark, lambda: fig7_mm_loaded.run(processors=(2, 3, 4, 5, 6, 7))
     )
-    save_table("fig7_mm_loaded", series.format_table())
+    save_series("fig7_mm_loaded", series)
 
     eff_par = series.column("eff_par")
     eff_dlb = series.column("eff_dlb")

@@ -1,6 +1,6 @@
 """Figure 8 — 2000x2000 SOR with a constant competing load on processor 0."""
 
-from _util import once, save_table
+from _util import once, save_series
 
 from repro.experiments import fig8_sor_loaded
 
@@ -9,7 +9,7 @@ def test_fig8_sor_loaded(benchmark):
     series = once(
         benchmark, lambda: fig8_sor_loaded.run(processors=(2, 3, 4, 5, 6, 7))
     )
-    save_table("fig8_sor_loaded", series.format_table())
+    save_series("fig8_sor_loaded", series)
 
     eff_par = series.column("eff_par")
     eff_dlb = series.column("eff_dlb")

@@ -1,13 +1,13 @@
 """Section 3.2 claim — heterogeneous machines need no processor weights."""
 
-from _util import once, save_table
+from _util import once, save_series
 
 from repro.experiments import heterogeneous
 
 
 def test_heterogeneous_speeds_discovered(benchmark):
     series = once(benchmark, heterogeneous.run)
-    save_table("heterogeneous", series.format_table())
+    save_series("heterogeneous", series)
 
     rows = {r[0]: r for r in series.rows}
 

@@ -6,7 +6,7 @@ must stretch the hook skip automatically, and only *active* columns may
 move.  The bench also confirms DLB still pays off for LU under load.
 """
 
-from _util import once, save_table
+from _util import once, save_series
 
 from repro.apps.lu import build_lu
 from repro.experiments.common import ExperimentSeries, run_point
@@ -37,7 +37,7 @@ def _run():
 
 def test_lu_shrinking_work(benchmark):
     series, r_dlb = once(benchmark, _run)
-    save_table("lu_adaptation", series.format_table())
+    save_series("lu_adaptation", series)
 
     rows = {r[0]: r for r in series.rows}
     assert rows["dlb"][1] < rows["static"][1], "DLB must beat static for LU"

@@ -1,13 +1,13 @@
 """Section 4.3 — quantum-induced measurement noise vs window length."""
 
-from _util import once, save_table
+from _util import once, save_series
 
 from repro.experiments import quantum_noise
 
 
 def test_rate_noise_collapses_past_five_quanta(benchmark):
     series = once(benchmark, quantum_noise.run)
-    save_table("quantum_noise", series.format_table())
+    save_series("quantum_noise", series)
 
     windows = series.column("window_quanta")
     rr_cv = series.column("rr_rate_cv")

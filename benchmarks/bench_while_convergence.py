@@ -1,7 +1,7 @@
 """Section 4.1 — data-dependent WHILE repetition (convergent SOR)."""
 
 import numpy as np
-from _util import once, save_table
+from _util import once, save_series
 
 from repro.apps.sor import build_sor, sor_sequential_convergent
 from repro.config import ClusterSpec, ProcessorSpec, RunConfig
@@ -40,7 +40,7 @@ def _run():
 
 def test_while_condition_evaluated_by_master(benchmark):
     series, sweeps, cap = once(benchmark, _run)
-    save_table("while_convergence", series.format_table())
+    save_series("while_convergence", series)
 
     assert sweeps < cap, "the WHILE must genuinely exit early"
     for row in series.rows:
