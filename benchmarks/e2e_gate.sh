@@ -1,5 +1,5 @@
 #!/bin/sh
-# Host-time gate: three pairs of end-to-end benchmark runs, one on a base
+# Host-time gate: five pairs of end-to-end benchmark runs, one on a base
 # commit and one on this checkout per pair, judged by compare.py (its
 # exit status is the verdict).
 #
@@ -8,9 +8,11 @@
 # Run from the repository root.  Both sides use this checkout's
 # benchmarks/e2e/ and BENCHMARK.json, so only the program under src/
 # differs.  The side that runs first alternates from pair to pair, so
-# a host that drifts during the gate does not favour one side.  OUT_DIR
-# receives base-{1,2,3}.json and change-{1,2,3}.json.  About 10 minutes
-# in all on a 2-vCPU host.
+# a host that drifts during the gate does not favour one side.  With
+# five runs a side compare.py's quartiles are the means of the two outer
+# runs, so one slow reading moves a quartile by half its excess, not by
+# all of it.  OUT_DIR receives base-{1..5}.json and change-{1..5}.json.
+# About 17 minutes in all on a 2-vCPU host.
 set -eu
 base_rev=$1
 out=$2
@@ -29,8 +31,8 @@ run() {
     fi
 }
 
-for i in 1 2 3; do
-    if [ "$i" = 2 ]; then
+for i in 1 2 3 4 5; do
+    if [ $((i % 2)) = 0 ]; then
         run change "$i"
         run base "$i"
     else

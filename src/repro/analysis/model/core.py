@@ -12,9 +12,9 @@ tag-selective mailbox.
 Actors are pure transition functions: :meth:`Actor.steps` maps a local
 state plus the currently pending messages to the set of enabled
 :class:`Step`\\ s (consume at most one message, update the local state,
-emit any number of sends).  All local states and payloads must be
-hashable values built from tuples/frozensets/ints/strings so the
-explorer can intern whole :class:`SystemState`\\ s in its visited set.
+emit any number of sends).  Local states and payloads are hashable
+values (tuples, frozensets, ints, strings, or runtime objects that hash
+by value) so the explorer can intern whole :class:`SystemState`\\ s.
 
 A :class:`Model` bundles the actors with the plane's safety invariants
 (evaluated on every reached state) and its quiescence predicate.  A
@@ -81,7 +81,12 @@ class Step:
 
 
 class Actor(Protocol):
-    """A finite-state protocol participant."""
+    """A finite-state protocol participant.
+
+    A local may hold a runtime object (the rDLB ``ChunkQueue``, the
+    stealing ``Ledger``) so the model runs the runtime's code; it hashes
+    by value, and a step changes a copy: once yielded it never changes.
+    """
 
     name: str
 

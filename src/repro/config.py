@@ -147,15 +147,12 @@ class BalancerConfig:
         filter_enabled: apply the trend-weighted rate filter.
         profitability_enabled: run the detailed profitability check that can
             cancel unprofitable movements.
-        restricted: force restricted (adjacent-only) movement even for
-            applications without loop-carried dependences.
     """
 
     improvement_threshold: float = 0.10
     pipelined: bool = True
     filter_enabled: bool = True
     profitability_enabled: bool = True
-    restricted: bool | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.improvement_threshold < 1.0:

@@ -135,12 +135,9 @@ def resolve_run_cfg(
 
 
 def _initial_partition(plan: ExecutionPlan, run_cfg: RunConfig):
-    restricted = plan.movement.restricted
-    if run_cfg.balancer.restricted is not None:
-        restricted = run_cfg.balancer.restricted or restricted
     n = run_cfg.cluster.n_slaves
     lo, hi = plan.unit_space()
-    if restricted:
+    if plan.movement.restricted:
         return BlockPartition.even(hi - lo, n, lo=lo)
     return IndexPartition.even(hi - lo, n, lo=lo)
 

@@ -19,10 +19,10 @@ Models the steal/deny/abort protocol and the coordinator ledger of
   for ``st.work`` or ``st.term``.  ``w0`` never steals: one thief and
   one victim exercise every race of a steal transaction, and letting
   ``w0`` steal back only mirrors them at many times the state count.
-- **The coordinator** keeps a ledger of the units nobody has reported
-  done.  It answers an ask with copies of the least-copied, oldest
-  ledger units (half of them, at least one), and sends ``st.term`` to
-  every worker once every unit is reported.
+- **The coordinator** runs the runtime's ``Ledger`` of the units nobody
+  has reported done.  It answers an ask with copies of the least-copied,
+  oldest ledger units (half of them, at least one), and sends
+  ``st.term`` to every worker once every unit is reported.
 - **Crashes.**  Workers named in ``crashable`` may crash while they have
   a step to take — a unit to compute, a steal to send or an ask to make.
   Nobody is told: there is no failure detector.  A crash while waiting
@@ -60,6 +60,7 @@ from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping, NamedTuple
 
 from ..analysis.model.core import Invariant, Model, Msg, Step, selective
+from .stealing import Ledger
 
 __all__ = ["COORD", "MUTATIONS", "StealConfig", "build_model"]
 
@@ -117,8 +118,10 @@ def _worker(remaining: frozenset[int], phase: str) -> WLocal:
 class CLocal(NamedTuple):
     """The coordinator's local state."""
 
-    reported: frozenset[int]  # units whose first result is in
-    copies: tuple[int, ...]  # copies granted, per unit
+    ledger: Ledger  # the units nobody has reported
+    # Copies granted per unit, kept past its report for the custody
+    # invariant: the ledger forgets a unit once it is reported.
+    granted: tuple[int, ...]
     stopped: bool
 
 
@@ -323,7 +326,7 @@ class StealWorker:
 
 
 class StealCoordinator:
-    """The ledger coordinator."""
+    """The coordinator: an adapter around the runtime's ``Ledger``."""
 
     name = COORD
 
@@ -332,9 +335,8 @@ class StealCoordinator:
         self.mutation = mutation
 
     def init(self) -> Hashable:
-        return CLocal(
-            reported=frozenset(), copies=(0,) * self.cfg.units, stopped=False
-        )
+        units = range(self.cfg.units)
+        return CLocal(Ledger.fromkeys(units, 0), (0,) * len(units), False)
 
     def steps(
         self, local: Hashable, pending: tuple[Msg, ...]
@@ -343,14 +345,16 @@ class StealCoordinator:
         assert isinstance(s, CLocal)
         if s.stopped:
             return  # late reports stay unread, as in the runtime
-        every = frozenset(range(self.cfg.units))
         for msg in selective(pending, lambda m: m.tag == "st.report"):
             payload = msg.payload
             assert isinstance(payload, tuple)
             units, ask = payload
-            nxt = s._replace(reported=s.reported | frozenset(units))
+            ledger = Ledger(s.ledger)  # a yielded state never changes
+            for unit in units:
+                ledger.pop(unit, None)
+            nxt = s._replace(ledger=ledger)
             label = f"report({msg.src}, {list(units)}" + (", ask)" if ask else ")")
-            if nxt.reported == every:
+            if not ledger:
                 terms = tuple(
                     Msg(self.name, w, "st.term", ())
                     for w in self.cfg.worker_names()
@@ -358,7 +362,7 @@ class StealCoordinator:
                 yield Step(
                     actor=self.name,
                     label=f"{label}: stop all",
-                    next_state=CLocal(every, (0,) * self.cfg.units, True),
+                    next_state=CLocal(ledger, (0,) * self.cfg.units, True),
                     consumed=msg,
                     sends=() if self.mutation == "drop_term" else terms,
                 )
@@ -371,17 +375,12 @@ class StealCoordinator:
                     consumed=msg,
                 )
                 continue
-            ledger = sorted(every - nxt.reported)
-            least = min(nxt.copies[u] for u in ledger)
-            spare = [u for u in ledger if nxt.copies[u] == least]
-            units = tuple(spare[: max(1, len(spare) // 2)])
-            copies = tuple(
-                c + (u in units) for u, c in enumerate(nxt.copies)
-            )
+            units = ledger.grant()
+            granted = tuple(c + (u in units) for u, c in enumerate(s.granted))
             yield Step(
                 actor=self.name,
                 label=f"{label}: copy {list(units)}",
-                next_state=nxt._replace(copies=copies),
+                next_state=nxt._replace(granted=granted),
                 consumed=msg,
                 sends=(Msg(self.name, msg.src, "st.work", (units, None)),),
             )
@@ -406,7 +405,7 @@ def custody(cfg: StealConfig) -> Invariant:
         if coord.stopped:
             # Once it stops only completeness matters: what workers
             # still hold no longer does.
-            missing = sorted(set(range(cfg.units)) - coord.reported)
+            missing = sorted(coord.ledger)
             if missing:
                 return (
                     "RA701",
@@ -414,7 +413,7 @@ def custody(cfg: StealConfig) -> Invariant:
                     f"coordinator stops (lost by stealing)",
                 )
             return None
-        done = set(coord.reported)
+        done = set(range(cfg.units)) - coord.ledger.keys()
         counts = {u: 0 for u in range(cfg.units)}
         for local in locals_.values():
             if isinstance(local, WLocal):
@@ -429,7 +428,7 @@ def custody(cfg: StealConfig) -> Invariant:
                         counts[int(u)] += 1
                 elif msg.tag == "st.report":
                     done.update(payload[0])
-        dup = sorted(u for u, c in counts.items() if c > 1 + coord.copies[u])
+        dup = sorted(u for u, c in counts.items() if c > 1 + coord.granted[u])
         if dup:
             return (
                 "RA702",

@@ -38,8 +38,8 @@ Supports PARALLEL_MAP plans (independent iterations) only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Any, Mapping
+from dataclasses import dataclass, field, replace
+from typing import Any, Hashable, Mapping
 
 import numpy as np
 
@@ -57,6 +57,7 @@ Tags = RobustTags
 
 __all__ = [
     "ChunkPolicy",
+    "ChunkQueue",
     "GuidedPolicy",
     "FactoringPolicy",
     "TrapezoidPolicy",
@@ -158,14 +159,60 @@ def _make_policy(chunking: str, total: int, n_slaves: int):
     return FactoringPolicy()
 
 
-class _Chunk:
-    """Master-side state of one outstanding chunk."""
+@dataclass
+class ChunkQueue:
+    """The master's decisions, apart from its messages: the next policy
+    chunk, else (the queue dry) a copy of the oldest outstanding chunk
+    the requester does not hold and that has fewer than ``dup_max``
+    holders, else nothing; the first result per chunk wins.
+    ``_rdlb_master`` and the ``rb`` model both run it: it hashes by value
+    and ``copy.copy`` gives a copy that shares only the policy."""
 
-    __slots__ = ("units", "holders")
+    queue: list[int]  # units not yet cut, in issue order
+    policy: Any
+    n_workers: int
+    dup_max: int
+    # Chunk id -> (units, holders), in issue order: oldest first.
+    outstanding: dict[int, tuple] = field(default_factory=dict)
+    served: int = 0  # chunks cut
+    done: int = 0  # chunks whose first result is in
 
-    def __init__(self, units: tuple[int, ...], pid: int):
-        self.units = units
-        self.holders = {pid}
+    def __hash__(self) -> int:
+        return hash((tuple(self.queue), frozenset(self.outstanding.items()), self.done))
+
+    def __copy__(self) -> ChunkQueue:
+        return replace(self, queue=self.queue[:], outstanding=dict(self.outstanding))
+
+    def cut(self, pid: Hashable) -> tuple[int, tuple[int, ...]] | None:
+        """The next policy chunk for ``pid``, else :meth:`reissue`."""
+        if not self.queue:
+            return self.reissue(pid)
+        size = self.policy.next_chunk(len(self.queue), self.n_workers)
+        cid, units = self.served, tuple(self.queue[:size])
+        del self.queue[:size]
+        self.served += 1
+        self.outstanding[cid] = (units, frozenset({pid}))
+        return cid, units
+
+    def reissue(self, pid: Hashable) -> tuple[int, tuple[int, ...]] | None:
+        """A copy of the oldest outstanding chunk ``pid`` does not hold
+        and that has fewer than ``dup_max`` holders, else None."""
+        for cid, (units, holders) in self.outstanding.items():
+            if pid not in holders and len(holders) < self.dup_max:
+                self.outstanding[cid] = (units, holders | {pid})
+                return cid, units
+        return None
+
+    def record(self, cid: int) -> bool:
+        """Take in a result for chunk ``cid``: whether it is the first."""
+        if self.outstanding.pop(cid, None) is None:
+            return False  # another holder's result arrived first
+        self.done += 1
+        return True
+
+    def finished(self) -> bool:
+        """Whether every unit's result is in."""
+        return not self.queue and self.done >= self.served
 
 
 def _rdlb_worker(ctx, plan: ExecutionPlan):
@@ -200,57 +247,33 @@ def _rdlb_master(
     obs = ctx.obs
     kernels = plan.kernels
     lo, hi = plan.unit_space()
-    total = hi - lo
-    queue = list(range(lo, hi))
-    policy = _make_policy(chunking, total, n_workers)
-    outstanding: dict[int, _Chunk] = {}  # in issue order: oldest first
-    chunks_served = 0
-    done_units = 0
+    policy = _make_policy(chunking, hi - lo, n_workers)
+    chunks = ChunkQueue(list(range(lo, hi)), policy, n_workers, dup_max)
     results: dict[int, list] = {p: [] for p in range(n_workers)}
 
-    def _cut(pid: int):
-        """The next queue chunk, else a copy of the oldest outstanding
-        chunk ``pid`` may hold, else None."""
-        nonlocal chunks_served
-        if queue:
-            size = policy.next_chunk(len(queue), n_workers)
-            units = tuple(queue[:size])
-            del queue[:size]
-            cid = chunks_served
-            chunks_served += 1
-            outstanding[cid] = _Chunk(units, pid)
-            return cid, units
-        for cid, ch in outstanding.items():
-            if pid in ch.holders or len(ch.holders) >= dup_max:
-                continue
-            ch.holders.add(pid)
+    while not chunks.finished():
+        msg = yield Recv(tag=Tags.REQUEST)
+        pid, report = msg.src, msg.payload
+        if report is not None:
+            if chunks.record(int(report["chunk"])):
+                results[pid].append((report["units"], report.get("data")))
+            else:
+                stats["duplicates"] = stats.get("duplicates", 0) + 1
+                if obs.enabled:
+                    obs.metrics.counter("robust.duplicates").inc()
+        reissue = not chunks.queue
+        cut = chunks.cut(pid)
+        if cut is None:
+            continue  # nothing to take: wait for the final stop
+        cid, units = cut
+        if reissue:
             stats["reassigns"] = stats.get("reassigns", 0) + 1
             if obs.enabled:
                 obs.metrics.counter("robust.reassigns").inc()
                 obs.emit_counter(
-                    "robust", "reassign", ctx.now, float(len(ch.units)),
+                    "robust", "reassign", ctx.now, float(len(units)),
                     pid=ctx.pid, meta={"chunk": cid, "to": pid},
                 )
-            return cid, ch.units
-        return None
-
-    while done_units < total:
-        msg = yield Recv(tag=Tags.REQUEST)
-        pid, report = msg.src, msg.payload
-        if report is not None:
-            ch = outstanding.pop(int(report["chunk"]), None)
-            if ch is not None:
-                done_units += len(ch.units)
-                results[pid].append((report["units"], report.get("data")))
-            else:
-                # Another holder's result arrived first.
-                stats["duplicates"] = stats.get("duplicates", 0) + 1
-                if obs.enabled:
-                    obs.metrics.counter("robust.duplicates").inc()
-        cut = _cut(pid)
-        if cut is None:
-            continue  # nothing to take: wait for the final stop
-        cid, units = cut
         payload: dict[str, Any] = {"chunk": cid, "units": units}
         if exec_num:
             payload["data"] = kernels.make_local(global_state, np.asarray(units))
@@ -266,8 +289,8 @@ def _rdlb_master(
     # are dropped.
     for pid in range(n_workers):
         yield Send(pid, Tags.WORK, {"chunk": -1, "units": ()}, 16)
-    stats["chunks"] = chunks_served
-    stats["done_units"] = done_units
+    stats["chunks"] = chunks.served
+    stats["done_units"] = hi - lo
     sink["results"] = results
 
 

@@ -6,14 +6,14 @@ exhaustive verification (``repro check --model --model-plane rb``):
 - **Workers** send ``rb.request`` (carrying the previous chunk's
   result, if any) and wait for ``rb.work``.  A chunk is one unit; an
   empty unit tuple stops the worker.
-- **The master** blocks on ``rb.request``.  It records the result that
-  came with a request (the first result for a chunk wins; a later copy
-  is a duplicate), then answers with the next queue chunk, else — the
-  queue dry — a copy of the oldest outstanding chunk the requester does
-  not hold and that has fewer than ``dup_max`` holders, else nothing:
-  the requester waits.  When the last unit's result arrives, it sends
-  one stop to every worker.  Requests arriving after that are dropped,
-  as the finished runtime master leaves them in its mailbox.
+- **The master** blocks on ``rb.request`` and runs the runtime's
+  ``ChunkQueue`` (chunk ``u`` is unit ``u``).  It records the result
+  that came with a request (the first result for a chunk wins), then
+  answers with the next queue chunk, else — the queue dry — a copy of
+  the oldest outstanding chunk the requester does not hold and that has
+  fewer than ``dup_max`` holders, else nothing: the requester waits.
+  Once the last unit's result is in, it stops every worker; later
+  requests are dropped, as the finished runtime master leaves them.
 - **Crashes.**  Workers named in ``crashable`` may crash before their
   first request or mid-chunk.  Nobody is told: there is no failure
   detector, so the master keeps counting a crashed worker among a
@@ -29,18 +29,20 @@ holds an accepted result for every unit (``RA701`` otherwise).
 Deadlock-freedom and liveness (``RA601``/``RA602``) say the master
 never waits forever on requests that cannot come.
 
-``MUTATIONS`` seeds protocol corruptions the checker must catch: a dry
-queue that never reissues (deadlock under a crash), stopping once the
-queue is empty rather than once every result is in (loss), and counting
-a duplicate result as a new completion (loss).
+``MUTATIONS`` seeds corruptions the checker must catch, each a one-method
+``ChunkQueue`` override: a dry queue that never reissues (deadlock under
+a crash), stopping once the queue is empty rather than once every result
+is in (loss), and counting a duplicate result as a completion (loss).
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping, NamedTuple
 
 from ..analysis.model.core import Invariant, Model, Msg, Step, selective
+from .rdlb import ChunkPolicy, ChunkQueue
 
 __all__ = ["MASTER", "MUTATIONS", "RbConfig", "build_model"]
 
@@ -80,11 +82,30 @@ class WLocal(NamedTuple):
 class MLocal(NamedTuple):
     """The master's local state."""
 
-    queue: tuple[int, ...]  # units not yet issued, in issue order
-    outstanding: tuple[tuple[int, frozenset[str]], ...]  # unit, holders
-    accepted: frozenset[int]  # units whose first result is in
-    completed: int  # the master's count of completed units
+    chunks: ChunkQueue
     stopped: bool
+
+
+class _NoReissue(ChunkQueue):
+    def reissue(self, pid: Hashable) -> None:
+        return None  # BUG: the dry queue never reissues
+
+
+class _StopWhenDry(ChunkQueue):
+    def finished(self) -> bool:
+        return not self.queue  # BUG: outstanding chunks are abandoned
+
+
+class _CountDuplicates(ChunkQueue):
+    def record(self, cid: int) -> bool:
+        first = super().record(cid)
+        self.done += not first  # BUG: a duplicate counts as a completion
+        return first
+
+
+_MUTANT_QUEUES: dict[str, type[ChunkQueue]] = dict(
+    no_reissue=_NoReissue, stop_when_dry=_StopWhenDry, count_duplicates=_CountDuplicates
+)
 
 
 class RbWorker:
@@ -153,67 +174,20 @@ class RbWorker:
 
 
 class RbMaster:
-    """The central-queue master."""
+    """The central-queue master: an adapter around ``ChunkQueue``."""
 
     name = MASTER
 
     def __init__(self, cfg: RbConfig, mutation: str | None):
         self.cfg = cfg
-        self.mutation = mutation
+        self.queue_cls = _MUTANT_QUEUES.get(mutation or "", ChunkQueue)
 
     def init(self) -> Hashable:
-        return MLocal(
-            queue=tuple(range(self.cfg.units)),
-            outstanding=(),
-            accepted=frozenset(),
-            completed=0,
-            stopped=False,
+        cfg = self.cfg
+        chunks = self.queue_cls(
+            list(range(cfg.units)), ChunkPolicy(1), cfg.n_workers, cfg.dup_max
         )
-
-    def _record(self, s: MLocal, unit: int) -> tuple[MLocal, str]:
-        """Take in one result for ``unit``: the first one wins."""
-        if any(u == unit for u, _ in s.outstanding):
-            return (
-                s._replace(
-                    outstanding=tuple(
-                        entry for entry in s.outstanding if entry[0] != unit
-                    ),
-                    accepted=s.accepted | {unit},
-                    completed=s.completed + 1,
-                ),
-                f"result(u{unit})",
-            )
-        if self.mutation == "count_duplicates":
-            # BUG: the duplicate is counted as one more completion.
-            return s._replace(completed=s.completed + 1), f"dup(u{unit}: counted)"
-        return s, f"dup(u{unit})"
-
-    def _cut(self, s: MLocal, pid: str) -> tuple[MLocal, int] | None:
-        """The next queue chunk, else a copy of the oldest outstanding
-        chunk ``pid`` may hold, else None."""
-        if s.queue:
-            unit = s.queue[0]
-            return (
-                s._replace(
-                    queue=s.queue[1:],
-                    outstanding=(*s.outstanding, (unit, frozenset({pid}))),
-                ),
-                unit,
-            )
-        if self.mutation == "no_reissue":
-            return None  # BUG: the dry queue never reissues
-        for i, (unit, holders) in enumerate(s.outstanding):
-            if pid in holders or len(holders) >= self.cfg.dup_max:
-                continue
-            outstanding = list(s.outstanding)
-            outstanding[i] = (unit, holders | {pid})
-            return s._replace(outstanding=tuple(outstanding)), unit
-        return None
-
-    def _finished(self, s: MLocal) -> bool:
-        if self.mutation == "stop_when_dry":
-            return not s.queue  # BUG: outstanding chunks are abandoned
-        return s.completed >= self.cfg.units
+        return MLocal(chunks=chunks, stopped=False)
 
     def steps(
         self, local: Hashable, pending: tuple[Msg, ...]
@@ -232,15 +206,17 @@ class RbMaster:
                     consumed=msg,
                 )
                 continue
-            nxt, label = s, f"request({pid})"
+            chunks = copy.copy(s.chunks)  # a yielded state never changes
+            label = f"request({pid})"
             if payload[0] is not None:
-                nxt, label = self._record(s, int(payload[0]))
-                label = f"request({pid}, {label})"
-            if self._finished(nxt):
+                unit = int(payload[0])
+                got = "result" if chunks.record(unit) else "dup"
+                label = f"request({pid}, {got}(u{unit}))"
+            if chunks.finished():
                 yield Step(
                     actor=self.name,
                     label=f"{label}: stop all",
-                    next_state=nxt._replace(stopped=True),
+                    next_state=MLocal(chunks, stopped=True),
                     consumed=msg,
                     sends=tuple(
                         Msg(self.name, w, "rb.work", ())
@@ -248,22 +224,14 @@ class RbMaster:
                     ),
                 )
                 continue
-            cut = self._cut(nxt, pid)
-            if cut is None:
-                yield Step(
-                    actor=self.name,
-                    label=f"{label}: wait",
-                    next_state=nxt,
-                    consumed=msg,
-                )
-                continue
-            nxt, unit = cut
+            cut = chunks.cut(pid)
+            sends = () if cut is None else (Msg(self.name, pid, "rb.work", cut[1]),)
             yield Step(
                 actor=self.name,
-                label=f"{label}: give u{unit}",
-                next_state=nxt,
+                label=f"{label}: " + (f"give u{cut[1][0]}" if cut else "wait"),
+                next_state=MLocal(chunks, stopped=False),
                 consumed=msg,
-                sends=(Msg(self.name, pid, "rb.work", (unit,)),),
+                sends=sends,
             )
 
 
@@ -278,7 +246,8 @@ def results_complete(cfg: RbConfig) -> Invariant:
         assert isinstance(master, MLocal)
         if not master.stopped:
             return None
-        lost = sorted(set(range(cfg.units)) - master.accepted)
+        q = master.chunks
+        lost = sorted({*q.queue, *(u for us, _ in q.outstanding.values() for u in us)})
         if lost:
             return (
                 "RA701",

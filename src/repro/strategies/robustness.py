@@ -102,17 +102,11 @@ def _trace_replay(trace: LoadTrace, idx: int) -> StepLoad:
     return StepLoad(steps)
 
 
-def perturbation_loads(
-    regime: str,
-    n_workers: int,
-    seed: int = 0,
-    trace_path: str | Path | None = None,
-) -> dict[int, LoadGenerator]:
+def perturbation_loads(regime: str, n_workers: int) -> dict[int, LoadGenerator]:
     """Competing-load map for one perturbation regime.
 
-    Deterministic: ``flat`` and ``spike`` are seed-independent, and the
-    ``trace`` regime replays the committed recorded trace (or
-    ``trace_path``) rather than sampling anything.
+    Deterministic: nothing is sampled; the ``trace`` regime replays the
+    committed recorded trace.
     """
     if regime not in PERTURBATION_REGIMES:
         raise ConfigError(
@@ -124,7 +118,7 @@ def perturbation_loads(
         return loads
     trace: LoadTrace | None = None
     if regime == "trace":
-        trace = LoadTrace.load(trace_path or TRACE_PATH)
+        trace = LoadTrace.load(TRACE_PATH)
     for idx, pid in enumerate(range(0, n_workers, LOAD_STRIDE)):
         if regime == "spike":
             # A hard burst (3 competing tasks = 4x slowdown) that
@@ -220,7 +214,7 @@ def cell_perturbation(
     per-strategy degradation for :func:`robustness_analysis`.
     """
     bag = _build_bag(workload)
-    loads = perturbation_loads(regime, P, seed=SEED)
+    loads = perturbation_loads(regime, P)
     cfg = RunConfig(
         cluster=ClusterSpec(n_slaves=P, processor=ProcessorSpec(speed=SPEED)),
         execute_numerics=False,

@@ -54,7 +54,7 @@ from .protocol import StealTags
 # message sites exactly as it sees the central runtime's.
 Tags = StealTags
 
-__all__ = ["StealingResult", "run_stealing"]
+__all__ = ["Ledger", "StealingResult", "run_stealing"]
 
 #: Worker progress-report cadence in simulated seconds.
 REPORT_PERIOD = 0.5
@@ -65,6 +65,26 @@ STEAL_FRACTION = 0.5
 #: asking the next peer.  A worker serves its mailbox at least every
 #: ``min(REPORT_PERIOD, STEAL_TIMEOUT)`` seconds of CPU.
 STEAL_TIMEOUT = 0.1
+
+
+class Ledger(dict[int, int]):
+    """The coordinator's decisions, apart from its messages: unit ->
+    copies granted, oldest (lowest) unit first, for every unit nobody
+    has reported.  ``_coord_task`` and the ``steal`` model both run it,
+    so it hashes by value; ``Ledger(ledger)`` copies it."""
+
+    def __hash__(self) -> int:  # type: ignore[override]
+        return hash(frozenset(self.items()))
+
+    def grant(self) -> tuple[int, ...]:
+        """Copies for an asker: the least-copied, oldest
+        ``STEAL_FRACTION`` of the ledger, at least one unit."""
+        least = min(self.values())
+        spare = [unit for unit, copies in self.items() if copies == least]
+        units = tuple(spare[: max(1, int(len(spare) * STEAL_FRACTION))])
+        for unit in units:
+            self[unit] += 1
+        return units
 
 
 @dataclass(kw_only=True)
@@ -265,8 +285,7 @@ def _coord_task(
     obs = ctx.obs
     kernels = plan.kernels
     lo, hi = plan.unit_space()
-    # Unit -> copies granted, oldest first.
-    ledger = dict.fromkeys(range(lo, hi), 0)
+    ledger = Ledger.fromkeys(range(lo, hi), 0)
     done: list[int] = []
     folded = None
     if exec_num:
@@ -283,11 +302,7 @@ def _coord_task(
                 kernels.unpack_units(folded, np.asarray([unit]), data[i], {})
         if not (report["ask"] and ledger):
             continue
-        least = min(ledger.values())
-        spare = [unit for unit, copies in ledger.items() if copies == least]
-        units = tuple(spare[: max(1, int(len(spare) * STEAL_FRACTION))])
-        for unit in units:
-            ledger[unit] += 1
+        units = ledger.grant()
         payload: dict[str, Any] = {"units": units}
         if exec_num:
             arr = np.asarray(units)

@@ -4,7 +4,10 @@ The exhaustive half of the standard sweep runs here with the *small*
 configurations only (the bigger sweep members are exercised nightly by
 the CI model-check step); every seeded mutation from every shim's
 ``MUTATIONS`` dict must be pinpointed with the exact diagnostic codes
-the registry promises for it.
+the registry promises for it.  The rb and steal sweep members all run
+here, the larger steal model included (about 15 s), because their state
+counts are pinned: those models run the runtime's own coordinator
+classes, and a bug planted in either class must fail its model.
 """
 
 import pytest
@@ -20,8 +23,10 @@ from repro.scale.protocol_model import HierConfig
 from repro.scale.protocol_model import build_model as build_hier
 from repro.strategies.protocol_model import StealConfig
 from repro.strategies.protocol_model import build_model as build_steal
+from repro.strategies.rdlb import ChunkQueue
 from repro.strategies.rdlb_model import RbConfig
 from repro.strategies.rdlb_model import build_model as build_rb
+from repro.strategies.stealing import Ledger
 
 _SMALL_CLEAN = [
     build_central(CentralConfig()),
@@ -137,3 +142,44 @@ class TestSweepRegistry:
                 if mutation in mod.MUTATIONS:
                     swept.add(f"{mod.__name__}:{mutation}")
         assert swept == declared
+
+
+#: Explored states of the clean rb and steal models of the standard
+#: sweep.  Both models run the runtime's own ``ChunkQueue`` and
+#: ``Ledger``, so an edit to those classes that changes what the checker
+#: explores shows up here.
+_STRATEGY_STATES = {
+    "steal-P2-u3": 10_400,
+    "steal-P2-u3-crash[w1]": 15_417,
+    "steal-P2-u4-crash[w0]": 55_019,
+    "rb-P3-u3-d2": 2_581,
+    "rb-P3-u3-d2-crash[w1]": 3_264,
+}
+
+
+@pytest.mark.parametrize(
+    "model", standard_sweep(("steal", "rb")), ids=lambda m: m.name
+)
+def test_strategy_model_state_counts_are_pinned(model):
+    _, ex = _checked(model)
+    assert ex.exhaustive
+    assert ex.states == _STRATEGY_STATES[model.name]
+
+
+class TestPlantedRuntimeBugs:
+    """A bug planted in the runtime's coordinator class is a bug in its
+    model: the model runs that class, not a copy of it.  These explore
+    uncached, since the planted model keeps the clean model's name."""
+
+    def test_chunk_queue_that_never_reissues(self, monkeypatch):
+        monkeypatch.setattr(ChunkQueue, "reissue", lambda self, pid: None)
+        model = build_rb(RbConfig(crashable=("w1",)))
+        result, ex = check_model(model, por=True, budget=None, seed=0)
+        assert {"RA601", "RA602"} <= set(_codes(result))
+        assert ex.states == 1_314  # as the seeded no_reissue mutation
+
+    def test_ledger_that_grants_nothing(self, monkeypatch):
+        monkeypatch.setattr(Ledger, "grant", lambda self: ())
+        model = build_steal(StealConfig(units=4, crashable=("w0",)))
+        result, _ = check_model(model, por=True, budget=None, seed=0)
+        assert "RA602" in _codes(result)

@@ -170,7 +170,6 @@ CONFIG_FIELDS = {
         "pipelined",
         "filter_enabled",
         "profitability_enabled",
-        "restricted",
     ),
     "GrainConfig": ("block_size_override",),
     "CheckpointConfig": ("enabled", "interval", "placement"),
