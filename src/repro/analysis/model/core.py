@@ -84,8 +84,10 @@ class Actor(Protocol):
     """A finite-state protocol participant.
 
     A local may hold a runtime object (the rDLB ``ChunkQueue``, the
-    stealing ``Ledger``) so the model runs the runtime's code; it hashes
-    by value, and a step changes a copy: once yielded it never changes.
+    stealing ``Ledger``, the ``CheckpointCoordinator``) so the model
+    runs the runtime's code.  It compares and hashes by value, and a
+    step that changes it changes a copy: once yielded it never changes,
+    so a step that leaves it alone shares it with the next state.
     """
 
     name: str

@@ -6,7 +6,7 @@ because independent iterations carry no cross-slave progress.  The
 dependence-carrying shapes (``PIPELINE``, ``REDUCTION_FRONT``) need a
 consistent *global cut* to restart from; this package provides it:
 
-- :mod:`repro.ckpt.model` — the serializable snapshot artifacts: one
+- :mod:`repro.ckpt.model` — the snapshot artifacts: one
   :class:`~repro.ckpt.model.SlaveSnapshot` per slave per epoch and the
   master-side :class:`~repro.ckpt.model.CheckpointEpoch` ledger entry
   recording the cut (ownership, move-id horizon, barrier repetition).
@@ -14,10 +14,13 @@ consistent *global cut* to restart from; this package provides it:
   master drives (open / ack / deposit / commit / abort) plus the
   rollback re-partitioning helpers that split a dead slave's iterations
   among survivors while preserving each shape's movement constraints.
+- :mod:`repro.ckpt.protocol_model` — the finite-state model of the
+  checkpoint/rollback exchange that ``repro check --model`` explores;
+  its master runs the coordinator and ``reduction_repartition``.
 
 The protocol itself (checkpoint barrier control messages, snapshot
-deposits, rollback restore) lives in ``repro.runtime``; everything here
-is side-effect-free so it can be strictly typed and property-tested.
+deposits, rollback restore) lives in ``repro.runtime``; everything
+here is side-effect-free so it can be strictly typed and model-checked.
 """
 
 from .coordinator import (

@@ -18,6 +18,7 @@ dead slave's iterations at an epoch cut are divided among survivors:
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Mapping, Sequence
 
 from ..config import CheckpointConfig
@@ -41,6 +42,9 @@ class CheckpointCoordinator:
     At most one epoch is open at a time.  Only the latest *committed*
     epoch (plus the synthetic epoch 0, the initial state) is retained as
     a rollback target, matching the slaves' pruning of local snapshots.
+    The master and the ``ckpt`` protocol model both run it, so it
+    compares and hashes by value; ``copy.copy`` gives a copy that shares
+    only the epochs its calls no longer change (committed and epoch 0).
     """
 
     def __init__(self, cfg: CheckpointConfig):
@@ -51,11 +55,28 @@ class CheckpointCoordinator:
         self.committed: CheckpointEpoch | None = None
         self.epoch0: CheckpointEpoch | None = None
         self.last_activity = 0.0
-        # Lifetime counters (mirrored into ckpt.* metrics by the master).
-        self.epochs_opened = 0
-        self.epochs_committed = 0
-        self.epochs_aborted = 0
-        self.barrier_misses = 0
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CheckpointCoordinator):
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __hash__(self) -> int:
+        return hash(
+            (
+                self.next_epoch,
+                self.margin,
+                _deposits(self.open),
+                _deposits(self.committed),
+            )
+        )
+
+    def __copy__(self) -> CheckpointCoordinator:
+        dup = object.__new__(type(self))
+        dup.__dict__.update(vars(self))
+        if self.open is not None:  # deposit() fills the open epoch in place
+            dup.open = replace(self.open, snapshots=dict(self.open.snapshots))
+        return dup
 
     # -- epoch lifecycle -------------------------------------------------
 
@@ -95,7 +116,6 @@ class CheckpointCoordinator:
         )
         self.next_epoch += 1
         self.open = epoch
-        self.epochs_opened += 1
         self.last_activity = now
         return epoch
 
@@ -111,7 +131,6 @@ class CheckpointCoordinator:
             epoch.committed_at = now
             self.committed = epoch
             self.open = None
-            self.epochs_committed += 1
             self.last_activity = now
             return True
         return False
@@ -122,10 +141,8 @@ class CheckpointCoordinator:
         if epoch is None:
             return None
         self.open = None
-        self.epochs_aborted += 1
         self.last_activity = now
         if missed:
-            self.barrier_misses += 1
             self.margin += 1  # place the next barrier further out
         return epoch
 
@@ -136,6 +153,17 @@ class CheckpointCoordinator:
         if self.epoch0 is None:
             raise PartitionError("checkpoint coordinator has no epoch 0")
         return self.epoch0
+
+
+def _deposits(
+    epoch: CheckpointEpoch | None,
+) -> tuple[int, frozenset[tuple[int, int, tuple[int, ...]]]] | None:
+    """The part of an epoch the coordinator's hash reads."""
+    if epoch is None:
+        return None
+    return epoch.epoch, frozenset(
+        (p, snap.rep, snap.units) for p, snap in epoch.snapshots.items()
+    )
 
 
 # -- rollback re-partitioning ------------------------------------------

@@ -1,78 +1,17 @@
 """Checkpoint artifacts: per-slave snapshots and the epoch ledger entry.
 
-Both classes are plain data with explicit JSON codecs.  Snapshot locals
-are opaque application state (numpy-bearing dicts), so the codec encodes
-arrays, scalars, tuples, and non-string-keyed dicts through tagged
-wrapper objects; :func:`encode_state` / :func:`decode_state` round-trip
-exactly (dtype, shape, and key types included), which the property tests
-in ``tests/ckpt`` verify.
+Both classes are plain data.  A snapshot's ``local`` is opaque
+application state (numpy-bearing dicts) that the slave copies with
+:func:`repro.fastcopy.fast_state_copy`; snapshots travel to the master
+or a buddy as in-process message payloads, never serialized.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any
 
-import numpy as np
-
-__all__ = [
-    "SlaveSnapshot",
-    "CheckpointEpoch",
-    "encode_state",
-    "decode_state",
-]
-
-_KIND = "__kind__"
-
-
-def encode_state(value: Any) -> Any:
-    """JSON-safe encoding of opaque (numpy-bearing) local state."""
-    if value is None or isinstance(value, (bool, str)):
-        return value
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value)
-    if isinstance(value, np.ndarray):
-        return {
-            _KIND: "ndarray",
-            "dtype": str(value.dtype),
-            "shape": list(value.shape),
-            "data": value.ravel().tolist(),
-        }
-    if isinstance(value, tuple):
-        return {_KIND: "tuple", "items": [encode_state(v) for v in value]}
-    if isinstance(value, list):
-        return [encode_state(v) for v in value]
-    if isinstance(value, Mapping):
-        return {
-            _KIND: "dict",
-            "items": [
-                [encode_state(k), encode_state(v)] for k, v in value.items()
-            ],
-        }
-    raise TypeError(f"cannot encode state of type {type(value).__name__}")
-
-
-def decode_state(value: Any) -> Any:
-    """Inverse of :func:`encode_state`."""
-    if isinstance(value, list):
-        return [decode_state(v) for v in value]
-    if isinstance(value, Mapping):
-        kind = value.get(_KIND)
-        if kind == "ndarray":
-            arr = np.asarray(value["data"], dtype=np.dtype(str(value["dtype"])))
-            return arr.reshape([int(s) for s in value["shape"]])
-        if kind == "tuple":
-            return tuple(decode_state(v) for v in value["items"])
-        if kind == "dict":
-            return {
-                decode_state(k): decode_state(v) for k, v in value["items"]
-            }
-        raise TypeError(f"cannot decode tagged state kind {kind!r}")
-    return value
+__all__ = ["SlaveSnapshot", "CheckpointEpoch"]
 
 
 @dataclass
@@ -101,37 +40,6 @@ class SlaveSnapshot:
     completed: dict[int, int] = field(default_factory=dict)
     front_sent: dict[int, bool] = field(default_factory=dict)
     meta: dict[str, Any] = field(default_factory=dict)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "pid": self.pid,
-            "epoch": self.epoch,
-            "rep": self.rep,
-            "units": [int(u) for u in self.units],
-            "local": encode_state(self.local),
-            "completed": [[int(u), int(r)] for u, r in self.completed.items()],
-            "front_sent": [
-                [int(u), bool(f)] for u, f in self.front_sent.items()
-            ],
-            "meta": encode_state(self.meta),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SlaveSnapshot":
-        return cls(
-            pid=int(data["pid"]),
-            epoch=int(data["epoch"]),
-            rep=int(data["rep"]),
-            units=tuple(int(u) for u in data.get("units", ())),
-            local=decode_state(data.get("local")),
-            completed={
-                int(u): int(r) for u, r in data.get("completed", ())
-            },
-            front_sent={
-                int(u): bool(f) for u, f in data.get("front_sent", ())
-            },
-            meta=dict(decode_state(data.get("meta", {})) or {}),
-        )
 
 
 @dataclass
@@ -175,60 +83,3 @@ class CheckpointEpoch:
     @property
     def committed(self) -> bool:
         return self.committed_at is not None
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "epoch": self.epoch,
-            "barrier": self.barrier,
-            "opened_at": self.opened_at,
-            "members": [int(p) for p in self.members],
-            "cut": [
-                [int(p), [int(u) for u in units]]
-                for p, units in self.cut.items()
-            ],
-            "boundaries": (
-                None
-                if self.boundaries is None
-                else [int(b) for b in self.boundaries]
-            ),
-            "next_move_id": self.next_move_id,
-            "placement": self.placement,
-            "buddies": [[int(p), int(b)] for p, b in self.buddies.items()],
-            "committed_at": self.committed_at,
-            "snapshots": [
-                snap.to_dict() for _, snap in sorted(self.snapshots.items())
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "CheckpointEpoch":
-        boundaries = data.get("boundaries")
-        committed_at = data.get("committed_at")
-        snapshots = {
-            int(s["pid"]): SlaveSnapshot.from_dict(s)
-            for s in data.get("snapshots", ())
-        }
-        return cls(
-            epoch=int(data["epoch"]),
-            barrier=int(data["barrier"]),
-            opened_at=float(data["opened_at"]),
-            members=tuple(int(p) for p in data.get("members", ())),
-            cut={
-                int(p): tuple(int(u) for u in units)
-                for p, units in data.get("cut", ())
-            },
-            boundaries=(
-                None
-                if boundaries is None
-                else tuple(int(b) for b in boundaries)
-            ),
-            next_move_id=int(data.get("next_move_id", 0)),
-            placement=str(data.get("placement", "master")),
-            buddies={
-                int(p): int(b) for p, b in data.get("buddies", ())
-            },
-            committed_at=(
-                None if committed_at is None else float(committed_at)
-            ),
-            snapshots=snapshots,
-        )

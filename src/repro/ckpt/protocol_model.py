@@ -1,41 +1,54 @@
 """Finite-state abstraction of the checkpoint/rollback control plane.
 
-Models the epoch and era machinery of
-:class:`~repro.ckpt.coordinator.CheckpointCoordinator` plus the
-master/slave rollback exchange in ``runtime/master.py``:
+Models the master/slave rollback exchange of ``runtime/master.py``; the
+master's epoch and rollback decisions are the runtime's own
+:class:`~repro.ckpt.coordinator.CheckpointCoordinator` and
+:func:`~repro.ckpt.coordinator.reduction_repartition`, which the model
+local holds and calls:
 
 - Slaves run a rep-counted loop (work -> ``lb.status`` -> ``lb.instr``
   hook cycle, like the centralized model but with repetition progress
   instead of unit custody).
 - The master nondeterministically opens checkpoint epochs (bounded by
-  ``epochs``): every live member gets a ``ckpt`` control and answers
-  with a deposit carrying its repetition and owned units; when all
-  members have deposited, the epoch commits and becomes the rollback
-  target.  A crash aborts the open epoch, exactly like
-  ``Master._abort_epoch``.
+  ``epochs``) with ``open_epoch``: every live member gets a ``ckpt``
+  control and answers with a deposit carrying its repetition and owned
+  units, which the master files with ``deposit``; the coordinator
+  ignores a deposit for another epoch and commits the epoch on its last
+  member's deposit.  A crash or the release aborts the open epoch, as
+  ``Master._abort_epoch`` does.
 - On a crash the master rolls back atomically (master placement — the
   deposits live at the master, so no buddy pulls are needed): the era
-  increments, survivors are sent a ``rollback`` control with the target
-  epoch's cut (their deposited repetition and units, plus the dead
-  members' units regranted to the first survivor), and all traffic
-  stamped with an older era is dropped on both sides.
+  increments, ``rollback_target`` names the latest committed epoch
+  (else epoch 0), ``reduction_repartition`` at equal weights splits the
+  dead members' cut units among the survivors, each survivor is sent a
+  ``rollback`` control with its deposited repetition and new units, and
+  all traffic stamped with an older era is dropped on both sides.
 
 Verified properties: era/epoch monotonicity (``RA703`` — applying a
-stale-era instruction or accepting a deposit into the wrong epoch is a
+stale-era instruction or filing a deposit into another epoch is a
 transition violation), ledger unit conservation across rollback
 repartition (``RA701``/``RA702``), deadlock-freedom and termination
 reachability.  Out of scope (documented): buddy placement and snapshot
 pulls, barrier placement margins, and checkpoint timing — the open
 step is a nondeterministic choice wherever the real coordinator's
 ``due()`` could fire.
+
+``MUTATIONS`` seeds corruptions the checker must catch: a slave without
+its era guard, a one-method ``CheckpointCoordinator`` override whose
+``deposit`` skips the epoch check, and a stand-in repartition that
+restores the survivors' own cut and grants the dead units to no one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Mapping, NamedTuple
+import copy
+from dataclasses import dataclass, replace
+from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 from ..analysis.model.core import Invariant, Model, Msg, Step, selective
+from ..config import CheckpointConfig
+from .coordinator import CheckpointCoordinator, reduction_repartition
+from .model import CheckpointEpoch, SlaveSnapshot
 
 __all__ = ["CkptConfig", "MUTATIONS", "build_model"]
 
@@ -243,162 +256,143 @@ class CkptSlave:
             yield from self._instr_steps(s, pending)
 
 
-#: An open epoch: ``(epoch, members, cut, deposited)`` where ``cut`` is
-#: the ownership ledger at open time and ``deposited`` maps member ->
-#: deposited rep (-1 while missing).
-OpenEpoch = tuple[
-    int,
-    tuple[str, ...],
-    tuple[tuple[str, tuple[int, ...]], ...],
-    tuple[tuple[str, int], ...],
-]
-
-#: A committed epoch: ``(epoch, cut, reps)``.
-Committed = tuple[
-    int,
-    tuple[tuple[str, tuple[int, ...]], ...],
-    tuple[tuple[str, int], ...],
-]
-
-
 class CkptMasterLocal(NamedTuple):
     phase: str  # run | final
     era: int
-    next_epoch: int
-    epochs_left: int
-    open: OpenEpoch | None
-    committed: Committed | None
-    owned: tuple[tuple[str, tuple[int, ...]], ...]  # authoritative ledger
+    coord: CheckpointCoordinator
+    owned: tuple[tuple[int, ...], ...]  # authoritative ledger, by pid
     parked: frozenset[str]
     dead: frozenset[str]
 
 
+class _CommitStaleDeposit(CheckpointCoordinator):
+    def deposit(self, pid: int, snapshot: SlaveSnapshot, now: float) -> bool:
+        if self.open is not None:  # BUG: no epoch check
+            snapshot = replace(snapshot, epoch=self.open.epoch)
+        return super().deposit(pid, snapshot, now)
+
+
+def _drop_dead_units(
+    cut: Mapping[int, Sequence[int]],
+    live: Sequence[int],
+    dead: Sequence[int],
+    weights: Mapping[int, float],
+) -> tuple[dict[int, list[int]], dict[int, list[tuple[int, list[int]]]]]:
+    # BUG: survivors restore their own cut; nobody adopts the dead units
+    return {p: list(cut.get(p, ())) for p in live}, {}
+
+
+def _aborted(coord: CheckpointCoordinator) -> CheckpointCoordinator:
+    """``coord`` with no open epoch (a copy only if one was open)."""
+    if coord.open is None:
+        return coord
+    coord = copy.copy(coord)
+    coord.abort(0.0)
+    return coord
+
+
 class CkptMaster:
-    """Epoch coordinator + rollback driver + release barrier."""
+    """Rollback driver and release barrier: an adapter around the
+    runtime's ``CheckpointCoordinator`` and ``reduction_repartition``.
+    A slave's pid is its index; the model's clock stands still at 0."""
 
     def __init__(self, cfg: CkptConfig):
         self.name = MASTER
         self.cfg = cfg
+        self.slaves = tuple(cfg.slave_names())
+        self.coord_cls = (
+            _CommitStaleDeposit
+            if cfg.mutation == "commit_stale_deposit"
+            else CheckpointCoordinator
+        )
+        self.repartition = (
+            _drop_dead_units
+            if cfg.mutation == "skip_dead_grant"
+            else reduction_repartition
+        )
 
     def init(self) -> Hashable:
+        owned = tuple(
+            tuple(sorted(self.cfg.initial_owned(p)))
+            for p in range(len(self.slaves))
+        )
+        coord = self.coord_cls(CheckpointConfig(enabled=True))
+        # Epoch 0 is the initial state, as ``Master`` registers it.
+        coord.epoch0 = CheckpointEpoch(
+            epoch=0,
+            barrier=0,
+            opened_at=0.0,
+            members=tuple(range(len(self.slaves))),
+            cut=dict(enumerate(owned)),
+            committed_at=0.0,
+        )
         return CkptMasterLocal(
             phase="run",
             era=0,
-            next_epoch=1,
-            epochs_left=self.cfg.epochs,
-            open=None,
-            committed=None,
-            owned=tuple(
-                (name, tuple(sorted(self.cfg.initial_owned(i))))
-                for i, name in enumerate(self.cfg.slave_names())
-            ),
+            coord=coord,
+            owned=owned,
             parked=frozenset(),
             dead=frozenset(),
         )
 
     def _live(self, m: CkptMasterLocal) -> list[str]:
-        return [n for n in self.cfg.slave_names() if n not in m.dead]
-
-    def _epoch0(self, m: CkptMasterLocal) -> Committed:
-        cut = tuple(
-            (name, tuple(sorted(self.cfg.initial_owned(i))))
-            for i, name in enumerate(self.cfg.slave_names())
-        )
-        reps = tuple((name, 0) for name in self.cfg.slave_names())
-        return (0, cut, reps)
+        return [n for n in self.slaves if n not in m.dead]
 
     # -- epoch lifecycle -------------------------------------------------
 
     def _open_step(self, m: CkptMasterLocal) -> Step:
-        members = tuple(self._live(m))
-        epoch = m.next_epoch
-        nxt = m._replace(
-            next_epoch=epoch + 1,
-            epochs_left=m.epochs_left - 1,
-            open=(
-                epoch,
-                members,
-                m.owned,
-                tuple((p, -1) for p in members),
-            ),
-        )
+        members = [p for p, n in enumerate(self.slaves) if n not in m.dead]
+        coord = copy.copy(m.coord)
+        epoch = coord.open_epoch(
+            0.0,
+            barrier=0,
+            members=members,
+            cut={p: m.owned[p] for p in members},
+            boundaries=None,
+            next_move_id=0,
+        ).epoch
         return Step(
             actor=self.name,
             label=f"open_epoch(e{epoch})",
-            next_state=nxt,
+            next_state=m._replace(coord=coord),
             sends=tuple(
-                Msg(self.name, p, "lb.ctrl", ("ckpt", epoch))
+                Msg(self.name, self.slaves[p], "lb.ctrl", ("ckpt", epoch))
                 for p in members
             ),
         )
 
-    def _deposit_steps(
-        self, m: CkptMasterLocal, msg: Msg
-    ) -> Iterable[Step]:
+    def _deposit_step(self, m: CkptMasterLocal, msg: Msg) -> Step:
         payload = msg.payload
         assert isinstance(payload, tuple)
-        _, epoch, rep, _owned = payload
-        depositor = msg.src
-        stale = (
-            m.open is None
-            or epoch != m.open[0]
-            or depositor not in m.open[1]
-        )
-        if stale:
-            if (
-                self.cfg.mutation == "commit_stale_deposit"
-                and m.open is not None
-                and depositor in m.open[1]
-            ):
-                # Mutation: the epoch guard is gone — a deposit taken
-                # for an aborted epoch is folded into the open one.
-                yield from self._record_deposit(
-                    m,
-                    msg,
-                    depositor,
-                    rep,
-                    violation=(
-                        "RA703",
-                        f"deposit for epoch {epoch} accepted into open "
-                        f"epoch {m.open[0]}: the committed cut mixes "
-                        f"epochs",
-                    ),
-                )
-            else:
-                yield Step(
-                    actor=self.name,
-                    label=f"ignore late deposit(e{epoch} {depositor})",
-                    next_state=m,
-                    consumed=msg,
-                )
-            return
-        yield from self._record_deposit(m, msg, depositor, rep)
-
-    def _record_deposit(
-        self,
-        m: CkptMasterLocal,
-        msg: Msg,
-        depositor: str,
-        rep: int,
-        violation: tuple[str, str] | None = None,
-    ) -> Iterable[Step]:
-        assert m.open is not None
-        epoch, members, cut, deposited = m.open
-        new_dep = tuple(
-            (p, rep if p == depositor else r) for p, r in deposited
-        )
-        if all(r >= 0 for _, r in new_dep):
-            nxt = m._replace(
-                open=None, committed=(epoch, cut, new_dep)
+        _, epoch, rep, units = payload
+        pid = self.slaves.index(msg.src)
+        coord = copy.copy(m.coord)
+        snap = SlaveSnapshot(pid=pid, epoch=epoch, rep=rep, units=units)
+        committed = coord.deposit(pid, snap, 0.0)
+        if not committed and coord == m.coord:  # the coordinator ignored it
+            return Step(
+                actor=self.name,
+                label=f"ignore late deposit(e{epoch} {msg.src})",
+                next_state=m,
+                consumed=msg,
             )
-            label = f"commit(e{epoch})"
-        else:
-            nxt = m._replace(open=(epoch, members, cut, new_dep))
-            label = f"deposit({depositor} -> e{epoch})"
-        yield Step(
+        filed = coord.committed if committed else coord.open
+        assert filed is not None
+        violation: tuple[str, str] | None = None
+        if filed.epoch != epoch:  # a snapshot belongs to its own epoch
+            violation = (
+                "RA703",
+                f"deposit for epoch {epoch} accepted into open epoch "
+                f"{filed.epoch}: the committed cut mixes epochs",
+            )
+        return Step(
             actor=self.name,
-            label=label,
-            next_state=nxt,
+            label=(
+                f"commit(e{filed.epoch})"
+                if committed
+                else f"deposit({msg.src} -> e{filed.epoch})"
+            ),
+            next_state=m._replace(coord=coord),
             consumed=msg,
             violation=violation,
         )
@@ -426,57 +420,50 @@ class CkptMaster:
                 consumed=msg,
             )
         dead = m.dead | {victim}
-        live = [n for n in self.cfg.slave_names() if n not in dead]
-        target = m.committed or self._epoch0(m)
-        epoch, cut, reps = target
-        cut_map = dict(cut)
-        rep_map = dict(reps)
         era = m.era + 1
-        # Survivors restore their own cut; every dead member's cut units
-        # are adopted by the first survivor (the model does not score
-        # placement quality, only custody).
-        adopted: set[int] = set()
-        for d in sorted(dead):
-            adopted.update(cut_map.get(d, ()))
-        new_owned: list[tuple[str, tuple[int, ...]]] = []
+        coord = _aborted(m.coord)  # a death aborts the open epoch
+        target = coord.rollback_target()
+        live = [p for p in target.members if self.slaves[p] not in dead]
+        # Survivors restore their own cut and share the dead members'
+        # cut units equally (the model scores custody, not placement).
+        new_owned: dict[int, list[int]] = {}
+        if live:
+            new_owned, _ = self.repartition(
+                target.cut,
+                live,
+                [i for i, n in enumerate(self.slaves) if n in dead],
+                dict.fromkeys(live, 1.0),
+            )
         sends: list[Msg] = []
-        for i, name in enumerate(sorted(live)):
-            units = set(cut_map.get(name, ()))
-            if i == 0 and self.cfg.mutation != "skip_dead_grant":
-                units |= adopted
-            owned_t = tuple(sorted(units))
-            new_owned.append((name, owned_t))
+        for p in live:
+            snap = target.snapshots.get(p)  # epoch 0 holds none: rep 0
             sends.append(
                 Msg(
                     self.name,
-                    name,
+                    self.slaves[p],
                     "lb.ctrl",
                     (
                         "rollback",
                         era,
-                        epoch,
-                        rep_map.get(name, 0),
-                        owned_t,
+                        target.epoch,
+                        0 if snap is None else snap.rep,
+                        tuple(new_owned[p]),
                     ),
                 )
             )
-        full_owned = tuple(
-            sorted(new_owned + [(d, ()) for d in sorted(dead)])
-        )
-        nxt = m._replace(
-            era=era,
-            open=None,  # a death aborts the open epoch
-            owned=full_owned,
-            parked=frozenset(),  # survivors restart from the cut
-            dead=dead,
-        )
-        if not live:
-            nxt = nxt._replace(phase="final")
-            sends = []
         return Step(
             actor=self.name,
             label=f"declare_dead({victim}) + rollback(era {era})",
-            next_state=nxt,
+            next_state=m._replace(
+                phase="run" if live else "final",
+                era=era,
+                coord=coord,
+                owned=tuple(
+                    tuple(new_owned.get(p, ())) for p in range(len(self.slaves))
+                ),
+                parked=frozenset(),  # survivors restart from the cut
+                dead=dead,
+            ),
             consumed=msg,
             sends=tuple(sends),
         )
@@ -518,7 +505,7 @@ class CkptMaster:
                 next_state=m._replace(
                     phase="final",
                     parked=frozenset(),
-                    open=None,
+                    coord=_aborted(m.coord),
                 ),
                 consumed=msg,
                 sends=tuple(
@@ -572,10 +559,10 @@ class CkptMaster:
         for msg in selective(
             pending, lambda x: x.tag == "ckpt" and x.src not in m.dead
         ):
-            yield from self._deposit_steps(m, msg)
+            yield self._deposit_step(m, msg)
         if (
-            m.open is None
-            and m.epochs_left > 0
+            m.coord.due_at() is not None  # no epoch open
+            and m.coord.next_epoch <= self.cfg.epochs
             and not m.parked
             and self._live(m)
         ):
@@ -602,7 +589,7 @@ def ledger_conservation(cfg: CkptConfig) -> Invariant:
         if len(m.dead) >= cfg.n_slaves:
             return None  # nobody left; the run is abandoned
         counts = {u: 0 for u in range(cfg.units)}
-        for slave, units in m.owned:
+        for slave, units in zip(cfg.slave_names(), m.owned):
             if slave in m.dead:
                 continue
             for u in units:

@@ -6,11 +6,13 @@ runs.  The two entry points here keep the exact copy *semantics* the hot
 paths already rely on while dispatching on concrete type:
 
 - :func:`snapshot_payload` — the message-send copy.  NumPy arrays are
-  copied with ``.copy()``, containers are rebuilt recursively, opaque
-  objects pass through by reference unless they opt into deep copying
-  with a truthy ``_snapshot_deep`` attribute (the deepcopy fallback).
-  Immutable payloads (numbers, strings, tuples of them, frozen
-  dataclasses without ``_snapshot_deep``) therefore cost nothing.
+  copied with ``.copy()``, containers are rebuilt recursively (tuples
+  too, since they may hold arrays; a tuple subclass such as a
+  ``NamedTuple`` keeps its class), opaque objects pass through by
+  reference unless they opt into deep copying with a truthy
+  ``_snapshot_deep`` attribute (the deepcopy fallback).  Numbers,
+  strings and frozen dataclasses without ``_snapshot_deep`` therefore
+  cost nothing.
 - :func:`fast_state_copy` — a deepcopy-equivalent for slave state
   snapshots.  Known containers and arrays take the fast path; anything
   unrecognised falls back to ``copy.deepcopy`` with a shared memo so
@@ -75,8 +77,12 @@ def _payload_copier_for(cls: type) -> Callable[[Any], Any]:
         return _copy_dict
     if issubclass(cls, list):
         return _copy_list
-    if issubclass(cls, tuple):
+    if cls is tuple:
         return _copy_tuple
+    if issubclass(cls, tuple):
+        # A NamedTuple is built from an iterable by ``_make``.
+        make = getattr(cls, "_make", cls)
+        return lambda payload: make(snapshot_payload(v) for v in payload)
     if cls in _ATOMIC or issubclass(cls, np.generic):
         return _passthrough
     return _copy_opaque

@@ -4,19 +4,24 @@ The exhaustive half of the standard sweep runs here with the *small*
 configurations only (the bigger sweep members are exercised nightly by
 the CI model-check step); every seeded mutation from every shim's
 ``MUTATIONS`` dict must be pinpointed with the exact diagnostic codes
-the registry promises for it.  The rb and steal sweep members all run
-here, the larger steal model included (about 15 s), because their state
-counts are pinned: those models run the runtime's own coordinator
-classes, and a bug planted in either class must fail its model.
+the registry promises for it.  The rb, steal and ckpt sweep members all
+run here, the larger steal and ckpt models included (about 15 s and
+10 s), because their state counts are pinned: those models run the
+runtime's own coordinator code, and a bug planted in it must fail its
+model.
 """
+
+import dataclasses
 
 import pytest
 
 from repro.analysis.model import check_model, mutation_sweep, standard_sweep
+from repro.ckpt.coordinator import CheckpointCoordinator
 from repro.ckpt.protocol_model import CkptConfig
 from repro.ckpt.protocol_model import build_model as build_ckpt
 from repro.faults.protocol_model import FTConfig
 from repro.faults.protocol_model import build_model as build_ft
+from repro.runtime import partition
 from repro.runtime.protocol_model import CentralConfig
 from repro.runtime.protocol_model import build_model as build_central
 from repro.scale.protocol_model import HierConfig
@@ -166,9 +171,27 @@ def test_strategy_model_state_counts_are_pinned(model):
     assert ex.states == _STRATEGY_STATES[model.name]
 
 
+#: Explored (states, transitions) of the clean ckpt models of the
+#: standard sweep, whose master runs the runtime's
+#: ``CheckpointCoordinator`` and ``reduction_repartition``.
+_CKPT_COUNTS = {
+    "ckpt-p2-u2-r2-e1-x1": (13_738, 41_315),
+    "ckpt-p2-u2-r2-e2-x1": (74_522, 234_248),
+}
+
+
+@pytest.mark.parametrize(
+    "model", standard_sweep(("ckpt",)), ids=lambda m: m.name
+)
+def test_ckpt_model_counts_are_pinned(model):
+    _, ex = _checked(model)
+    assert ex.exhaustive
+    assert (ex.states, ex.transitions) == _CKPT_COUNTS[model.name]
+
+
 class TestPlantedRuntimeBugs:
-    """A bug planted in the runtime's coordinator class is a bug in its
-    model: the model runs that class, not a copy of it.  These explore
+    """A bug planted in the runtime's coordinator code is a bug in its
+    model: the model runs that code, not a copy of it.  These explore
     uncached, since the planted model keeps the clean model's name."""
 
     def test_chunk_queue_that_never_reissues(self, monkeypatch):
@@ -183,3 +206,26 @@ class TestPlantedRuntimeBugs:
         model = build_steal(StealConfig(units=4, crashable=("w0",)))
         result, _ = check_model(model, por=True, budget=None, seed=0)
         assert "RA602" in _codes(result)
+
+    def test_deposit_that_skips_the_epoch_check(self, monkeypatch):
+        deposit = CheckpointCoordinator.deposit
+
+        def unchecked(self, pid, snapshot, now):
+            if self.open is not None:  # any epoch's deposit fits
+                snapshot = dataclasses.replace(snapshot, epoch=self.open.epoch)
+            return deposit(self, pid, snapshot, now)
+
+        monkeypatch.setattr(CheckpointCoordinator, "deposit", unchecked)
+        model = build_ckpt(CkptConfig(epochs=2))
+        result, ex = check_model(model, por=True, budget=None, seed=0)
+        assert "RA703" in _codes(result)
+        assert ex.states == 84_402  # as the seeded commit_stale_deposit
+
+    def test_repartition_that_drops_the_dead_units(self, monkeypatch):
+        # reduction_repartition's split hands the dead units to no one.
+        monkeypatch.setattr(
+            partition, "proportional_counts", lambda n, weights: [0] * len(weights)
+        )
+        model = build_ckpt(CkptConfig())
+        result, _ = check_model(model, por=True, budget=None, seed=0)
+        assert "RA701" in _codes(result)

@@ -3,10 +3,13 @@
 The coordinator is pure (no messages, no clock), so its contract — one
 open epoch at a time, commit on the last member deposit, abort with
 adaptive barrier margin, rollback to the latest committed epoch — is
-tested directly.  The two re-partition helpers are checked against
+tested directly, as is the value equality the ``ckpt`` protocol model
+relies on.  The two re-partition helpers are checked against
 hand-computed splits plus structural invariants (complete coverage, no
 overlap, grants attributed to the dead snapshot they come from).
 """
+
+import copy
 
 import pytest
 
@@ -62,7 +65,7 @@ class TestCoordinatorLifecycle:
         assert epoch.boundaries == (0, 2, 3, 4)
         assert epoch.placement == "master"
         assert coord.open is epoch
-        assert coord.epochs_opened == 1
+        assert coord.next_epoch == 2
         with pytest.raises(PartitionError):
             open_default(coord)
 
@@ -77,7 +80,7 @@ class TestCoordinatorLifecycle:
         assert coord.committed is epoch
         assert epoch.committed
         assert epoch.committed_at == 5.2
-        assert coord.epochs_committed == 1
+        assert coord.next_epoch == 2  # a commit opens nothing
 
     def test_deposit_ignores_stale_epoch_and_non_members(self):
         coord = make_coord()
@@ -92,13 +95,15 @@ class TestCoordinatorLifecycle:
         coord = make_coord()
         epoch = open_default(coord)
         assert coord.abort(now=6.0) is epoch
+        assert coord.open is None
         assert coord.margin == 2  # plain abort: margin unchanged
         open_default(coord, now=7.0)
         coord.abort(now=8.0, missed=True)
+        assert coord.open is None
+        assert coord.committed is None
         assert coord.margin == 3
-        assert coord.barrier_misses == 1
-        assert coord.epochs_aborted == 2
         assert coord.abort(now=9.0) is None  # nothing open: no-op
+        assert coord.margin == 3
 
     def test_epoch_numbers_advance_past_aborts(self):
         coord = make_coord()
@@ -120,6 +125,29 @@ class TestCoordinatorLifecycle:
         coord.deposit(0, SlaveSnapshot(pid=0, epoch=epoch.epoch, rep=4), 5.1)
         coord.deposit(1, SlaveSnapshot(pid=1, epoch=epoch.epoch, rep=4), 5.2)
         assert coord.rollback_target() is epoch
+
+    def test_copies_compare_and_hash_by_value(self):
+        coord = make_coord()
+        epoch = open_default(coord, members=(0, 1))
+        dup = copy.copy(coord)
+        assert dup == coord
+        assert hash(dup) == hash(coord)
+        snap = lambda: SlaveSnapshot(pid=0, epoch=epoch.epoch, rep=4, units=(0, 1))
+        assert dup.deposit(0, snap(), now=5.1) is False
+        assert epoch.snapshots == {}  # the copy filed it, not the original
+        assert dup != coord
+        coord.deposit(0, snap(), now=5.1)
+        assert dup == coord  # equal by value, not by identity
+        assert hash(dup) == hash(coord)
+
+
+def test_epoch_committed_property_tracks_committed_at():
+    epoch = CheckpointEpoch(
+        epoch=1, barrier=4, opened_at=1.0, members=(0, 1), cut={0: (0,), 1: (1,)}
+    )
+    assert not epoch.committed
+    epoch.committed_at = 2.5
+    assert epoch.committed
 
 
 # -- pipeline re-partitioning -------------------------------------------

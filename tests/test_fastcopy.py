@@ -8,6 +8,7 @@ including aliasing preservation.
 """
 
 import copy
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,6 +25,11 @@ class OpaqueDeep:
 
     def __init__(self, arr):
         self.arr = arr
+
+
+class Point(NamedTuple):
+    pid: int
+    arr: np.ndarray
 
 
 class TestSnapshotPayload:
@@ -84,6 +90,21 @@ class TestSnapshotPayload:
         a = np.ones(2)
         out = snapshot_payload(D(x=a))
         assert out["x"] is not a
+
+    def test_tuple_subclass_keeps_its_class(self):
+        class T(tuple):
+            pass
+
+        a = np.ones(2)
+        point = snapshot_payload(Point(3, a))
+        assert type(point) is Point
+        assert point.pid == 3
+        assert point.arr is not a
+        assert np.array_equal(point.arr, a)
+        plain = snapshot_payload(T((3, a)))
+        assert type(plain) is T
+        assert plain[1] is not a
+        assert type(snapshot_payload((3, a))) is tuple
 
 
 class TestFastStateCopy:
