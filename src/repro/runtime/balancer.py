@@ -9,12 +9,13 @@ unrestricted instruction generation, and frequency selection.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from operator import truediv
+from typing import Any, Callable, Mapping, Sequence
 
 from ..config import BalancerConfig, NetworkSpec
 from ..errors import ProtocolError
 from .filtering import TrendFilter
-from .frequency import hooks_to_skip, select_period
+from .frequency import hooks_to_skip, period_bounds
 from .partition import (
     BlockPartition,
     IndexPartition,
@@ -26,6 +27,11 @@ from .profitability import estimate_movement_cost, movement_profitable
 from .protocol import SlaveReport
 
 __all__ = ["BalancerState", "BalancerDecision", "RemainingSets", "decide"]
+
+#: The BalancerDecision attributes computed on first read.
+_JUDGED = frozenset(
+    {"targets", "t_current", "t_balanced", "improvement", "share_deviation"}
+)
 
 #: How many load-balancing periods of projected savings the
 #: profitability check may credit: rates can change again, so
@@ -42,20 +48,51 @@ class RemainingSets:
     sets: Callable[[], dict[int, Sequence[int]]]
 
 
-@dataclass
 class BalancerDecision:
-    """Outcome of one load-balancing phase."""
+    """Outcome of one load-balancing phase.
 
-    phase: int
-    transfers: list[Transfer]
-    period: float
-    rates: dict[int, float]
-    units_per_hook: Mapping[int, float]
-    t_current: float
-    t_balanced: float
+    ``counts`` and ``rates`` are the per-slave units and filtered rates
+    the phase balanced.  The proportional ``targets`` and what is judged
+    from them are computed together on first read: a report that may not
+    move work needs none of them unless obs records them.
+    """
+
+    targets: list[int]
+    t_current: float  # predicted completion time as allocated
+    t_balanced: float  # ... and with the targets
     improvement: float
-    cancelled: str | None = None  # None | "threshold" | "profitability" | "in-flight"
-    share_deviation: float = 0.0  # worst per-slave deviation from target share
+    share_deviation: float  # worst per-slave deviation from its target
+
+    def __init__(
+        self,
+        phase: int,
+        period: float,
+        counts: Sequence[int],
+        rates: Sequence[float],
+        units_per_hook: Mapping[int, float],
+    ):
+        self.phase = phase
+        self.period = period
+        self.counts = counts
+        self.rates = rates
+        self.units_per_hook = units_per_hook
+        self.transfers: list[Transfer] = []
+        #: None | "threshold" | "profitability" | "in-flight"
+        self.cancelled: str | None = None
+
+    def __getattr__(self, name: str) -> Any:
+        # Called only for attributes not set yet: the judged ones.
+        if name not in _JUDGED:
+            raise AttributeError(name)
+        counts, rates = self.counts, self.rates
+        total = sum(counts)
+        minimum = 1 if total >= len(counts) else 0
+        self.targets = targets = proportional_counts(total, rates, minimum=minimum)
+        self.t_current = t_cur = _completion_time(counts, rates)
+        self.t_balanced = t_new = _completion_time(targets, rates)
+        self.improvement = 0.0 if t_cur <= 0 else (t_cur - t_new) / t_cur
+        self.share_deviation = _share_deviation(counts, targets)
+        return self.__dict__[name]
 
     @property
     def moves_work(self) -> bool:
@@ -64,7 +101,8 @@ class BalancerDecision:
     def skip_hooks(self, pid: int) -> int:
         """Hooks slave ``pid`` passes between reports: one balancing
         period at its filtered rate.  Computed when read, since a reply
-        goes to one slave, not all of them."""
+        goes to one slave, not all of them; a slave missing from
+        ``units_per_hook`` covers one unit per hook."""
         return hooks_to_skip(
             self.period,
             self.rates[pid],
@@ -113,6 +151,16 @@ class BalancerState:
         # Slaves declared dead by the failure-tolerant master: their stale
         # rates must not attract proportional shares.
         self.excluded: set[int] = set()
+        #: ``filtered_rates()`` as a list, kept current by ``observe``
+        #: and ``exclude``; replaced, never edited, so a decision keeps
+        #: the rates it read.
+        self.rates: list[float] = [1.0] * n_slaves
+        # Live slaves with no sample yet take the mean default, summed
+        # fresh over each sampled live slave's value, with 0.0 standing
+        # for the rest: adding 0.0 leaves a float sum exact, so the mean
+        # is bit-equal to filtered_rates()'.
+        self._unsampled = set(range(n_slaves))
+        self._terms = [0.0] * n_slaves
 
     # ------------------------------------------------------------------
 
@@ -126,7 +174,13 @@ class BalancerState:
         """
         rate = report.rate
         if rate is not None and report.meas_work >= 2.0 * self.quantum:
-            self.filters[report.pid].update(rate)
+            pid = report.pid
+            f = self.filters[pid]
+            f.update(rate)
+            if f.value is not None and pid not in self.excluded:
+                self._unsampled.discard(pid)
+                self._terms[pid] = f.value
+                self._set_rate(pid, max(f.value, 1e-9))
         if (
             report.measured_move_cost_per_unit is not None
             and report.measured_move_cost_per_unit > 0
@@ -143,6 +197,21 @@ class BalancerState:
     def exclude(self, pid: int) -> None:
         """Permanently zero a (dead) slave's rate for share computation."""
         self.excluded.add(pid)
+        self._unsampled.discard(pid)
+        self._terms[pid] = 0.0
+        self._set_rate(pid, 1e-9)
+
+    def _set_rate(self, pid: int, rate: float) -> None:
+        """Replace ``rates`` with a list where ``pid`` has ``rate`` and
+        every unsampled slave the mean default."""
+        rates = self.rates.copy()
+        rates[pid] = rate
+        if self._unsampled:
+            known = self.n_slaves - len(self.excluded) - len(self._unsampled)
+            default = max(sum(self._terms) / known if known else 1.0, 1e-9)
+            for q in self._unsampled:
+                rates[q] = default
+        self.rates = rates
 
     def filtered_rates(self) -> dict[int, float]:
         """Filtered units/sec per slave; slaves with no samples yet get
@@ -166,12 +235,10 @@ class BalancerState:
         }
 
 
-def _completion_time(counts: Sequence[int], rates: Mapping[int, float]) -> float:
+def _completion_time(counts: Sequence[int], rates: Sequence[float]) -> float:
     """Predicted time for the slowest slave to finish its allocation,
     assuming equal-cost remaining units (paper Section 3.2)."""
-    return max(
-        (counts[pid] / rates[pid] for pid in range(len(counts))), default=0.0
-    )
+    return max(map(truediv, counts, rates), default=0.0)
 
 
 def _share_deviation(counts: Sequence[int], targets: Sequence[int]) -> float:
@@ -214,59 +281,36 @@ def decide(
     """
     cfg = state.config
     state.phase += 1
-    rates = state.filtered_rates()
-    n = state.n_slaves
-
+    rates = state.rates
     if remaining_sets is not None:
         counts = remaining_sets.counts
     else:
         counts = partition.counts()
     total = sum(counts)
-
-    bounds = select_period(
-        state.interaction_cost,
-        movement_cost_per_balance(state, counts, rates),
-        state.quantum,
-    )
-    period = bounds.period
-
-    weights = [rates[pid] for pid in range(n)]
-    minimum = 1 if total >= n else 0
-    targets = proportional_counts(total, weights, minimum=minimum)
-
-    t_cur = _completion_time(counts, rates)
-    t_new = _completion_time(targets, rates)
-    improvement = 0.0 if t_cur <= 0 else (t_cur - t_new) / t_cur
-    deviation = _share_deviation(counts, targets)
-
-    def no_move(reason: str | None) -> BalancerDecision:
-        return BalancerDecision(
-            phase=state.phase,
-            transfers=[],
-            period=period,
-            rates=rates,
-            units_per_hook=units_per_hook,
-            t_current=t_cur,
-            t_balanced=t_new,
-            improvement=improvement,
-            cancelled=reason,
-            share_deviation=deviation,
-        )
+    # Cost of one typical movement, the frequency bound's scale: the
+    # imbalance of one period's drift, about a tenth of an allocation.
+    movement_cost = state.move_cost_per_unit * max(1.0, total / len(counts) * 0.1)
+    period = max(period_bounds(state.interaction_cost, movement_cost, state.quantum))
+    decision = BalancerDecision(state.phase, period, counts, rates, units_per_hook)
 
     if not allow_movement:
-        return no_move("in-flight")
-    if total == 0 or (
-        improvement < cfg.improvement_threshold
-        and deviation < cfg.improvement_threshold
-    ):
-        return no_move("threshold" if improvement > 0 else None)
+        decision.cancelled = "in-flight"
+        return decision
+    if total == 0:
+        return decision
+    improvement = decision.improvement
+    threshold = cfg.improvement_threshold
+    if improvement < threshold and decision.share_deviation < threshold:
+        if improvement > 0:
+            decision.cancelled = "threshold"
+        return decision
 
     if remaining_sets is not None:
-        transfers = transfers_from_sets(remaining_sets.sets(), targets)
+        transfers = transfers_from_sets(remaining_sets.sets(), decision.targets)
     else:
-        transfers = partition.transfers_toward(targets)
+        transfers = partition.transfers_toward(decision.targets)
     if not transfers:
-        return no_move(None)
+        return decision
 
     if cfg.profitability_enabled:
         estimate = estimate_movement_cost(
@@ -280,34 +324,13 @@ def decide(
                 state.move_cost_per_unit if state.measured_move_cost else None
             ),
         )
-        total_rate = sum(rates.values())
-        remaining_time = remaining_units / max(total_rate, 1e-9)
+        remaining_time = remaining_units / max(sum(rates), 1e-9)
         horizon = min(remaining_time, PROFITABILITY_HORIZON_PERIODS * period)
-        if not movement_profitable(estimate, t_cur, t_new, horizon):
-            return no_move("profitability")
+        if not movement_profitable(
+            estimate, decision.t_current, decision.t_balanced, horizon
+        ):
+            decision.cancelled = "profitability"
+            return decision
 
-    return BalancerDecision(
-        phase=state.phase,
-        transfers=transfers,
-        period=period,
-        rates=rates,
-        units_per_hook=units_per_hook,
-        t_current=t_cur,
-        t_balanced=t_new,
-        improvement=improvement,
-        share_deviation=deviation,
-    )
-
-
-def movement_cost_per_balance(
-    state: BalancerState, counts: Sequence[int], rates: Mapping[int, float]
-) -> float:
-    """Typical cost of one work movement, used for the frequency bound.
-
-    Scale: moving the imbalance of one period's worth of drift — roughly
-    a tenth of a slave's allocation — at the measured per-unit cost.
-    """
-    if not counts:
-        return 0.0
-    typical_units = max(1.0, sum(counts) / len(counts) * 0.1)
-    return state.move_cost_per_unit * typical_units
+    decision.transfers = transfers
+    return decision

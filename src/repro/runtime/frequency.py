@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from ..errors import ConfigError
 
-__all__ = ["PeriodBounds", "select_period", "hooks_to_skip"]
+__all__ = ["PeriodBounds", "period_bounds", "select_period", "hooks_to_skip"]
 
 #: Absolute floor on the load-balancing period (paper: 500 ms).
 MIN_PERIOD = 0.5
@@ -63,6 +63,20 @@ class PeriodBounds:
         return max(named, key=lambda k: named[k])
 
 
+def period_bounds(
+    interaction_cost: float, movement_cost: float, quantum: float
+) -> tuple[float, float, float, float]:
+    """The three lower bounds and the floor, in :class:`PeriodBounds`
+    field order; the target period is their maximum.  Unchecked: the
+    balancer calls it once per report with costs it measured itself."""
+    return (
+        INTERACTION_MULTIPLE * interaction_cost,
+        MOVEMENT_MULTIPLE * movement_cost,
+        QUANTUM_MULTIPLE * quantum,
+        MIN_PERIOD,
+    )
+
+
 def select_period(
     interaction_cost: float,
     movement_cost: float,
@@ -78,12 +92,7 @@ def select_period(
         raise ConfigError(
             "need interaction_cost >= 0, movement_cost >= 0, quantum > 0"
         )
-    return PeriodBounds(
-        from_interaction=INTERACTION_MULTIPLE * interaction_cost,
-        from_movement=MOVEMENT_MULTIPLE * movement_cost,
-        from_quantum=QUANTUM_MULTIPLE * quantum,
-        floor=MIN_PERIOD,
-    )
+    return PeriodBounds(*period_bounds(interaction_cost, movement_cost, quantum))
 
 
 def hooks_to_skip(

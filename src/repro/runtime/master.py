@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Any, Collection
+from typing import Any, Collection, Iterator, Mapping
 
 import numpy as np
 
@@ -95,6 +95,22 @@ class _InFlightMove:
 
     def complete(self) -> bool:
         return self.acked >= set(self.involved())
+
+
+class _ScaledCounts(Mapping[int, float]):
+    """``counts[p] * num / den`` for each slave ``p``, at least ``floor``."""
+
+    def __init__(self, counts: list[int], num: int, den: int, floor: float):
+        self.counts, self.num, self.den, self.floor = counts, num, den, floor
+
+    def __getitem__(self, p: int) -> float:
+        return max(self.counts[p] * self.num / self.den, self.floor)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(range(len(self.counts)))
+
+    def __len__(self) -> int:
+        return len(self.counts)
 
 
 @dataclass
@@ -242,18 +258,22 @@ class _Master:
             return total
         return float(plan.unit_count * plan.reps)
 
-    def _units_per_hook(self) -> dict[int, float]:
+    def _hook_units(self, sets: RemainingSets | None) -> Mapping[int, float]:
+        """Units one hook interval covers, per slave (Section 4.3): one
+        iteration, a pipeline strip's share of the slave's columns, or
+        the units a repetition hook spans.  Read from the counts the
+        decision balances (``sets``' or ownership's), for the one slave a
+        reply goes to; the view holds no reference to the master."""
         if self.plan.shape is LoopShape.PARALLEL_MAP:
-            return {p: 1.0 for p in range(self.n)}
-        counts = self._counts()
+            return {}  # one unit per hook: BalancerDecision.skip_hooks' default
+        counts = sets.counts if sets is not None else self.partition.counts()
         if self.plan.shape is LoopShape.PIPELINE:
-            bs = self.block_size or 1
-            total = self.plan.strip.total
-            return {
-                p: max(counts[p] * bs / total, 1e-9) for p in range(self.n)
-            }
-        # REDUCTION_FRONT: one hook per repetition covering the active set.
-        return {p: max(float(counts[p]), 1.0) for p in range(self.n)}
+            return _ScaledCounts(
+                counts, self.block_size or 1, self.plan.strip.total, 1e-9
+            )
+        # REDUCTION_FRONT: one hook per repetition covering the active set
+        # (``c * 1 / 1`` is ``float(c)`` exactly).
+        return _ScaledCounts(counts, 1, 1, 1.0)
 
     def _counts(self) -> list[int]:
         active = self._active_sets()
@@ -422,11 +442,9 @@ class _Master:
             # and the epoch can actually open (otherwise continuously
             # rebalancing schedules, LU above all, starve checkpointing).
             return False
-        if self.in_flight:
+        if self.in_flight or now - self.last_move_issue_time < MIN_PERIOD:
             return False
-        if any(self.pending_orders[p] for p in range(self.n)):
-            return False
-        return (now - self.last_move_issue_time) >= MIN_PERIOD
+        return not any(self.pending_orders.values())
 
     # ------------------------------------------------------------------
     # Per-report handling
@@ -467,13 +485,14 @@ class _Master:
             and self._movement_allowed(now)
             and remaining > 0
         )
+        sets = self._remaining_sets() or self._active_sets()
         decision = decide(
             self.state,
             self.partition,
-            self._units_per_hook(),
+            self._hook_units(sets),
             remaining_units=remaining,
             allow_movement=allow,
-            remaining_sets=self._remaining_sets() or self._active_sets(),
+            remaining_sets=sets,
         )
         self.log.decision = decision
         if self.obs.enabled:
@@ -1557,7 +1576,7 @@ def master_task(
     floor_period = max(
         MIN_PERIOD, QUANTUM_MULTIPLE * run_cfg.cluster.processor.quantum
     )
-    uph = m._units_per_hook()
+    uph = m._hook_units(m._active_sets())
 
     # Initial scatter: each slave gets its units plus the data they own.
     for pid in range(m.n):
@@ -1567,7 +1586,7 @@ def master_task(
             payload["local"] = kernels.make_local(global_state, np.asarray(units))
         if block_size is not None:
             payload["block_size"] = block_size
-        payload["skip"] = hooks_to_skip(floor_period, est_rate, uph[pid])
+        payload["skip"] = hooks_to_skip(floor_period, est_rate, uph.get(pid, 1.0))
         nbytes = (
             kernels.input_bytes(len(units)) if exec_num else 64 * max(1, len(units))
         )

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from operator import sub
 from typing import Callable, Sequence
 
 import numpy as np
@@ -67,7 +68,7 @@ def proportional_counts(
         raise PartitionError("no slaves")
     if total < 0:
         raise PartitionError(f"negative total: {total}")
-    if any(w < 0 for w in weights):
+    if min(weights) < 0:
         raise PartitionError(f"negative weight in {weights}")
     minimum = min(minimum, total // n)
     wsum = float(sum(weights))
@@ -76,14 +77,16 @@ def proportional_counts(
         wsum = float(n)
     spare = total - minimum * n
     shares = [spare * w / wsum for w in weights]
-    counts = [int(s) for s in shares]
-    remainders = [s - c for s, c in zip(shares, counts)]
+    counts = list(map(int, shares))
     leftover = spare - sum(counts)
-    # Assign leftovers to the largest remainders (ties: lowest index).
-    order = sorted(range(n), key=lambda i: (-remainders[i], i))
-    for i in order[:leftover]:
-        counts[i] += 1
-    result = [c + minimum for c in counts]
+    if leftover:
+        # Assign leftovers to the largest remainders (ties: lowest index,
+        # since a reversed sort is still stable).
+        remainders = list(map(sub, shares, counts))
+        order = sorted(range(n), key=remainders.__getitem__, reverse=True)
+        for i in order[:leftover]:
+            counts[i] += 1
+    result = [c + minimum for c in counts] if minimum else counts
     assert sum(result) == total
     return result
 

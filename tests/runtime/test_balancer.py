@@ -1,8 +1,12 @@
 """Balancer decision logic tests (paper Section 3.2)."""
 
+import math
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.config import BalancerConfig, NetworkSpec
+from repro.runtime import balancer
 from repro.runtime.balancer import BalancerState, RemainingSets, decide
 from repro.runtime.partition import BlockPartition, IndexPartition
 from repro.runtime.profitability import (
@@ -158,6 +162,27 @@ class TestDecide:
         # Faster slaves pass more hooks per balancing period.
         assert d.skip_hooks(1) > d.skip_hooks(0)
 
+    def test_blocked_decision_builds_no_targets(self, monkeypatch):
+        st_ = make_state()
+        feed(st_, [10.0, 30.0, 30.0, 30.0])
+        part = IndexPartition.even(100, 4)
+        allowed = decide(st_, part, self._uph(), remaining_units=1e4)
+
+        def no_targets(*args, **kwargs):
+            raise AssertionError("a blocked decision built targets")
+
+        monkeypatch.setattr(balancer, "proportional_counts", no_targets)
+        blocked = decide(
+            st_, part, self._uph(), remaining_units=1e4, allow_movement=False
+        )
+        assert blocked.cancelled == "in-flight"
+        assert blocked.period == allowed.period
+        assert blocked.skip_hooks(0) == allowed.skip_hooks(0)
+        monkeypatch.undo()
+        # Read later (obs does), they match the allowed decision's.
+        assert blocked.improvement == allowed.improvement > 0
+        assert blocked.share_deviation == allowed.share_deviation
+
     def test_decision_metrics_consistent(self):
         st_ = make_state()
         feed(st_, [10.0, 30.0, 30.0, 30.0])
@@ -166,6 +191,57 @@ class TestDecide:
         assert d.t_current > d.t_balanced > 0
         assert 0 < d.improvement < 1
         assert d.period >= 0.5
+
+
+_OBSERVE = st.tuples(
+    st.just("observe"),
+    st.integers(0, 2),
+    # Measured units: zero means no sample, a denormal a zero rate.
+    st.one_of(
+        st.floats(0.0, 1e3),
+        st.floats(1.0, 1e3),
+        st.sampled_from([0.0, 5e-324, math.inf, math.nan]),
+    ),
+    st.sampled_from([1.0, 1.0, 0.05]),  # 0.05 s is under two quanta: ignored
+)
+_EXCLUDE = st.tuples(st.just("exclude"), st.integers(0, 2))
+
+
+@given(
+    steps=st.lists(st.one_of(_OBSERVE, _OBSERVE, _EXCLUDE), max_size=40),
+    filt=st.booleans(),
+)
+@example(
+    steps=[("observe", p, 10.0 * (p + 1), 1.0) for p in range(3)]
+    + [("exclude", 1), ("observe", 1, 50.0, 1.0), ("observe", 0, 5.0, 1.0)],
+    filt=True,
+)
+@settings(max_examples=200, deadline=None)
+def test_decide_reads_the_fresh_filtered_rates(steps, filt):
+    # The rates observe keeps current are bit-equal to a fresh
+    # filtered_rates() after every step.
+    state = make_state(n=3, filter_enabled=filt)
+    part = IndexPartition.even(90, 3)
+    for step in steps:
+        if step[0] == "observe":
+            _, pid, units, work = step
+            state.observe(
+                SlaveReport(
+                    pid=pid,
+                    seq=0,
+                    units_done=0.0,
+                    work_time=work,
+                    meas_units=units,
+                    meas_work=work,
+                    owned_count=30,
+                    rep=0,
+                )
+            )
+        else:
+            state.exclude(step[1])
+        d = decide(state, part, {}, remaining_units=1e4, allow_movement=False)
+        fresh = state.filtered_rates()
+        assert [r.hex() for r in d.rates] == [fresh[p].hex() for p in range(3)]
 
 
 class TestProfitability:

@@ -1,10 +1,14 @@
 """Unit tests of the master's bookkeeping (_Master), without a cluster."""
 
+import gc
+import types
+
 import pytest
 
 from repro.apps import build_lu, build_matmul, build_sor
 from repro.config import ClusterSpec, RunConfig
 from repro.errors import ProtocolError
+from repro.runtime import run_application
 from repro.runtime.frequency import MIN_PERIOD
 from repro.runtime.master import MasterLog, _InFlightMove, _Master
 from repro.runtime.partition import IndexPartition, Transfer
@@ -220,3 +224,36 @@ class TestFailureTolerantMaster:
         assert not m._release_held(0)
         m._pending_rollback = {"target": None, "awaiting": {1}}
         assert m._release_held(0)
+
+
+def _reaches(root, cls) -> bool:
+    """Is an instance of ``cls`` reachable from ``root`` through object
+    attributes, containers, bound methods and closures?  Classes,
+    modules and function globals are not followed."""
+    seen, stack = set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, cls):
+            return True
+        if isinstance(obj, types.FunctionType):
+            stack.extend(obj.__closure__ or ())
+        else:
+            stack.extend(gc.get_referents(obj))
+    return False
+
+
+@pytest.mark.parametrize(
+    "plan",
+    [build_matmul(n=24), build_sor(n=24, maxiter=3), build_lu(n=24)],
+    ids=["map", "pipeline", "front"],
+)
+def test_logged_decision_holds_no_master(plan):
+    # A decision that kept the master (say, a bound method for its units
+    # per hook) would make a master-log cycle that keeps every run's
+    # arrays alive until the cyclic collector runs.
+    res = run_application(plan, RunConfig(cluster=ClusterSpec(n_slaves=3)))
+    assert res.log.decision is not None
+    assert not _reaches(res.log.decision, _Master)
