@@ -37,7 +37,7 @@ import numpy as np
 
 from ..ckpt import SlaveSnapshot
 from ..errors import MovementError, ProtocolError
-from ..sim import Now, Poll, Send
+from ..sim import Poll, Send
 from .movement import MovePayload
 from .protocol import MoveOrder, Tags
 from .slave import SlaveCore
@@ -127,7 +127,7 @@ class PipelineSlave(SlaveCore):
                     yield from self._execute_send_orders()
                 yield from self._sweep_start(rep)
             while self.block < self.nb:
-                yield from self._merge_set_aside_if_due()
+                self._merge_set_aside_if_due()
                 b = self.block
                 rows = self.strip.block_range(b)
                 left_halo = None
@@ -158,7 +158,7 @@ class PipelineSlave(SlaveCore):
                 self.block += 1
                 yield from self.lb_hook()
                 yield from self._poll_moves()
-            yield from self._merge_set_aside_if_due()
+            self._merge_set_aside_if_due()
             if plan.dynamic_reps:
                 yield from self._convergence_barrier(rep)
             self.rep += 1
@@ -190,7 +190,7 @@ class PipelineSlave(SlaveCore):
         tail of the previous sweep merges before halo generations are
         compared."""
         yield from self._poll_moves()
-        yield from self._merge_set_aside_if_due()
+        self._merge_set_aside_if_due()
         k = self.kernels()
         if self.left_pid is not None:
             payload = k.sweep_first_boundary(self.local, rep) if self.exec_num else None
@@ -283,7 +283,7 @@ class PipelineSlave(SlaveCore):
                 )
                 self.ledger.mark_canceled(order.move_id)
                 continue
-            t0 = yield Now()
+            t0 = self.ctx.now
             # Pack is consistent through the last completed strip.
             through = self._lin_next() - 1
             rep_s, block_s = divmod(through, self.nb) if through >= 0 else (-1, -1)
@@ -314,7 +314,7 @@ class PipelineSlave(SlaveCore):
                 payload,
                 nbytes=order.transfer.count * self.plan.movement.unit_bytes,
             )
-            t1 = yield Now()
+            t1 = self.ctx.now
             self.ledger.record_cost(t1 - t0, order.transfer.count)
             self.ledger.mark_sent(order.move_id)
             self.note_move("send", t0, t1, order)
@@ -349,7 +349,7 @@ class PipelineSlave(SlaveCore):
             if self.set_aside is not None:
                 raise MovementError("second rightward move while one is set aside")
             self.set_aside = (order, payload)
-            yield from self._merge_set_aside_if_due()
+            self._merge_set_aside_if_due()
         else:
             # Sender is behind or equal: merge now with catch-up.
             if through > completed:
@@ -358,7 +358,7 @@ class PipelineSlave(SlaveCore):
                 )
             yield from self._merge_from_right(order, payload, through, completed)
 
-    def _merge_set_aside_if_due(self) -> Generator[Any, Any, None]:
+    def _merge_set_aside_if_due(self) -> None:
         if self.set_aside is None:
             return
         order, payload = self.set_aside
@@ -367,7 +367,7 @@ class PipelineSlave(SlaveCore):
         if through != completed:
             return
         self.set_aside = None
-        t0 = yield Now()
+        t0 = self.ctx.now
         k = self.kernels()
         units = payload.units
         rep_s, block_s = divmod(through, self.nb) if through >= 0 else (-1, -1)
@@ -385,7 +385,7 @@ class PipelineSlave(SlaveCore):
             )
         self.owned = sorted(set(self.owned) | set(units))
         self.gen_left += 1
-        t1 = yield Now()
+        t1 = self.ctx.now
         self.ledger.record_cost(t1 - t0, order.transfer.count)
         self.ledger.complete_recv(order.move_id)
         self.note_move("recv", t0, t1, order)
@@ -393,7 +393,7 @@ class PipelineSlave(SlaveCore):
     def _merge_from_right(
         self, order: MoveOrder, payload: MovePayload, through: int, completed: int
     ) -> Generator[Any, Any, None]:
-        t0 = yield Now()
+        t0 = self.ctx.now
         k = self.kernels()
         units = payload.units
         rep_s, block_s = divmod(through, self.nb) if through >= 0 else (-1, -1)
@@ -456,7 +456,7 @@ class PipelineSlave(SlaveCore):
                         else 8 * (rows[1] - rows[0])
                     ),
                 )
-        t1 = yield Now()
+        t1 = self.ctx.now
         self.ledger.record_cost(t1 - t0, order.transfer.count)
         self.ledger.complete_recv(order.move_id)
         self.note_move("recv", t0, t1, order)
@@ -536,4 +536,4 @@ class PipelineSlave(SlaveCore):
             msg = yield from self._await_move(order)
             if msg is not None:  # None: move voided, its sender died
                 yield from self._accept_move(order, msg.payload)
-        yield from self._merge_set_aside_if_due()
+        self._merge_set_aside_if_due()

@@ -150,10 +150,14 @@ class SlaveCore:
         return self.plan.kernels
 
     def compute(self, ops: float, fn=None) -> Generator[Any, Any, float]:
-        """Issue a measured computation; returns its wall duration."""
-        t0 = yield Now()
+        """Issue a measured computation; returns its wall duration.
+
+        The clock is read from ``ctx.now`` around the ``Compute``, its only
+        syscall: a ``Now`` would return the same value for the price of an
+        extra resume event."""
+        t0 = self.ctx.now
         yield Compute(ops, fn=fn if self.exec_num else None)
-        t1 = yield Now()
+        t1 = self.ctx.now
         self.work_time += t1 - t0
         self.meas_work += t1 - t0
         return t1 - t0
@@ -668,7 +672,7 @@ class SlaveCore:
         """Execute pending send orders (sends first, so transfer chains
         cannot deadlock)."""
         for order in self.ledger.take_sends():
-            t0 = yield Now()
+            t0 = self.ctx.now
             payload = self.pack_for(order)
             yield Send(
                 order.transfer.dst,
@@ -676,7 +680,7 @@ class SlaveCore:
                 payload,
                 nbytes=order.transfer.count * self.plan.movement.unit_bytes,
             )
-            t1 = yield Now()
+            t1 = self.ctx.now
             self.ledger.record_cost(t1 - t0, order.transfer.count)
             self.ledger.mark_sent(order.move_id)
             self.note_move("send", t0, t1, order)
@@ -687,9 +691,14 @@ class SlaveCore:
             msg = yield from self._await_move(order)
             if msg is None:
                 continue  # move voided: its sender died
+            # This Now is a yield point as well as a clock read: the other
+            # events of this instant run before the payload is applied.
+            # Reading ctx.now instead reorders same-instant events, and
+            # the master then answers two simultaneous reports in the
+            # other order (Figure 9's run ends 0.5 s later).
             t0 = yield Now()
             yield from self.apply_recv(order, msg.payload)
-            t1 = yield Now()
+            t1 = self.ctx.now
             self.ledger.record_cost(t1 - t0, order.transfer.count)
             self.ledger.complete_recv(order.move_id)
             self.note_move("recv", t0, t1, order)
@@ -1060,9 +1069,9 @@ class ReductionFrontSlave(SlaveCore):
         for order in self.ledger.pending_recvs():
             msg = yield Poll(src=order.transfer.src, tag=Tags.move(order.move_id))
             if msg is not None:
-                t0 = yield Now()
+                t0 = self.ctx.now
                 yield from self.apply_recv(order, msg.payload)
-                t1 = yield Now()
+                t1 = self.ctx.now
                 self.ledger.record_cost(t1 - t0, order.transfer.count)
                 self.ledger.complete_recv(order.move_id)
                 self.note_move("recv", t0, t1, order)

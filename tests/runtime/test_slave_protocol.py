@@ -12,8 +12,8 @@ from repro.apps import build_matmul
 from repro.config import BalancerConfig, ClusterSpec, ProcessorSpec, RunConfig
 from repro.runtime.partition import Transfer
 from repro.runtime.protocol import INSTR_BYTES, Instructions, MoveOrder, Tags
-from repro.runtime.slave import slave_task
-from repro.sim import Cluster, Recv, Send
+from repro.runtime.slave import SlaveCore, slave_task
+from repro.sim import Cluster, Compute, Recv, Send
 
 
 def make_cluster(n_slaves=2, speed=1e6, pipelined=False):
@@ -41,6 +41,36 @@ def master_with_init(ctx, units, skip, script, log):
         done = report.done and instr.release
     res = yield Recv(src=0, tag=Tags.RESULT)
     log.append(("RESULT", res.payload))
+
+
+def test_compute_issues_only_its_compute():
+    # compute() reads the clock around the Compute instead of asking
+    # for it: one syscall, and the result is that computation's span.
+    cluster, cfg = make_cluster(n_slaves=1, speed=1e6)
+    plan = build_matmul(n=4, n_slaves_hint=1)
+    issued, out = [], {}
+
+    def task(ctx):
+        core = SlaveCore(ctx, plan, cfg, {"units": (0,)}, False)
+        yield Recv(tag="never", timeout=0.3)  # start off time zero
+        t0 = ctx.now
+        gen = core.compute(2.5e5)
+        req = next(gen)
+        while True:
+            issued.append(req)
+            value = yield req
+            try:
+                req = gen.send(value)
+            except StopIteration as stop:
+                out["dt"], out["span"] = stop.value, ctx.now - t0
+                out["work"] = core.work_time
+                return
+
+    cluster.spawn(0, task)
+    cluster.run()
+    assert [type(r) for r in issued] == [Compute]
+    assert issued[0].ops == 2.5e5
+    assert out["dt"] == out["span"] == out["work"] == pytest.approx(0.25)
 
 
 class TestSlaveProtocol:
