@@ -7,28 +7,32 @@
 #
 # Run from the repository root.  Both sides use this checkout's
 # benchmarks/e2e/ and BENCHMARK.json, so only the program under src/
-# differs.  The side that runs first alternates from pair to pair, so
-# a host that drifts during the gate does not favour one side.  With
-# five runs a side compare.py's quartiles are the means of the two outer
-# runs, so one slow reading moves a quartile by half its excess, not by
-# all of it.  OUT_DIR receives base-{1..5}.json and change-{1..5}.json.
+# differs.  Each side runs from its own fresh tree under $TMPDIR, side
+# by side: the base's src/ from git archive, the change's copied from
+# this checkout without __pycache__, so neither side starts warm or from
+# a different kind of location.  The side that runs first alternates
+# from pair to pair, so a host that drifts during the gate does not
+# favour one side.  With five runs a side compare.py's quartiles are
+# the means of the two outer runs, so one slow reading moves a quartile
+# by half its excess, not by all of it.  OUT_DIR receives base-{1..5}.json and change-{1..5}.json.
 # About 17 minutes in all on a 2-vCPU host.
 set -eu
 base_rev=$1
 out=$2
 mkdir -p "$out"
 base_dir=$(mktemp -d)
-trap 'rm -rf "$base_dir"' EXIT
+change_dir=$(mktemp -d)
+trap 'rm -rf "$base_dir" "$change_dir"' EXIT
 git archive "$base_rev" src | tar -x -C "$base_dir"
-tar -c --exclude=out --exclude=__pycache__ benchmarks/e2e BENCHMARK.json \
-    | tar -x -C "$base_dir"
+tar -c --exclude=__pycache__ src | tar -x -C "$change_dir"
+for dir in "$base_dir" "$change_dir"; do
+    tar -c --exclude=out --exclude=__pycache__ benchmarks/e2e BENCHMARK.json \
+        | tar -x -C "$dir"
+done
 
 run() {
-    if [ "$1" = base ]; then
-        python3 "$base_dir/benchmarks/e2e/run.py" --seed 0 --json "$out/base-$2.json"
-    else
-        python3 benchmarks/e2e/run.py --seed 0 --json "$out/change-$2.json"
-    fi
+    if [ "$1" = base ]; then dir=$base_dir; else dir=$change_dir; fi
+    python3 "$dir/benchmarks/e2e/run.py" --seed 0 --json "$out/$1-$2.json"
 }
 
 for i in 1 2 3 4 5; do

@@ -7,12 +7,13 @@ paths already rely on while dispatching on concrete type:
 
 - :func:`snapshot_payload` — the message-send copy.  NumPy arrays are
   copied with ``.copy()``, containers are rebuilt recursively (tuples
-  too, since they may hold arrays; a tuple subclass such as a
-  ``NamedTuple`` keeps its class), opaque objects pass through by
+  too, since they may hold arrays), opaque objects pass through by
   reference unless they opt into deep copying with a truthy
-  ``_snapshot_deep`` attribute (the deepcopy fallback).  Numbers,
-  strings and frozen dataclasses without ``_snapshot_deep`` therefore
-  cost nothing.
+  ``_snapshot_deep`` attribute (the deepcopy fallback).  A subclass of
+  ``dict``, ``list`` or ``tuple`` keeps its class (an ``OrderedDict``, a
+  ``Counter``, a ``NamedTuple``; a ``defaultdict`` keeps its factory).
+  Numbers, strings and frozen dataclasses without ``_snapshot_deep``
+  therefore cost nothing.
 - :func:`fast_state_copy` — a deepcopy-equivalent for slave state
   snapshots.  Known containers and arrays take the fast path; anything
   unrecognised falls back to ``copy.deepcopy`` with a shared memo so
@@ -55,6 +56,21 @@ def _copy_tuple(payload: tuple) -> tuple:
     return tuple(snapshot_payload(v) for v in payload)
 
 
+def _copy_dict_subclass(payload: dict) -> dict:
+    # A shallow copy keeps the class and what its constructor took (a
+    # defaultdict's factory); then each value is snapshotted in place.
+    out = copy.copy(payload)
+    for k, v in payload.items():
+        out[k] = snapshot_payload(v)
+    return out
+
+
+def _copy_list_subclass(payload: list) -> list:
+    out = copy.copy(payload)
+    out[:] = [snapshot_payload(v) for v in payload]
+    return out
+
+
 def _passthrough(payload: Any) -> Any:
     """Share ``payload`` by reference (exported as :data:`PASSTHROUGH`)."""
     return payload
@@ -70,13 +86,18 @@ def _copy_opaque(payload: Any) -> Any:
 
 def _payload_copier_for(cls: type) -> Callable[[Any], Any]:
     # Mirror the isinstance chain of the original snapshot_payload
-    # exactly (subclasses of the containers take the container path).
+    # exactly (subclasses of the containers take the container path,
+    # keeping their class).
     if issubclass(cls, np.ndarray):
         return _copy_ndarray
-    if issubclass(cls, dict):
+    if cls is dict:
         return _copy_dict
-    if issubclass(cls, list):
+    if issubclass(cls, dict):
+        return _copy_dict_subclass
+    if cls is list:
         return _copy_list
+    if issubclass(cls, list):
+        return _copy_list_subclass
     if cls is tuple:
         return _copy_tuple
     if issubclass(cls, tuple):

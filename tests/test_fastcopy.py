@@ -8,6 +8,7 @@ including aliasing preservation.
 """
 
 import copy
+from collections import Counter, OrderedDict, defaultdict
 from typing import NamedTuple
 
 import numpy as np
@@ -105,6 +106,34 @@ class TestSnapshotPayload:
         assert type(plain) is T
         assert plain[1] is not a
         assert type(snapshot_payload((3, a))) is tuple
+
+
+    def test_dict_and_list_subclasses_keep_their_class(self):
+        # As fast_state_copy (deepcopy) does: the class, the key order
+        # and a defaultdict's factory survive, and arrays are copied.
+        class L(list):
+            pass
+
+        a = np.ones(2)
+        ordered = OrderedDict(b=a, a=1)
+        grouped = defaultdict(list, x=[a])
+        counts = Counter("abb")
+        listed = L([a, 2])
+        for payload in (ordered, grouped, counts, listed):
+            out = snapshot_payload(payload)
+            assert type(out) is type(payload)
+            assert type(fast_state_copy(payload)) is type(payload)
+        out = snapshot_payload(ordered)
+        assert list(out) == ["b", "a"] and out["b"] is not a
+        out = snapshot_payload(grouped)
+        assert out.default_factory is list
+        assert out["x"] is not grouped["x"] and out["x"][0] is not a
+        assert out["missing"] == []
+        assert snapshot_payload(counts) == Counter(a=1, b=2)
+        out = snapshot_payload(listed)
+        assert out[0] is not a and np.array_equal(out[0], a) and out[1] == 2
+        assert type(snapshot_payload({"k": a})) is dict
+        assert type(snapshot_payload([a])) is list
 
 
 class TestFastStateCopy:
