@@ -134,12 +134,6 @@ class SystemState:
     locals: tuple[tuple[str, Hashable], ...]  # sorted by actor name
     channels: Channels  # sorted by (src, dst); only nonempty channels
 
-    def local_of(self, actor: str) -> Hashable:
-        for name, state in self.locals:
-            if name == actor:
-                return state
-        raise KeyError(actor)
-
     def locals_map(self) -> dict[str, Hashable]:
         return dict(self.locals)
 

@@ -15,16 +15,24 @@ with the FT recovery protocol of ``runtime/master.py`` /
   model's scope.
 - **Declare-dead resolution.**  On ``fd.crash`` the master tombstones
   the victim, voids its queued orders, and resolves every in-flight
-  move touching it exactly like ``Master.declare_dead``: the surviving
-  peer gets a cancel control and the move's units are *parked*
-  (``contested``) until the peer's ack reports whether the move was
-  ``applied`` (units live at/through the peer) or ``canceled`` (units
-  reclaimed to the master's pool).  Non-contested units owned by the
-  victim are swept to the pool — unless the victim had banked its final
-  result, which survives it (the FT early-result protocol).
+  move touching it: the surviving peer gets a cancel control and the
+  move's units are *parked* (``contested``) until the peer's ack
+  reports whether the move was ``applied`` (units live at/through the
+  peer) or ``canceled`` (units reclaimed to the master's pool).
+  Non-contested units owned by the victim are swept to the pool —
+  unless the victim had banked its final result, which survives it (the
+  FT early-result protocol).  This abstracts ``Master.declare_dead``,
+  which sends a cancel only when the peer may have executed its half:
+  it settles a move the peer already acked, and drops one still queued
+  for the peer, without a control.
 - **Regrant.**  Pooled units are granted to a live slave (``lb.ctrl``
   grant + explicit ack); the release barrier additionally waits for an
-  empty pool, no contested moves, and no unacknowledged grants.
+  empty pool, no contested moves, and no unacknowledged grants.  The
+  model grants the whole pool to the first live slave, in a step of its
+  own; the runtime grants at the death, split over the survivors by
+  rate.  Like the centralized model, the master selects its messages by
+  tag, where the failure-tolerant runtime master takes any message in
+  mailbox order.
 - **Wake.**  A parked slave that is sent a control (grant or cancel) is
   answered at once with a ``noop``, as the runtime's master sends a
   plain reply, so it serves the control; a parked grantee whose grant

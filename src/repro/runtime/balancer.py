@@ -3,30 +3,25 @@
 Pure logic, independent of the simulator, so every refinement can be unit
 tested: proportional redistribution from filtered rates, the 10%
 improvement threshold, the profitability phase, restricted vs
-unrestricted instruction generation, and frequency selection.
+unrestricted instruction generation, and frequency selection.  The
+decision reads per-slave unit counts and returns sized moves; which unit
+ids move is the master's business, and only for moves that go ahead.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import truediv
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from ..config import BalancerConfig, NetworkSpec
 from ..errors import ProtocolError
 from .filtering import TrendFilter
 from .frequency import hooks_to_skip, period_bounds
-from .partition import (
-    BlockPartition,
-    IndexPartition,
-    Transfer,
-    proportional_counts,
-    transfers_from_sets,
-)
+from .partition import Move, adjacent_moves, proportional_counts, surplus_moves
 from .profitability import estimate_movement_cost, movement_profitable
 from .protocol import SlaveReport
 
-__all__ = ["BalancerState", "BalancerDecision", "RemainingSets", "decide"]
+__all__ = ["BalancerState", "BalancerDecision", "decide"]
 
 #: The BalancerDecision attributes computed on first read.
 _JUDGED = frozenset(
@@ -39,22 +34,15 @@ _JUDGED = frozenset(
 PROFITABILITY_HORIZON_PERIODS = 4.0
 
 
-@dataclass(frozen=True)
-class RemainingSets:
-    """Per-slave counts of the units that still carry movable work, with
-    the unit ids themselves built by ``sets()`` only when work is cut."""
-
-    counts: list[int]
-    sets: Callable[[], dict[int, Sequence[int]]]
-
-
 class BalancerDecision:
     """Outcome of one load-balancing phase.
 
     ``counts`` and ``rates`` are the per-slave units and filtered rates
-    the phase balanced.  The proportional ``targets`` and what is judged
-    from them are computed together on first read: a report that may not
-    move work needs none of them unless obs records them.
+    the phase balanced, and ``moves`` the sized moves ``(src, dst, k)``
+    it orders (empty unless work moves).  The proportional ``targets``
+    and what is judged from them are computed together on first read: a
+    report that may not move work needs none of them unless obs records
+    them.
     """
 
     targets: list[int]
@@ -76,7 +64,7 @@ class BalancerDecision:
         self.counts = counts
         self.rates = rates
         self.units_per_hook = units_per_hook
-        self.transfers: list[Transfer] = []
+        self.moves: list[Move] = []
         #: None | "threshold" | "profitability" | "in-flight"
         self.cancelled: str | None = None
 
@@ -93,10 +81,6 @@ class BalancerDecision:
         self.improvement = 0.0 if t_cur <= 0 else (t_cur - t_new) / t_cur
         self.share_deviation = _share_deviation(counts, targets)
         return self.__dict__[name]
-
-    @property
-    def moves_work(self) -> bool:
-        return bool(self.transfers)
 
     def skip_hooks(self, pid: int) -> int:
         """Hooks slave ``pid`` passes between reports: one balancing
@@ -263,29 +247,25 @@ def _share_deviation(counts: Sequence[int], targets: Sequence[int]) -> float:
 
 def decide(
     state: BalancerState,
-    partition: BlockPartition | IndexPartition,
+    counts: Sequence[int],
     units_per_hook: Mapping[int, float],
     remaining_units: float,
     allow_movement: bool = True,
-    remaining_sets: RemainingSets | None = None,
+    adjacent: bool = False,
 ) -> BalancerDecision:
     """Run one load-balancing phase and produce instructions.
 
-    ``partition`` is the master's view of current ownership.
+    ``counts`` are the units balanced per slave: ownership, or, where
+    ownership does not measure the work left, the units slaves report as
+    unfinished near the end of independent iterations, or the units
+    still active on a shrinking reduction front (Section 4.7).
     ``allow_movement=False`` is used while a previous movement is still
-    in flight.  When ownership does not measure the work left, the master
-    passes ``remaining_sets``: for independent iterations near the end of
-    a run, the units slaves report as unfinished; for a shrinking
-    reduction front, the units still active (Section 4.7).  Their counts
-    are balanced instead of ownership, and only those units move.
+    in flight.  ``adjacent`` restricts moves to neighbouring slaves
+    (block partitions); otherwise any pair may trade.
     """
     cfg = state.config
     state.phase += 1
     rates = state.rates
-    if remaining_sets is not None:
-        counts = remaining_sets.counts
-    else:
-        counts = partition.counts()
     total = sum(counts)
     # Cost of one typical movement, the frequency bound's scale: the
     # imbalance of one period's drift, about a tenth of an allocation.
@@ -305,16 +285,14 @@ def decide(
             decision.cancelled = "threshold"
         return decision
 
-    if remaining_sets is not None:
-        transfers = transfers_from_sets(remaining_sets.sets(), decision.targets)
-    else:
-        transfers = partition.transfers_toward(decision.targets)
-    if not transfers:
+    pair = adjacent_moves if adjacent else surplus_moves
+    moves = pair(counts, decision.targets)
+    if not moves:
         return decision
 
     if cfg.profitability_enabled:
         estimate = estimate_movement_cost(
-            transfers,
+            [k for _, _, k in moves],
             unit_bytes=state.unit_bytes,
             bandwidth=state.network.bandwidth,
             latency=state.network.latency,
@@ -332,5 +310,5 @@ def decide(
             decision.cancelled = "profitability"
             return decision
 
-    decision.transfers = transfers
+    decision.moves = moves
     return decision

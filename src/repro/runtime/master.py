@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Any, Collection, Iterator, Mapping
+from typing import Any, Callable, Collection, Iterator, Mapping
 
 import numpy as np
 
@@ -32,12 +32,13 @@ from ..config import RunConfig
 from ..errors import ProtocolError, SlaveLostError
 from ..obs import NULL_RECORDER, Recorder
 from ..sim import Recv, Send, TaskContext
-from .balancer import BalancerDecision, BalancerState, RemainingSets, decide
+from .balancer import BalancerDecision, BalancerState, decide
 from .frequency import MIN_PERIOD, QUANTUM_MULTIPLE, hooks_to_skip
 from .partition import (
     BlockPartition,
     IndexPartition,
     Transfer,
+    cut_units,
     proportional_counts,
 )
 from .protocol import (
@@ -181,7 +182,7 @@ class _Master:
         )
         self.last_report: dict[int, SlaveReport] = {}
         # PARALLEL_MAP: live per-slave counts of unfinished owned units
-        # (see _remaining_sets), valid for the partition they were taken on.
+        # (see _tail), valid for the partition they were taken on.
         self._remaining: list[int] = []
         self._counted: BlockPartition | IndexPartition | None = None
         self.pending_orders: dict[int, list[MoveOrder]] = {p: [] for p in range(self.n)}
@@ -258,15 +259,14 @@ class _Master:
             return total
         return float(plan.unit_count * plan.reps)
 
-    def _hook_units(self, sets: RemainingSets | None) -> Mapping[int, float]:
+    def _hook_units(self, counts: list[int]) -> Mapping[int, float]:
         """Units one hook interval covers, per slave (Section 4.3): one
         iteration, a pipeline strip's share of the slave's columns, or
-        the units a repetition hook spans.  Read from the counts the
-        decision balances (``sets``' or ownership's), for the one slave a
-        reply goes to; the view holds no reference to the master."""
+        the units a repetition hook spans.  Read from the ``counts`` the
+        decision balances, for the one slave a reply goes to; the view
+        holds no reference to the master."""
         if self.plan.shape is LoopShape.PARALLEL_MAP:
             return {}  # one unit per hook: BalancerDecision.skip_hooks' default
-        counts = sets.counts if sets is not None else self.partition.counts()
         if self.plan.shape is LoopShape.PIPELINE:
             return _ScaledCounts(
                 counts, self.block_size or 1, self.plan.strip.total, 1e-9
@@ -276,8 +276,19 @@ class _Master:
         return _ScaledCounts(counts, 1, 1, 1.0)
 
     def _counts(self) -> list[int]:
-        active = self._active_sets()
-        return active.counts if active is not None else self.partition.counts()
+        front = self._front()
+        return front[0] if front is not None else self.partition.counts()
+
+    def _balanced(
+        self,
+    ) -> tuple[list[int], Callable[[int], Collection[int]] | None]:
+        """The per-slave counts the balancer balances and, unless they
+        are ownership, each slave's movable unit ids behind them (read
+        only to cut a move that goes ahead)."""
+        tail = self._tail()
+        if tail is not None:
+            return tail, self._unfinished
+        return self._front() or (self.partition.counts(), None)
 
     def note_report(self, report: SlaveReport) -> None:
         """Keep ``report`` as its slave's latest, and refresh that slave's
@@ -294,21 +305,21 @@ class _Master:
             return owned
         return set(rep.remaining_units).intersection(owned)
 
-    def _remaining_sets(self) -> RemainingSets | None:
-        """Per-slave remaining work in a PARALLEL_MAP tail phase.
+    def _tail(self) -> list[int] | None:
+        """Per-slave counts of unfinished units in a PARALLEL_MAP tail
+        phase.
 
         In steady state the paper's ownership-proportional balancing is
         used (remaining counts snapshotted at different report times
         would inject progress-position noise).  Once some slave runs dry
         while others still hold work, ownership no longer reflects load,
-        so the tail balances explicit remaining-work sets — built from
-        slave reports, intersected with current ownership so a stale
-        report cannot name a unit that has since moved.
+        so the tail balances remaining work, taken from slave reports
+        and intersected with current ownership so a stale report cannot
+        name a unit that has since moved (:meth:`_unfinished`).
 
         The counts are live: :meth:`note_report` refreshes the reporter's,
         and all are retaken when movement, a grant or a rollback replaces
-        the partition.  So the tail test costs O(P) per report, and the
-        sets are built only if work is cut."""
+        the partition.  So the tail test costs O(P) per report."""
         if self.plan.shape is not LoopShape.PARALLEL_MAP:
             return None
         if self._counted is not self.partition:
@@ -317,17 +328,16 @@ class _Master:
         counts = self._remaining
         if min(counts) > 0 or max(counts) == 0:
             return None  # steady state (or fully done): ownership rules
-        return RemainingSets(
-            list(counts),
-            lambda: {p: tuple(sorted(self._unfinished(p))) for p in range(self.n)},
-        )
+        return list(counts)
 
-    def _active_sets(self) -> RemainingSets | None:
+    def _front(
+        self,
+    ) -> tuple[list[int], Callable[[int], Collection[int]]] | None:
         """The units each slave may still give away on a reduction front
-        with free movement (Section 4.7): those past the repetition it
-        last reported, plus one repetition of margin against report
-        staleness.  An owned list is sorted, so they are its suffix past
-        one bisection point."""
+        with free movement (Section 4.7), as counts and ids: those past
+        the repetition it last reported, plus one repetition of margin
+        against report staleness.  An owned list is sorted, so they are
+        its suffix past one bisection point."""
         part = self.partition
         if self.plan.shape is not LoopShape.REDUCTION_FRONT or not isinstance(
             part, IndexPartition
@@ -340,9 +350,9 @@ class _Master:
             )
             for p in range(self.n)
         ]
-        return RemainingSets(
+        return (
             [len(part.units(p)) - c for p, c in enumerate(cuts)],
-            lambda: {p: part.units(p)[c:] for p, c in enumerate(cuts)},
+            lambda p: part.units(p)[cuts[p] :],
         )
 
     # ------------------------------------------------------------------
@@ -485,14 +495,14 @@ class _Master:
             and self._movement_allowed(now)
             and remaining > 0
         )
-        sets = self._remaining_sets() or self._active_sets()
+        counts, units_of = self._balanced()
         decision = decide(
             self.state,
-            self.partition,
-            self._hook_units(sets),
+            counts,
+            self._hook_units(counts),
             remaining_units=remaining,
             allow_movement=allow,
-            remaining_sets=sets,
+            adjacent=units_of is None and isinstance(self.partition, BlockPartition),
         )
         self.log.decision = decision
         if self.obs.enabled:
@@ -512,15 +522,17 @@ class _Master:
                     "period": decision.period,
                 },
             )
-        if decision.transfers:
+        if decision.moves:
+            if units_of is None:
+                transfers = self.partition.cut(decision.moves)
+            else:
+                transfers = cut_units(units_of, decision.moves)
             # Released slaves no longer read instructions; a transfer
             # touching one could never be delivered and its units would
             # vanish from the gather.
             avoid = self.released | self.dead | self.suspected
             usable = [
-                t
-                for t in decision.transfers
-                if t.src not in avoid and t.dst not in avoid
+                t for t in transfers if t.src not in avoid and t.dst not in avoid
             ]
             if usable:
                 self._issue_transfers(usable, now)
@@ -1576,7 +1588,7 @@ def master_task(
     floor_period = max(
         MIN_PERIOD, QUANTUM_MULTIPLE * run_cfg.cluster.processor.quantum
     )
-    uph = m._hook_units(m._active_sets())
+    uph = m._hook_units(m._counts())
 
     # Initial scatter: each slave gets its units plus the data they own.
     for pid in range(m.n):

@@ -106,10 +106,6 @@ class MovementLedger:
         self._applied.append(move_id)
         self._done_ids.add(move_id)
 
-    def is_done(self, move_id: int) -> bool:
-        """Has this slave's half of ``move_id`` already executed?"""
-        return move_id in self._done_ids
-
     def is_voided(self, move_id: int) -> bool:
         return move_id in self._voided
 

@@ -10,30 +10,41 @@ Two partition kinds mirror the paper's two movement regimes (Figure 1):
   with index arrays (the run-time indirection of Section 4.5).  Movement
   may pair any two slaves (MM, LU).
 
-Both produce explicit :class:`Transfer` lists so master and slaves agree
-exactly on which unit ids move where.  :func:`proportional_counts`
+The balancer decides on unit counts alone: :func:`proportional_counts`
 implements the paper's proportional allocation (work assigned to each
-slave proportional to its measured computation rate).
+slave proportional to its measured computation rate), and
+:func:`surplus_moves` / :func:`adjacent_moves` pair givers with takers as
+sized moves ``(src, dst, k)``.  Only a decision that moves work is cut
+into explicit :class:`Transfer` lists (``cut`` or :func:`cut_units`), so
+master and slaves agree exactly on which unit ids move where.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass
+from itertools import accumulate
 from operator import sub
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from ..errors import PartitionError
 
 __all__ = [
+    "Move",
     "Transfer",
     "proportional_counts",
-    "transfers_from_sets",
+    "surplus_moves",
+    "adjacent_moves",
+    "cut_units",
     "BlockPartition",
     "IndexPartition",
 ]
+
+#: A sized move: slave ``src`` gives ``k`` units to slave ``dst``.
+Move = tuple[int, int, int]
 
 
 @dataclass(frozen=True)
@@ -91,40 +102,99 @@ def proportional_counts(
     return result
 
 
-def transfers_from_sets(
-    remaining_by_pid: dict[int, Sequence[int]],
-    target_counts: Sequence[int],
-) -> list[Transfer]:
-    """Direct transfers computed from explicit remaining-work sets.
-
-    Used for independent-iteration shapes near the end of a run, where
-    ownership counts no longer reflect remaining work: slaves report the
-    ids of units still carrying work, and donors give their
-    highest-numbered remaining units to deficit slaves.
-    """
-    n = len(target_counts)
-    cur = [len(remaining_by_pid.get(p, ())) for p in range(n)]
-    if sum(target_counts) != sum(cur):
+def _check_targets(counts: Sequence[int], target_counts: Sequence[int]) -> None:
+    if len(target_counts) != len(counts):
+        raise PartitionError("target counts length mismatch")
+    if sum(target_counts) != sum(counts):
         raise PartitionError(
-            f"target sum {sum(target_counts)} != remaining units {sum(cur)}"
+            f"target counts sum {sum(target_counts)} != units {sum(counts)}"
         )
-    surplus = [c - t for c, t in zip(cur, target_counts)]
-    takers = [p for p in range(n) if surplus[p] < 0]
-    transfers: list[Transfer] = []
-    for d in range(n):
-        if surplus[d] <= 0:
-            continue
-        pool = sorted(remaining_by_pid.get(d, ()))
-        while surplus[d] > 0 and takers:
+
+
+def surplus_moves(counts: Sequence[int], target_counts: Sequence[int]) -> list[Move]:
+    """Direct moves from surplus to deficit slaves (unrestricted
+    movement): donors in ascending order each fill the lowest deficit
+    slaves still short, so any pair may trade."""
+    _check_targets(counts, target_counts)
+    surplus = list(map(sub, counts, target_counts))
+    takers = deque(p for p, s in enumerate(surplus) if s < 0)
+    moves: list[Move] = []
+    for d, give in enumerate(surplus):
+        while give > 0:
             t = takers[0]
-            k = min(surplus[d], -surplus[t])
-            units = tuple(pool[-k:])
-            pool = pool[:-k]
-            transfers.append(Transfer(src=d, dst=t, units=units))
-            surplus[d] -= k
+            k = min(give, -surplus[t])
+            moves.append((d, t, k))
+            give -= k
             surplus[t] += k
             if surplus[t] == 0:
-                takers.pop(0)
+                takers.popleft()
+    return moves
+
+
+def adjacent_moves(counts: Sequence[int], target_counts: Sequence[int]) -> list[Move]:
+    """Moves between neighbours toward ``target_counts`` in one
+    balancing step (restricted movement, block partitions).
+
+    Each boundary moves at most to the edge of the *sending* slave's
+    current range, so every move is feasible immediately; a large shift
+    across several slaves completes over several balancing periods, with
+    intermediate slaves forwarding load (paper Figure 1b).  A move
+    ``(i - 1, i, k)`` gives slave ``i - 1``'s top ``k`` units, and
+    ``(i, i - 1, k)`` slave ``i``'s bottom ``k``.
+    """
+    _check_targets(counts, target_counts)
+    n = len(counts)
+    # Boundaries as prefix sums: slave s holds [old[s], old[s + 1]).
+    old = list(accumulate(counts, initial=0))
+    desired = list(accumulate(target_counts, initial=0))
+    new = list(old)
+    for i in range(1, n):
+        # Boundary i separates slave i-1 and slave i.  Clamp so that
+        # (a) the chunk moved comes out of the sender's *old* range,
+        # (b) boundaries stay monotone, and (c) every slave keeps at
+        # least one unit (a pipeline slave must retain a column to
+        # anchor its halo exchange).
+        lo_limit = max(old[i - 1], new[i - 1] + 1)
+        hi_limit = min(old[i + 1] - 1, old[n] - (n - i))
+        if hi_limit >= lo_limit:
+            new[i] = max(lo_limit, min(hi_limit, desired[i]))
+    # A slave executes its sends before its receives, so it must retain
+    # at least one *currently owned* unit even when the round both takes
+    # from and gives to it; cap each slave's gives.
+    for s in range(n):
+        give_bottom = max(0, new[s] - old[s])
+        give_top = max(0, old[s + 1] - new[s + 1])
+        excess = give_bottom + give_top - (counts[s] - 1)
+        if excess > 0:
+            shrink_top = min(excess, give_top)
+            new[s + 1] += shrink_top
+            excess -= shrink_top
+            if excess > 0:
+                new[s] -= min(excess, give_bottom)
+    moves: list[Move] = []
+    for i in range(1, n):
+        if new[i] < old[i]:
+            moves.append((i - 1, i, old[i] - new[i]))
+        elif new[i] > old[i]:
+            moves.append((i, i - 1, new[i] - old[i]))
+    return moves
+
+
+def cut_units(
+    units_of: Callable[[int], Iterable[int]], moves: Sequence[Move]
+) -> list[Transfer]:
+    """The unit ids of ``moves``, move by move: each donor gives the
+    highest of ``units_of(donor)`` it has left (those stay active
+    longest, so their data keeps paying off, Section 4.7).  Reads only
+    the donors' units."""
+    pools: dict[int, list[int]] = {}
+    transfers: list[Transfer] = []
+    for src, dst, k in moves:
+        pool = pools.get(src)
+        if pool is None:
+            pool = pools[src] = sorted(units_of(src))
+        transfers.append(Transfer(src=src, dst=dst, units=tuple(pool[-k:])))
+        del pool[-k:]
     return transfers
 
 
@@ -142,6 +212,7 @@ class BlockPartition:
         if any(y < x for x, y in zip(b, b[1:])):
             raise PartitionError(f"boundaries not monotone: {b}")
         self.boundaries = b
+        self._counts: list[int] | None = None
 
     @classmethod
     def even(cls, n_units: int, n_slaves: int, lo: int = 0) -> "BlockPartition":
@@ -169,8 +240,12 @@ class BlockPartition:
         return self.boundaries[-1] - self.boundaries[0]
 
     def counts(self) -> list[int]:
-        b = self.boundaries
-        return [b[s + 1] - b[s] for s in range(self.n_slaves)]
+        """Units per slave, computed once: a partition is replaced, never
+        edited, so callers share the list and must not mutate it."""
+        if self._counts is None:
+            b = self.boundaries
+            self._counts = [b[s + 1] - b[s] for s in range(self.n_slaves)]
+        return self._counts
 
     def owned_range(self, s: int) -> tuple[int, int]:
         return self.boundaries[s], self.boundaries[s + 1]
@@ -189,63 +264,17 @@ class BlockPartition:
             raise PartitionError(f"unit {unit} outside domain [{b[0]}, {b[-1]})")
         return int(np.searchsorted(np.asarray(b), unit, side="right")) - 1
 
-    def transfers_toward(self, target_counts: Sequence[int]) -> list[Transfer]:
-        """Adjacent-only transfers moving this partition toward
-        ``target_counts`` in a single balancing step.
-
-        Each boundary moves at most to the edge of the *sending* slave's
-        current range, so every transfer is feasible immediately; a large
-        shift across several slaves completes over several balancing
-        periods, with intermediate slaves forwarding load (paper
-        Figure 1b).
-        """
-        if len(target_counts) != self.n_slaves:
-            raise PartitionError("target counts length mismatch")
-        if sum(target_counts) != self.n_units:
-            raise PartitionError(
-                f"target counts sum {sum(target_counts)} != units {self.n_units}"
-            )
-        old = self.boundaries
-        # Desired boundaries from target counts.
-        desired = [old[0]]
-        for c in target_counts:
-            desired.append(desired[-1] + c)
-        new = list(old)
-        transfers: list[Transfer] = []
-        for i in range(1, self.n_slaves):
-            # Boundary i separates slave i-1 and slave i.  Clamp so that
-            # (a) the chunk transferred comes out of the sender's *old*
-            # range, (b) boundaries stay monotone, and (c) every slave
-            # keeps at least one unit (a pipeline slave must retain a
-            # column to anchor its halo exchange).
-            lo_limit = max(old[i - 1], new[i - 1] + 1)
-            hi_limit = min(old[i + 1] - 1, self.boundaries[-1] - (self.n_slaves - i))
-            if hi_limit < lo_limit:
-                new[i] = old[i]
-            else:
-                new[i] = max(lo_limit, min(hi_limit, desired[i]))
-        # A slave executes its sends before its receives, so it must
-        # retain at least one *currently owned* unit even when the round
-        # both takes from and gives to it; cap each slave's gives.
-        for s in range(self.n_slaves):
-            old_count = old[s + 1] - old[s]
-            give_bottom = max(0, new[s] - old[s])
-            give_top = max(0, old[s + 1] - new[s + 1])
-            excess = give_bottom + give_top - (old_count - 1)
-            if excess > 0:
-                shrink_top = min(excess, give_top)
-                new[s + 1] += shrink_top
-                excess -= shrink_top
-                if excess > 0:
-                    new[s] -= min(excess, give_bottom)
+    def cut(self, moves: Sequence[Move]) -> list[Transfer]:
+        """The unit ids of :func:`adjacent_moves`' ``moves``: the chunk
+        at the sender's edge facing the receiver."""
+        b = self.boundaries
         transfers = []
-        for i in range(1, self.n_slaves):
-            if new[i] < old[i]:
-                units = tuple(range(new[i], old[i]))
-                transfers.append(Transfer(src=i - 1, dst=i, units=units))
-            elif new[i] > old[i]:
-                units = tuple(range(old[i], new[i]))
-                transfers.append(Transfer(src=i, dst=i - 1, units=units))
+        for src, dst, k in moves:
+            if dst == src + 1:
+                units = range(b[src + 1] - k, b[src + 1])
+            else:
+                units = range(b[src], b[src] + k)
+            transfers.append(Transfer(src=src, dst=dst, units=tuple(units)))
         return transfers
 
     def apply(self, transfers: Sequence[Transfer]) -> "BlockPartition":
@@ -274,6 +303,7 @@ class IndexPartition:
 
     def __init__(self, owned: Sequence[Sequence[int]]):
         self._owned: list[list[int]] = [sorted(int(u) for u in o) for o in owned]
+        self._counts: list[int] | None = None
         seen: set[int] = set()
         for o in self._owned:
             for u in o:
@@ -299,10 +329,12 @@ class IndexPartition:
     def n_units(self) -> int:
         return sum(len(o) for o in self._owned)
 
-    def counts(self, active: Callable[[int], bool] | None = None) -> list[int]:
-        if active is None:
-            return [len(o) for o in self._owned]
-        return [sum(1 for u in o if active(u)) for o in self._owned]
+    def counts(self) -> list[int]:
+        """Units per slave, computed once: a partition is replaced, never
+        edited, so callers share the list and must not mutate it."""
+        if self._counts is None:
+            self._counts = [len(o) for o in self._owned]
+        return self._counts
 
     def owned(self, s: int) -> np.ndarray:
         return np.asarray(self._owned[s], dtype=int)
@@ -318,26 +350,9 @@ class IndexPartition:
                 return s
         raise PartitionError(f"unit {unit} unowned")
 
-    def transfers_toward(
-        self,
-        target_counts: Sequence[int],
-        active: Callable[[int], bool] | None = None,
-    ) -> list[Transfer]:
-        """Direct transfers from surplus to deficit slaves.
-
-        Only *active* units move (Section 4.7); targets refer to active
-        counts.  Donors give their highest-numbered active units (those
-        stay active longest, so their data keeps paying off).
-        """
-        if len(target_counts) != self.n_slaves:
-            raise PartitionError("target counts length mismatch")
-        return transfers_from_sets(
-            {
-                s: [u for u in o if active is None or active(u)]
-                for s, o in enumerate(self._owned)
-            },
-            target_counts,
-        )
+    def cut(self, moves: Sequence[Move]) -> list[Transfer]:
+        """The unit ids of ``moves``: each donor gives its highest ids."""
+        return cut_units(self.units, moves)
 
     def apply(self, transfers: Sequence[Transfer]) -> "IndexPartition":
         """New partition after ``transfers``.
@@ -362,4 +377,5 @@ class IndexPartition:
                 dst.insert(j, u)
         new = IndexPartition.__new__(IndexPartition)
         new._owned = owned  # still sorted and disjoint: no re-check
+        new._counts = None
         return new

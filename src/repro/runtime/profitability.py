@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ..errors import ConfigError
-from .partition import Transfer
 
 __all__ = ["MovementEstimate", "estimate_movement_cost", "movement_profitable"]
 
@@ -32,7 +31,7 @@ class MovementEstimate:
 
 
 def estimate_movement_cost(
-    transfers: Sequence[Transfer],
+    sizes: Sequence[int],
     unit_bytes: int,
     bandwidth: float,
     latency: float,
@@ -40,7 +39,8 @@ def estimate_movement_cost(
     fixed_cpu: float,
     measured_per_unit: float | None = None,
 ) -> MovementEstimate:
-    """Estimate how long the given transfers take.
+    """Estimate how long moves of the given ``sizes`` (units per
+    transfer) take.
 
     When a measured per-unit movement cost is available (the runtime
     measures it each time work moves, Section 4.3), it overrides the
@@ -48,17 +48,17 @@ def estimate_movement_cost(
     """
     if unit_bytes <= 0 or bandwidth <= 0:
         raise ConfigError("unit_bytes and bandwidth must be positive")
-    total_units = sum(t.count for t in transfers)
+    total_units = sum(sizes)
     if total_units == 0:
         return MovementEstimate(0, 0.0, 0.0)
     if measured_per_unit is not None and measured_per_unit > 0:
         return MovementEstimate(
             total_units=total_units,
             wire_time=measured_per_unit * total_units,
-            cpu_time=fixed_cpu * len(transfers),
+            cpu_time=fixed_cpu * len(sizes),
         )
-    wire = sum(latency + t.count * unit_bytes / bandwidth for t in transfers)
-    cpu = fixed_cpu * len(transfers) + pack_cpu_per_unit * total_units * 2
+    wire = sum(latency + k * unit_bytes / bandwidth for k in sizes)
+    cpu = fixed_cpu * len(sizes) + pack_cpu_per_unit * total_units * 2
     return MovementEstimate(total_units=total_units, wire_time=wire, cpu_time=cpu)
 
 

@@ -138,13 +138,6 @@ class MoveOrder:
     move_id: int
     transfer: Transfer
 
-    def role(self, pid: int) -> str:
-        if pid == self.transfer.src:
-            return "send"
-        if pid == self.transfer.dst:
-            return "recv"
-        return "none"
-
 
 @dataclass(frozen=True)
 class Ctrl:

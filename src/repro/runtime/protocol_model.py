@@ -13,15 +13,21 @@ skeleton:
   a transfer, shipped leaf-to-leaf on ``lb.move.<id>``), a ``noop``, or
   — once every unit is complete, every banked result matches the
   ledger, and no move is outstanding — a ``release``.
-- Ownership is *ledger-style*, exactly like the FT master: the master's
-  view of who owns which unit changes only through its own decisions
-  (move issue, grant, recovery sweep) and their acknowledgements, never
-  by overwriting from a slave report — reports carry progress
-  (remaining, applied move ids), and the master subtracts the units of
-  still-outstanding outbound moves so a stale report cannot double-book
-  a unit into a second move.
+- Ownership is *ledger-style*: the master's view of who owns which
+  unit changes only through its own decisions (move issue, grant,
+  recovery sweep), never by overwriting from a slave report — reports
+  carry progress (remaining, applied move ids), and the master
+  subtracts the units of still-outstanding outbound moves so a stale
+  report cannot double-book a unit into a second move.  This ledger
+  abstracts the runtime's rather than copying it: a move's units change
+  owner when the move is issued and only the receiver's applied report
+  settles it, where ``runtime/master.py`` changes ownership once both
+  sides have acked; and the master takes only ``lb.status`` messages,
+  selected by tag.
 - A done slave is *parked* (no reply) until work arrives for it or the
-  run completes, as the runtime's master parks it.
+  run completes, and only once its banked result matches the ledger:
+  the failure-tolerant runtime's rule.  The fault-free runtime releases
+  a done slave with no move in flight at once.
 
 The ``front`` shape variant abstracts the reduction-front (LU-style)
 plane instead: per repetition the front owner broadcasts ``front.<rep>``

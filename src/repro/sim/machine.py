@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from heapq import heappush
-from typing import Any, Callable, Generator, Iterable
+from typing import Any, Callable, Generator
 
 from ..config import ClusterSpec
 from ..errors import DeadlockError, SimulationError
@@ -535,10 +535,6 @@ class Cluster:
                 )
             )
         return RusageReport(usages=usages, t_end=t_end)
-
-    def slave_pids(self) -> Iterable[int]:
-        """Processor ids hosting slaves (excludes the master)."""
-        return range(self.spec.n_slaves)
 
 
 # Concrete-type dispatch table for task syscalls; filled after the class

@@ -239,9 +239,3 @@ class Processor:
         """
         busy = self.load.competing_busy_time(t_start, t_end)
         return max(0.0, busy - self.app_cpu_while_loaded)
-
-    def effective_rate(self, t: float, window: float = 1.0) -> float:
-        """Average ops/sec available to the app around time ``t`` (query
-        helper for traces; no accounting)."""
-        cpu = self.app_cpu_between(t, t + window)
-        return cpu / window * self.spec.speed

@@ -7,14 +7,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.config import BalancerConfig, NetworkSpec
 from repro.runtime import balancer
-from repro.runtime.balancer import BalancerState, RemainingSets, decide
-from repro.runtime.partition import BlockPartition, IndexPartition
+from repro.runtime.balancer import BalancerState, decide
+from repro.runtime.partition import BlockPartition, IndexPartition, cut_units
 from repro.runtime.profitability import (
     MovementEstimate,
     estimate_movement_cost,
     movement_profitable,
 )
-from repro.runtime.partition import Transfer
 from repro.runtime.protocol import SlaveReport
 
 
@@ -84,19 +83,17 @@ class TestDecide:
         st_ = make_state()
         feed(st_, [20.0] * 4)
         part = IndexPartition.even(100, 4)
-        d = decide(st_, part, self._uph(), remaining_units=100)
-        assert not d.moves_work
+        d = decide(st_, part.counts(), self._uph(), remaining_units=100)
+        assert not d.moves
         assert d.improvement < 0.01
 
     def test_imbalance_triggers_proportional_movement(self):
         st_ = make_state()
         feed(st_, [10.0, 30.0, 30.0, 30.0])
         part = IndexPartition.even(100, 4)
-        d = decide(st_, part, self._uph(), remaining_units=10000)
-        assert d.moves_work
-        total_moved_from_0 = sum(
-            t.count for t in d.transfers if t.src == 0
-        )
+        d = decide(st_, part.counts(), self._uph(), remaining_units=10000)
+        assert d.moves
+        total_moved_from_0 = sum(k for src, _, k in d.moves if src == 0)
         # Slave 0 should end up with ~10/100 of the work: gives ~15 of 25.
         assert 10 <= total_moved_from_0 <= 20
 
@@ -104,41 +101,45 @@ class TestDecide:
         st_ = make_state(improvement_threshold=0.10)
         feed(st_, [19.0, 20.0, 20.0, 20.0])  # ~5% imbalance
         part = IndexPartition.even(100, 4)
-        d = decide(st_, part, self._uph(), remaining_units=10000)
-        assert not d.moves_work
+        d = decide(st_, part.counts(), self._uph(), remaining_units=10000)
+        assert not d.moves
         assert d.cancelled == "threshold"
 
     def test_zero_threshold_moves_on_any_imbalance(self):
         st_ = make_state(improvement_threshold=0.0, profitability_enabled=False)
         feed(st_, [19.0, 20.0, 20.0, 20.0])
         part = IndexPartition.even(100, 4)
-        d = decide(st_, part, self._uph(), remaining_units=10000)
-        assert d.moves_work
+        d = decide(st_, part.counts(), self._uph(), remaining_units=10000)
+        assert d.moves
 
     def test_profitability_cancels_endgame_movement(self):
         st_ = make_state()
         feed(st_, [10.0, 30.0, 30.0, 30.0])
         part = IndexPartition.even(100, 4)
         # Nearly no work left: moving cannot pay off.
-        d = decide(st_, part, self._uph(), remaining_units=0.05)
-        assert not d.moves_work
+        d = decide(st_, part.counts(), self._uph(), remaining_units=0.05)
+        assert not d.moves
         assert d.cancelled == "profitability"
 
     def test_in_flight_blocks_movement(self):
         st_ = make_state()
         feed(st_, [10.0, 30.0, 30.0, 30.0])
         part = IndexPartition.even(100, 4)
-        d = decide(st_, part, self._uph(), remaining_units=1e4, allow_movement=False)
-        assert not d.moves_work
+        d = decide(
+            st_, part.counts(), self._uph(), remaining_units=1e4, allow_movement=False
+        )
+        assert not d.moves
         assert d.cancelled == "in-flight"
 
     def test_block_partition_gets_adjacent_transfers(self):
         st_ = make_state()
         feed(st_, [10.0, 30.0, 30.0, 30.0])
         part = BlockPartition.even(100, 4)
-        d = decide(st_, part, self._uph(), remaining_units=1e4)
-        assert d.moves_work
-        for t in d.transfers:
+        d = decide(
+            st_, part.counts(), self._uph(), remaining_units=1e4, adjacent=True
+        )
+        assert d.moves
+        for t in part.cut(d.moves):
             assert abs(t.src - t.dst) == 1
 
     def test_active_predicate_limits_movement(self):
@@ -147,18 +148,18 @@ class TestDecide:
         part = IndexPartition.even(100, 4)
         active = lambda u: u >= 90  # noqa: E731 - only 10 active units
         sets = {p: [u for u in part.units(p) if active(u)] for p in range(4)}
-        remaining = RemainingSets([len(s) for s in sets.values()], lambda: sets)
         d = decide(
-            st_, part, self._uph(), remaining_units=1e4, remaining_sets=remaining
+            st_, [len(s) for s in sets.values()], self._uph(), remaining_units=1e4
         )
-        for t in d.transfers:
+        assert d.moves
+        for t in cut_units(sets.__getitem__, d.moves):
             assert all(u >= 90 for u in t.units)
 
     def test_skip_hooks_scale_with_rate(self):
         st_ = make_state()
         feed(st_, [10.0, 40.0, 40.0, 40.0])
         part = IndexPartition.even(100, 4)
-        d = decide(st_, part, self._uph(), remaining_units=1e4)
+        d = decide(st_, part.counts(), self._uph(), remaining_units=1e4)
         # Faster slaves pass more hooks per balancing period.
         assert d.skip_hooks(1) > d.skip_hooks(0)
 
@@ -166,14 +167,14 @@ class TestDecide:
         st_ = make_state()
         feed(st_, [10.0, 30.0, 30.0, 30.0])
         part = IndexPartition.even(100, 4)
-        allowed = decide(st_, part, self._uph(), remaining_units=1e4)
+        allowed = decide(st_, part.counts(), self._uph(), remaining_units=1e4)
 
         def no_targets(*args, **kwargs):
             raise AssertionError("a blocked decision built targets")
 
         monkeypatch.setattr(balancer, "proportional_counts", no_targets)
         blocked = decide(
-            st_, part, self._uph(), remaining_units=1e4, allow_movement=False
+            st_, part.counts(), self._uph(), remaining_units=1e4, allow_movement=False
         )
         assert blocked.cancelled == "in-flight"
         assert blocked.period == allowed.period
@@ -187,7 +188,7 @@ class TestDecide:
         st_ = make_state()
         feed(st_, [10.0, 30.0, 30.0, 30.0])
         part = IndexPartition.even(100, 4)
-        d = decide(st_, part, self._uph(), remaining_units=1e4)
+        d = decide(st_, part.counts(), self._uph(), remaining_units=1e4)
         assert d.t_current > d.t_balanced > 0
         assert 0 < d.improvement < 1
         assert d.period >= 0.5
@@ -239,7 +240,7 @@ def test_decide_reads_the_fresh_filtered_rates(steps, filt):
             )
         else:
             state.exclude(step[1])
-        d = decide(state, part, {}, remaining_units=1e4, allow_movement=False)
+        d = decide(state, part.counts(), {}, remaining_units=1e4, allow_movement=False)
         fresh = state.filtered_rates()
         assert [r.hex() for r in d.rates] == [fresh[p].hex() for p in range(3)]
 
@@ -247,7 +248,7 @@ def test_decide_reads_the_fresh_filtered_rates(steps, filt):
 class TestProfitability:
     def test_estimate_analytic(self):
         est = estimate_movement_cost(
-            [Transfer(0, 1, tuple(range(10)))],
+            [10],
             unit_bytes=4000,
             bandwidth=100e6,
             latency=5e-4,
@@ -259,7 +260,7 @@ class TestProfitability:
 
     def test_measured_cost_preferred(self):
         est = estimate_movement_cost(
-            [Transfer(0, 1, tuple(range(10)))],
+            [10],
             unit_bytes=4000,
             bandwidth=100e6,
             latency=5e-4,

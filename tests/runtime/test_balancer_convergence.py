@@ -47,14 +47,15 @@ def run_rounds(partition, rates, rounds=12, restricted=False):
         feed(state, rates)
         d = decide(
             state,
-            partition,
+            partition.counts(),
             {p: 1.0 for p in range(len(rates))},
             remaining_units=1e9,
+            adjacent=isinstance(partition, BlockPartition),
         )
-        if not d.transfers:
+        if not d.moves:
             break
         moves += 1
-        partition = partition.apply(d.transfers)
+        partition = partition.apply(partition.cut(d.moves))
     return partition, moves
 
 
@@ -111,5 +112,5 @@ def test_no_movement_once_balanced(rates):
         quantum=0.1,
     )
     feed(state, rates)
-    d = decide(state, part, {p: 1.0 for p in range(n)}, remaining_units=1e9)
+    d = decide(state, part.counts(), {p: 1.0 for p in range(n)}, remaining_units=1e9)
     assert d.improvement < 0.15

@@ -99,12 +99,13 @@ class TestParallelMapTail:
                 # A death sweeps the slave's units into grants.
                 m.declare_dead(data.draw(st.sampled_from(live)), now)
             sets = unfinished_oracle(m)
-            tail = m._remaining_sets()
+            tail = m._tail()
             assert m._remaining == [len(s) for s in sets.values()]
             if tail_oracle(sets):
-                assert tail is not None
-                assert tail.counts == [len(s) for s in sets.values()]
-                assert tail.sets() == sets
+                assert tail == [len(s) for s in sets.values()]
+                counts, units_of = m._balanced()
+                assert counts == tail
+                assert {p: tuple(sorted(units_of(p))) for p in sets} == sets
             else:
                 assert tail is None
 
@@ -123,13 +124,13 @@ class TestReductionFrontCounts:
             else:
                 move(m, data, float(step))
             active = active_predicate_oracle(m)
-            front = m._active_sets()
-            assert front.counts == m.partition.counts(active)
-            assert m._counts() == front.counts
-            sets = front.sets()
+            counts, units_of = m._front()
+            assert m._balanced()[0] == counts
+            assert m._counts() == counts
             for p in range(n):
                 expect = [u for u in m.partition.units(p) if active(u)]
-                assert list(sets[p]) == expect
+                assert counts[p] == len(expect)
+                assert list(units_of(p)) == expect
 
 
 class FakeCtx:

@@ -94,29 +94,54 @@ class TestAckBookkeeping:
 class TestRemainingSets:
     def test_none_for_non_parallel_map(self):
         m = make_master(plan=build_lu(n=20))
-        assert m._remaining_sets() is None
+        assert m._tail() is None
 
     def test_steady_state_returns_none(self):
         m = make_master()
         m.note_report(report(0, remaining=tuple(m.partition.owned(0))))
-        assert m._remaining_sets() is None  # everyone still has work
+        assert m._tail() is None  # everyone still has work
+        assert m._balanced() == (m.partition.counts(), None)
 
     def test_tail_returns_sets(self):
         m = make_master()
         m.note_report(report(0, remaining=()))  # slave 0 ran dry
-        tail = m._remaining_sets()
+        tail = m._tail()
         assert tail is not None
-        sets = tail.sets()
-        assert sets[0] == ()
-        assert len(sets[1]) > 0
+        counts, units_of = m._balanced()
+        assert counts == tail
+        assert counts[0] == 0 and not units_of(0)
+        assert counts[1] == len(units_of(1)) > 0
 
     def test_stale_remaining_intersected_with_ownership(self):
         m = make_master()
         not_owned_by_1 = tuple(m.partition.owned(0))[:2]
         m.note_report(report(0, remaining=()))
         m.note_report(report(1, remaining=not_owned_by_1))
-        sets = m._remaining_sets().sets()
-        assert sets[1] == ()  # stale ids filtered out
+        counts, units_of = m._balanced()
+        assert counts[1] == 0 and not units_of(1)  # stale ids filtered out
+
+    def test_cancelled_tail_cut_reads_no_unit_ids(self, monkeypatch):
+        # A tail report whose moves the profitability check cancels
+        # reads only the reporter's unfinished units, for its live
+        # count: no other slave's ids are read, since none is cut.
+        m = make_master()
+        m.note_report(report(0, remaining=()))  # slave 0 ran dry
+        assert m._tail() == [0, 10, 10]
+        m.done_units_accum = m.total_work_units - 1.01  # 0.01 units left
+        calls = []
+        unfinished = _Master._unfinished
+
+        def counted(self, p):
+            calls.append(p)
+            return unfinished(self, p)
+
+        monkeypatch.setattr(_Master, "_unfinished", counted)
+        m.handle_report(report(1), now=1.0)
+        decision = m.log.decision
+        assert decision.cancelled == "profitability"
+        assert decision.improvement >= m.cfg.balancer.improvement_threshold
+        assert calls == [1]
+        assert m.in_flight == {}
 
 
 class TestActivePredicate:
@@ -124,7 +149,7 @@ class TestActivePredicate:
         plan = build_lu(n=20)
         m = make_master(plan=plan)
         m.note_report(report(0, rep=5))
-        active = set(m._active_sets().sets()[0])
+        active = set(m._front()[1](0))
         owned0 = [int(u) for u in m.partition.owned(0)]
         # Units at or before the front (+1 margin) are not movable.
         for u in owned0:

@@ -8,8 +8,18 @@ from repro.runtime.partition import (
     BlockPartition,
     IndexPartition,
     Transfer,
+    adjacent_moves,
+    cut_units,
     proportional_counts,
+    surplus_moves,
 )
+
+
+def toward(p, target_counts):
+    """One balancing round's transfers toward ``target_counts``, as the
+    master cuts them: neighbours only for a block partition."""
+    pair = adjacent_moves if isinstance(p, BlockPartition) else surplus_moves
+    return p.cut(pair(p.counts(), target_counts))
 
 
 class TestProportionalCounts:
@@ -91,7 +101,7 @@ class TestBlockPartition:
 
     def test_transfers_toward_simple_shift(self):
         p = BlockPartition.from_counts([6, 6])
-        transfers = p.transfers_toward([3, 9])
+        transfers = toward(p, [3, 9])
         assert len(transfers) == 1
         t = transfers[0]
         assert (t.src, t.dst) == (0, 1)
@@ -99,7 +109,7 @@ class TestBlockPartition:
 
     def test_transfers_are_adjacent_only(self):
         p = BlockPartition.from_counts([6, 6, 6])
-        for t in p.transfers_toward([2, 6, 10]):
+        for t in toward(p, [2, 6, 10]):
             assert abs(t.src - t.dst) == 1
 
     def test_big_shift_completes_over_multiple_rounds(self):
@@ -109,7 +119,7 @@ class TestBlockPartition:
         p = BlockPartition.from_counts([9, 1, 1])
         target = [1, 1, 9]
         for _round in range(5):
-            transfers = p.transfers_toward(target)
+            transfers = toward(p, target)
             if not transfers:
                 break
             p = p.apply(transfers)
@@ -117,7 +127,7 @@ class TestBlockPartition:
 
     def test_apply_roundtrip(self):
         p = BlockPartition.from_counts([5, 5])
-        t = p.transfers_toward([3, 7])
+        t = toward(p, [3, 7])
         p2 = p.apply(t)
         assert p2.counts() == [3, 7]
 
@@ -145,7 +155,7 @@ class TestBlockPartition:
         total = p.n_units
         weights = [rng.uniform(0.1, 10.0) for _ in counts]
         targets = proportional_counts(total, weights, minimum=1)
-        transfers = p.transfers_toward(targets)
+        transfers = toward(p, targets)
         p2 = p.apply(transfers)
         assert p2.n_units == total
         # Every slave keeps at least one unit (the pipeline protocol
@@ -168,7 +178,7 @@ class TestBlockPartition:
         # monotonicity and strip a slave of all its units.
         p = BlockPartition.from_counts([12, 12, 11, 11])
         targets = [41, 2, 2, 1]
-        p2 = p.apply(p.transfers_toward(targets))
+        p2 = p.apply(toward(p, targets))
         assert all(c >= 1 for c in p2.counts())
 
     def test_forwarding_round_keeps_sender_nonempty(self):
@@ -176,7 +186,7 @@ class TestBlockPartition:
         # slave must not ask it to send away ALL currently owned units
         # (sends execute before receives on the slave).
         p = BlockPartition([1, 19, 24, 36, 47])
-        transfers = p.transfers_toward([22, 4, 10, 10])
+        transfers = toward(p, [22, 4, 10, 10])
         gives = {s: 0 for s in range(4)}
         for t in transfers:
             gives[t.src] += t.count
@@ -195,7 +205,7 @@ class TestBlockPartition:
         p = BlockPartition.from_counts(counts)
         weights = [rng.uniform(0.05, 20.0) for _ in counts]
         targets = proportional_counts(p.n_units, weights, minimum=1)
-        transfers = p.transfers_toward(targets)
+        transfers = toward(p, targets)
         gives = {s: 0 for s in range(len(counts))}
         for t in transfers:
             gives[t.src] += t.count
@@ -226,23 +236,14 @@ class TestIndexPartition:
 
     def test_transfers_direct_pairing(self):
         p = IndexPartition([[0, 1, 2, 3, 4, 5], [6], [7]])
-        transfers = p.transfers_toward([2, 3, 3])
+        transfers = toward(p, [2, 3, 3])
         p2 = p.apply(transfers)
         assert p2.counts() == [2, 3, 3]
 
     def test_donors_give_highest_units(self):
         p = IndexPartition([[0, 1, 2, 3], [4]])
-        (t,) = p.transfers_toward([2, 3])
+        (t,) = toward(p, [2, 3])
         assert t.units == (2, 3)
-
-    def test_active_filter(self):
-        p = IndexPartition([[0, 1, 2, 3], [4, 5]])
-        active = lambda u: u >= 2  # noqa: E731
-        assert p.counts(active) == [2, 2]
-        transfers = p.transfers_toward([1, 3], active)
-        # Only active units move.
-        for t in transfers:
-            assert all(u >= 2 for u in t.units)
 
     def test_apply_rejects_unowned(self):
         p = IndexPartition([[0], [1]])
@@ -252,7 +253,9 @@ class TestIndexPartition:
     def test_target_sum_mismatch_rejected(self):
         p = IndexPartition([[0, 1], [2]])
         with pytest.raises(PartitionError):
-            p.transfers_toward([5, 5])
+            surplus_moves(p.counts(), [5, 5])
+        with pytest.raises(PartitionError):
+            adjacent_moves(p.counts(), [3])
 
     @given(
         counts=st.lists(st.integers(1, 20), min_size=2, max_size=6),
@@ -263,9 +266,73 @@ class TestIndexPartition:
             weights = (weights * len(counts))[: len(counts)]
         p = IndexPartition.even(sum(counts), len(counts))
         targets = proportional_counts(sum(counts), weights, minimum=1)
-        p2 = p.apply(p.transfers_toward(targets))
+        p2 = p.apply(toward(p, targets))
         # Unrestricted movement reaches the target in one round.
         assert p2.counts() == targets
+
+
+def _targets(data, counts):
+    """Random targets with the counts' total: proportional shares or an
+    arbitrary composition."""
+    total, n = sum(counts), len(counts)
+    if data.draw(st.booleans()):
+        weights = data.draw(st.lists(st.floats(0.0, 50.0), min_size=n, max_size=n))
+        return proportional_counts(total, weights, minimum=int(total >= n))
+    cuts = sorted(data.draw(st.lists(st.integers(0, total), min_size=n - 1, max_size=n - 1)))
+    bounds = [0, *cuts, total]
+    return [b - a for a, b in zip(bounds, bounds[1:])]
+
+
+class TestCountLevelPairing:
+    def test_counts_are_computed_once_per_partition(self):
+        for p in (
+            BlockPartition.from_counts([3, 2]),
+            IndexPartition([[0, 1, 2], [3, 4]]),
+        ):
+            counts = p.counts()
+            assert counts == [3, 2] and p.counts() is counts
+            moved = p.apply(p.cut([(0, 1, 1)]))
+            assert moved.counts() == [2, 3]
+            assert p.counts() == [3, 2]
+
+    @given(data=st.data(), counts=st.lists(st.integers(0, 20), min_size=1, max_size=8))
+    def test_surplus_cut_reaches_targets_from_highest_ids(self, data, counts):
+        ids = data.draw(st.permutations(range(3 * sum(counts) + 3)))
+        owned, k = [], 0
+        for c in counts:
+            owned.append(ids[k : k + c])
+            k += c
+        p = IndexPartition(owned)
+        targets = _targets(data, counts)
+        moves = surplus_moves(counts, targets)
+        transfers = p.cut(moves)
+        assert [(t.src, t.dst, t.count) for t in transfers] == moves
+        assert p.apply(transfers).counts() == targets
+        # Each donor gives its highest ids, move by move.
+        for d in range(len(counts)):
+            chunks = [t.units for t in transfers if t.src == d]
+            given_ids = [u for chunk in reversed(chunks) for u in chunk]
+            assert given_ids == sorted(owned[d])[len(owned[d]) - len(given_ids) :]
+        # The same cut over any units function.
+        assert cut_units(lambda q: owned[q], moves) == transfers
+
+    @given(data=st.data(), counts=st.lists(st.integers(0, 20), min_size=1, max_size=8))
+    def test_adjacent_moves_pair_neighbours_within_what_senders_own(
+        self, data, counts
+    ):
+        targets = _targets(data, counts)
+        moves = adjacent_moves(counts, targets)
+        gives = [0] * len(counts)
+        for src, dst, k in moves:
+            assert abs(src - dst) == 1 and k > 0
+            gives[src] += k
+        for c, g in zip(counts, gives):
+            # Never more than the sender owns; an owner keeps one unit.
+            assert g <= max(c - 1, 0)
+        p = BlockPartition.from_counts(counts)
+        after = p.apply(p.cut(moves)).counts()
+        assert sum(after) == sum(counts)
+        assert all(a >= 1 for a, c in zip(after, counts) if c >= 1)
 
 
 class TestTransfer:
